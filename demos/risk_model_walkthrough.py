@@ -9,7 +9,7 @@ matplotlib installed the curves are also saved as risk_models.png.
 
 import numpy as np
 
-from riskdecode.calibration import minmax_rescale
+from riskdecode.calibration import joint_rescale
 from riskdecode.risk_models import (DrfParams, PcadParams, drf_risk_series,
                                     pcad_risk_series)
 from riskdecode.scenarios import event_by_id, simulate_event
@@ -24,13 +24,8 @@ EVENTS = {
 
 def rescaled_series(trajectories, series_fn, params):
     """Model output per event, min-max scaled jointly across all of them."""
-    raw = {label: series_fn(traj, params) for label, traj in trajectories.items()}
-    flat = minmax_rescale(np.concatenate(list(raw.values())))
-    out, pos = {}, 0
-    for label, series in raw.items():
-        out[label] = flat[pos:pos + series.size]
-        pos += series.size
-    return out
+    return joint_rescale({label: series_fn(traj, params)
+                          for label, traj in trajectories.items()})
 
 
 def main():

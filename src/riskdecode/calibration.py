@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .risk_models import DrfParams, PcadParams, drf_risk_series, pcad_risk_series
-from .scenarios import DT, enumerate_events, event_by_id, simulate_event
+from .scenarios import enumerate_events, event_by_id, simulate_event
 
 RISK_MIN = 0.0
 RISK_MAX = 10.0
@@ -51,9 +51,10 @@ DRF_BOUNDS = {
     "c_width": (0.1, 1.5),
 }
 
-_MODEL_DEFAULTS = {"PCAD": PcadParams, "DRF": DrfParams}
-_MODEL_BOUNDS = {"PCAD": PCAD_BOUNDS, "DRF": DRF_BOUNDS}
-_MODEL_SERIES = {"PCAD": pcad_risk_series, "DRF": drf_risk_series}
+# the model registry: parameter record, search bounds and per-event series
+MODEL_DEFAULTS = {"PCAD": PcadParams, "DRF": DrfParams}
+MODEL_BOUNDS = {"PCAD": PCAD_BOUNDS, "DRF": DRF_BOUNDS}
+MODEL_SERIES = {"PCAD": pcad_risk_series, "DRF": drf_risk_series}
 
 
 def rmse(pred, obs) -> float:
@@ -85,6 +86,13 @@ def minmax_rescale(values) -> np.ndarray:
     return (values - lo) / (hi - lo) * RISK_MAX
 
 
+def joint_rescale(raw: Mapping[int, np.ndarray]) -> dict:
+    """``minmax_rescale`` over every series jointly, split back per key."""
+    series = [np.asarray(raw[key], dtype=float) for key in raw]
+    flat = minmax_rescale(np.concatenate(series))
+    return dict(zip(raw, np.split(flat, np.cumsum([s.size for s in series])[:-1])))
+
+
 def _validate_bounds(bounds: Mapping[str, tuple], params_cls) -> None:
     valid = {f.name for f in fields(params_cls)}
     for name, (lo, hi) in bounds.items():
@@ -114,16 +122,16 @@ class CalibrationJob:
     bounds: Mapping[str, tuple] | None = None
 
     def __post_init__(self):
-        if self.model not in _MODEL_DEFAULTS:
+        if self.model not in MODEL_DEFAULTS:
             raise ValueError(f"unknown model kind {self.model!r}")
         if self.draws < 1:
             raise ValueError("calibration needs at least one draw")
         if not self.targets:
             raise ValueError("calibration needs target curves")
-        _validate_bounds(self.resolved_bounds(), _MODEL_DEFAULTS[self.model])
+        _validate_bounds(self.resolved_bounds(), MODEL_DEFAULTS[self.model])
 
     def resolved_bounds(self) -> Mapping[str, tuple]:
-        return dict(self.bounds) if self.bounds is not None else dict(_MODEL_BOUNDS[self.model])
+        return dict(self.bounds) if self.bounds is not None else dict(MODEL_BOUNDS[self.model])
 
 
 @dataclass(frozen=True)
@@ -143,19 +151,13 @@ def _check_catalog_coverage(targets: Mapping[int, np.ndarray]) -> list:
         missing = [e.event_id for e in catalog if e.event_id not in targets]
         if missing:
             raise ValueError(f"targets missing {family} events: {missing}")
-        count = 0
         for spec in catalog:
-            n_frames = int(round(spec.duration / DT)) + 1
             curve = np.asarray(targets[spec.event_id], dtype=float)
-            if curve.shape != (n_frames,):
+            if curve.shape != (spec.n_frames,):
                 raise ValueError(
                     f"target for event {spec.event_id} has shape {curve.shape}, "
-                    f"expected ({n_frames},)"
+                    f"expected ({spec.n_frames},)"
                 )
-            count += n_frames
-        expected = 8664 if family == "LC" else 8127
-        if count != expected:
-            raise ValueError(f"{family} sample count {count} != {expected}")
     return event_ids
 
 
@@ -182,8 +184,8 @@ def calibrate(job: CalibrationJob, trajectories: Mapping[int, object] | None = N
     target_vec = np.concatenate([np.asarray(job.targets[eid], dtype=float) for eid in event_ids])
 
     bounds = job.resolved_bounds()
-    defaults = _MODEL_DEFAULTS[job.model]()
-    series_fn = _MODEL_SERIES[job.model]
+    defaults = MODEL_DEFAULTS[job.model]()
+    series_fn = MODEL_SERIES[job.model]
     rng = np.random.default_rng(job.seed)
 
     best_rmse = math.inf
@@ -253,9 +255,8 @@ def compare_models(truth: Mapping[int, np.ndarray],
 
     truth_checked = {}
     for eid in event_ids:
-        spec = event_by_id(eid)
-        n_frames = int(round(spec.duration / DT)) + 1
-        truth_checked[eid] = _check_series("truth", eid, truth[eid], n_frames)
+        truth_checked[eid] = _check_series("truth", eid, truth[eid],
+                                           event_by_id(eid).n_frames)
 
     abs_errors: dict = {}
     for model in sorted(outputs):

@@ -1,10 +1,13 @@
 """Per-frame interaction features for the surrogate network.
 
-Everything here is a pure function of one trajectory frame. Relative
-quantities follow one sign convention: positive means the vehicles are
-approaching on that axis. Uncertain velocities attach a fixed-magnitude
-velocity along the line between the two vehicles (the distance-reducing
-direction), which feeds the DRAC_u family.
+Everything here is a pure, elementwise function of vehicle states: pass a
+single ``FrameState`` for scalars or a whole ``EventTrajectory`` (same
+``.subject`` / ``.neighbours`` fields, one array entry per frame) for
+per-frame series. Relative quantities follow one sign convention:
+positive means the vehicles are approaching on that axis. Uncertain
+velocities attach a fixed-magnitude velocity along the line between the
+two vehicles (the distance-reducing direction), which feeds the DRAC_u
+family.
 
 Scenario manifests pick an ordered subset of the vocabulary; the follower
 block (``_b`` suffix) only exists for the three-vehicle merges.
@@ -17,6 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenarios import EventTrajectory, FrameState, scenario_family
+
+# a single frame (scalar fields) or a whole trajectory (per-frame arrays)
+States = FrameState | EventTrajectory
 
 SCENARIO_FAMILIES = ("MB", "HB", "LC", "SVM")
 
@@ -101,7 +107,7 @@ DEFAULT_MANIFESTS = {
 DEFAULT_SIGMAS = UncertaintySigmas()
 
 
-def _neighbour(frame: FrameState, neighbour_index: int):
+def _neighbour(frame: States, neighbour_index: int):
     try:
         return frame.neighbours[neighbour_index]
     except IndexError:
@@ -110,7 +116,7 @@ def _neighbour(frame: FrameState, neighbour_index: int):
             f"index {neighbour_index} requested") from None
 
 
-def relative_kinematics(frame: FrameState, neighbour_index: int = 0):
+def relative_kinematics(frame: States, neighbour_index: int = 0):
     """Centre offsets and signed approach rates for one neighbour.
 
     Returns (dx, dy, dv_x, dv_y, da_x, da_y); offsets are magnitudes and
@@ -122,12 +128,12 @@ def relative_kinematics(frame: FrameState, neighbour_index: int = 0):
     off_y = n.y - s.y
     sx = np.sign(off_x)
     sy = np.sign(off_y)
-    return (abs(off_x), abs(off_y),
+    return (np.abs(off_x), np.abs(off_y),
             sx * (s.vx - n.vx), sy * (s.vy - n.vy),
             sx * (s.ax - n.ax), sy * (s.ay - n.ay))
 
 
-def uncertain_velocity(vehicle_role: str, frame: FrameState,
+def uncertain_velocity(vehicle_role: str, frame: States,
                        sigma_x: float, sigma_y: float,
                        neighbour_index: int = 0):
     """Velocity-uncertainty vector pointed at the other vehicle.
@@ -149,29 +155,27 @@ def uncertain_velocity(vehicle_role: str, frame: FrameState,
     dx = there.x - here.x
     dy = there.y - here.y
     norm = np.hypot(dx, dy)
-    if norm == 0.0:
+    if np.any(norm == 0.0):
         raise ValueError("coincident centres leave the direction undefined")
     return sigma_x * dx / norm, sigma_y * dy / norm
 
 
-def drac(v_s: float, v_n: float, gap: float, gap_rate: float) -> float:
+def drac(v_s, v_n, gap, gap_rate):
     """Deceleration needed to avoid the collision a closing gap implies."""
-    if gap_rate >= 0.0:
-        return 0.0
     d = v_s - v_n
-    return d * d / max(gap, GAP_FLOOR)
+    return np.where(gap_rate >= 0.0, 0.0, d * d / np.maximum(gap, GAP_FLOOR))
 
 
-def _axis_gaps(frame: FrameState, neighbour_index: int):
+def _axis_gaps(frame: States, neighbour_index: int):
     """Per-axis bumper-to-bumper gaps (clamped at zero)."""
     s = frame.subject
     n = _neighbour(frame, neighbour_index)
-    gap_x = abs(n.x - s.x) - 0.5 * (s.length + n.length)
-    gap_y = abs(n.y - s.y) - 0.5 * (s.width + n.width)
-    return max(gap_x, 0.0), max(gap_y, 0.0)
+    gap_x = np.abs(n.x - s.x) - 0.5 * (s.length + n.length)
+    gap_y = np.abs(n.y - s.y) - 0.5 * (s.width + n.width)
+    return np.maximum(gap_x, 0.0), np.maximum(gap_y, 0.0)
 
 
-def drac_components(frame: FrameState, neighbour_index: int = 0,
+def drac_components(frame: States, neighbour_index: int = 0,
                     sigmas: UncertaintySigmas = DEFAULT_SIGMAS):
     """(DRAC_r_x, DRAC_r_y, DRAC_u_x, DRAC_u_y) for one neighbour.
 
@@ -194,13 +198,13 @@ def drac_components(frame: FrameState, neighbour_index: int = 0,
                             neighbour_index)
     rel_u_x = su[0] - nu[0]  # opposite directions add up
     rel_u_y = su[1] - nu[1]
-    u_x = drac(rel_u_x, 0.0, gap_x, -abs(rel_u_x))
-    u_y = drac(rel_u_y, 0.0, gap_y, -abs(rel_u_y))
+    u_x = drac(rel_u_x, 0.0, gap_x, -np.abs(rel_u_x))
+    u_y = drac(rel_u_y, 0.0, gap_y, -np.abs(rel_u_y))
     return r_x, r_y, u_x, u_y
 
 
-def frame_features(frame: FrameState, sigmas: UncertaintySigmas = DEFAULT_SIGMAS) -> dict:
-    """Every vocabulary feature available for this frame, by name."""
+def frame_features(frame: States, sigmas: UncertaintySigmas = DEFAULT_SIGMAS) -> dict:
+    """Every vocabulary feature available for this frame (or every frame), by name."""
     s = frame.subject
     n = _neighbour(frame, 0)
     dx, dy, dv_x, dv_y, da_x, da_y = relative_kinematics(frame, 0)
@@ -241,10 +245,8 @@ def build_features(trajectory: EventTrajectory, manifest: FeatureManifest,
         raise ValueError(
             f"manifest is for {manifest.scenario}, trajectory is "
             f"{trajectory.scenario}")
-    rows = np.empty((trajectory.n_frames, manifest.dimension))
-    for k in range(trajectory.n_frames):
-        feats = frame_features(trajectory.frame(k), sigmas)
-        rows[k] = [feats[name] for name in manifest.names]
+    feats = frame_features(trajectory, sigmas)
+    rows = np.column_stack([feats[name] for name in manifest.names])
     if not np.all(np.isfinite(rows)):
         raise ValueError("non-finite feature values")
     return rows

@@ -20,14 +20,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .calibration import (CalibrationJob, calibrate, compare_models, minmax_rescale)
+from .calibration import (MODEL_DEFAULTS, MODEL_SERIES, CalibrationJob, calibrate,
+                          compare_models, joint_rescale)
 from .explain import Baseline, explain_frames, global_importance, mean_head
 from .features import (DEFAULT_MANIFESTS, FeatureManifest, NormStats, build_features,
                        zscore_apply, zscore_fit)
 from .mlp import MlpConfig, MlpWeights, mlp_predict, mlp_train
 from .reconstruction import (RatingRecord, aggregate_curves, filter_ratings,
                              load_alignment_table, reconstruct_participant)
-from .risk_models import DrfParams, PcadParams, drf_risk_series, pcad_risk_series
 from .scenarios import DT, enumerate_events, event_by_id, simulate_event
 from .synthetic import planted_truth, synthetic_ratings
 
@@ -166,14 +166,10 @@ def _group_events(group: str):
 
 
 def _group_manifest(group: str, overrides=None) -> FeatureManifest:
-    family = event_by_id(_group_events(group)[0].event_id).family
+    family = _group_events(group)[0].family
     if overrides and group in overrides:
         return FeatureManifest(family, tuple(overrides[group]))
     return DEFAULT_MANIFESTS[family]
-
-
-def _frame_count(spec) -> int:
-    return int(round(spec.duration / DT)) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +191,8 @@ def run_generate(out: Path, seed: int = 0, scenario: str | None = None) -> Path:
             "braking_intensity": spec.braking_intensity,
             "acc_category": spec.acc_category,
             "anchors": spec.timeline_anchors,
-            "n_frames": _frame_count(spec),
+            "n_frames": spec.n_frames,
         })
-        traj = simulate_event(spec)
-        columns = ["t"]
-        for tag in ("sub", "n1", "n2"):
-            columns += [f"{tag}_{c}" for c in ("x", "y", "vx", "vy", "ax", "ay")]
-        rows = []
-        for k in range(traj.n_frames):
-            row = [traj.t[k]]
-            tracks = [traj.subject, *traj.neighbours]
-            for v in tracks:
-                row += [v.x[k], v.y[k], v.vx[k], v.vy[k], v.ax[k], v.ay[k]]
-            row += [""] * (len(columns) - len(row))
-            rows.append(row)
-        write_csv(out / "trajectories" / f"event_{spec.event_id:03d}.csv",
-                  columns, rows, seed)
     write_json(out / "events.json", {"events": events}, seed)
     return out / "events.json"
 
@@ -355,11 +337,17 @@ def run_features(out: Path, seed: int = 0,
                  manifest_overrides: Mapping[str, Sequence[str]] | None = None) -> dict:
     out = Path(out)
     events_json = require(out, "events.json", "generate")
+    listed = {e["event_id"] for e in
+              json.loads(events_json.read_text(encoding="utf-8"))["events"]}
 
     manifest_meta, norm_meta, paths = {}, {}, {}
     for group in NETWORK_GROUPS:
+        specs = [s for s in _group_events(group) if s.event_id in listed]
+        if not specs:
+            # a matrix left by an earlier, wider run would outlive its normstats
+            (out / f"features_{group}.csv").unlink(missing_ok=True)
+            continue
         manifest = _group_manifest(group, manifest_overrides)
-        specs = _group_events(group)
         blocks, rows = [], []
         for spec in specs:
             matrix = build_features(simulate_event(spec), manifest)
@@ -588,21 +576,13 @@ def run_explain(out: Path, seed: int = 0, events: Sequence[int] | None = None,
 def _model_curves(out: Path, targets: dict) -> dict:
     """Rescaled PCAD/DRF catalog outputs under their calibrated parameters."""
     outputs = {}
-    series_fn = {"PCAD": pcad_risk_series, "DRF": drf_risk_series}
-    defaults = {"PCAD": PcadParams, "DRF": DrfParams}
-    order = sorted(targets)
-    trajectories = {eid: simulate_event(event_by_id(eid)) for eid in order}
+    trajectories = {eid: simulate_event(event_by_id(eid)) for eid in sorted(targets)}
     for model in ("PCAD", "DRF"):
         path = require(out, f"calibration_{model.lower()}.json", "calibrate")
         payload = json.loads(path.read_text(encoding="utf-8"))
-        params = replace(defaults[model](), **payload["best_params"])
-        raw = {eid: series_fn[model](trajectories[eid], params) for eid in order}
-        flat = minmax_rescale(np.concatenate([raw[eid] for eid in order]))
-        scaled, pos = {}, 0
-        for eid in order:
-            scaled[eid] = flat[pos:pos + raw[eid].size]
-            pos += raw[eid].size
-        outputs[model] = scaled
+        params = replace(MODEL_DEFAULTS[model](), **payload["best_params"])
+        outputs[model] = joint_rescale(
+            {eid: MODEL_SERIES[model](traj, params) for eid, traj in trajectories.items()})
     return outputs
 
 

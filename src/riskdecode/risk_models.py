@@ -63,7 +63,6 @@ class DrfParams:
     c_sev: float = 100.0  # severity constant
     grid_dx: float = 0.5  # m, integration cell length
     grid_dy: float = 0.25  # m, integration cell width
-    d_descent: float | None = None  # reserved, unused by the field computation
 
     def __post_init__(self):
         if self.t_la <= 0 or self.c_width <= 0:
@@ -292,7 +291,7 @@ def drf_risk(frame: FrameState, params: DrfParams = DrfParams()) -> float:
     """Field integral over every neighbour footprint, times severity."""
     series = _drf_neighbour_sums(
         frame.subject.x, frame.subject.y, np.asarray([frame.subject.vx]),
-        frame.neighbours, params, scalar=True)
+        frame.neighbours, params)
     return float(series[0])
 
 
@@ -303,14 +302,11 @@ def drf_risk_series(trajectory: EventTrajectory,
     return _drf_neighbour_sums(s.x, s.y, s.vx, trajectory.neighbours, params)
 
 
-def _drf_neighbour_sums(sx, sy, s_vx, neighbours, params, scalar=False):
+def _drf_neighbour_sums(sx, sy, s_vx, neighbours, params):
     s_vx = np.asarray(s_vx, dtype=float)
     total = np.zeros(s_vx.size)
     for n in neighbours:
-        if scalar:
-            nx, ny = np.asarray([n.x]), np.asarray([n.y])
-        else:
-            nx, ny = n.x, n.y
+        nx, ny = np.atleast_1d(n.x), np.atleast_1d(n.y)
         ox, oy, area = _footprint_offsets(n.length, n.width, params)
         cell_x = (nx - sx)[:, None] + ox[None, :]
         cell_y = (ny - sy)[:, None] + oy[None, :]

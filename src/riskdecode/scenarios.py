@@ -296,21 +296,6 @@ def longitudinal_profile(cruise: float, brake: float, anchors: dict,
     return vx, x
 
 
-def lateral_profile(category: str, onset: float, lane_width: float = LANE_WIDTH,
-                    duration: float = 36.0, y_start: float = 0.0,
-                    direction: float = -1.0) -> np.ndarray:
-    """Sampled y(t) of an LC-style lane change starting at ``onset``.
-
-    ``direction`` is the sign of the lateral displacement (the catalog's lane
-    changer moves from the left lane towards the subject, i.e. negative y).
-    """
-    if category not in LC_CATEGORIES:
-        raise ValueError(f"unknown lateral category {category!r}")
-    speed = LC_LATERAL_SPEED[category]
-    t = np.arange(int(round(duration / DT)) + 1) * DT
-    return _lane_change_y(t, category, onset, speed, lane_width, y_start, direction)
-
-
 def _lane_change_y(t, category, onset, speed, lane_width, y_start, direction):
     half = 0.5 * lane_width / speed  # time to the lane line
     full = lane_width / speed
@@ -419,12 +404,14 @@ def simulate_event(spec: EventSpec) -> EventTrajectory:
                            tuple(neighbours))
 
 
-def _simulate_subject(t, v0, v_des, neighbour_tracks, params, y_track=None):
-    """Integrate the ACC subject; lateral motion (if any) is scripted."""
+def _simulate_subject(t, v0, v_des, neighbour_tracks, params, y_track=None,
+                      x0=0.0):
+    """Integrate an ACC vehicle from (x0, v0); lateral motion (if any) is scripted."""
     n = t.size
     x = np.zeros(n)
     vx = np.zeros(n)
     ax = np.zeros(n)
+    x[0] = x0
     vx[0] = v0
     for k in range(n - 1):
         others = [(trk.x[k], trk.y[k], trk.vx[k]) for trk in neighbour_tracks]
@@ -510,21 +497,7 @@ def _simulate_svm(spec, t):
     subject = _simulate_subject(t, v_c, v_c, [lead], params, y_track=y_s)
 
     # follower on the main road, controller-driven once the subject is in lane
-    n = t.size
-    fx = np.zeros(n)
-    fvx = np.zeros(n)
-    fax = np.zeros(n)
-    fx[0] = -(SVM_FOLLOWER_GAP + VEHICLE_LENGTH)
-    fvx[0] = v_c
-    flat = _scripted_track(t, np.zeros(n), _lane_ripple(t, spec.event_id, 2))
-    fparams = replace(ControllerParams(), desired_gap=SVM_FOLLOWER_GAP)
-    for k in range(n - 1):
-        lead_k = _lead_of(fx[k], flat.y[k],
-                          [(subject.x[k], subject.y[k], subject.vx[k])])
-        gap, dv = (lead_k if lead_k is not None else (None, 0.0))
-        a = _acc_command(fvx[k], v_c, gap, dv - fvx[k] if lead_k else 0.0, fparams)
-        fax[k] = a
-        fx[k + 1] = fx[k] + fvx[k] * DT + 0.5 * a * DT * DT
-        fvx[k + 1] = fvx[k] + a * DT
-    follower = VehicleTrack(fx, flat.y, fvx, flat.vy, fax, flat.ay)
+    follower = _simulate_subject(
+        t, v_c, v_c, [subject], replace(ControllerParams(), desired_gap=SVM_FOLLOWER_GAP),
+        y_track=_lane_ripple(t, spec.event_id, 2), x0=-(SVM_FOLLOWER_GAP + VEHICLE_LENGTH))
     return subject, [lead, follower]

@@ -10,12 +10,11 @@ integer 0..10 scale.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Mapping
 
 import numpy as np
 
-from .calibration import minmax_rescale
+from .calibration import joint_rescale
 from .features import FeatureManifest, build_features
 from .reconstruction import (AlignmentTable, RatingRecord, curve_from_anchors,
                              load_alignment_table)
@@ -70,17 +69,9 @@ def planted_truth(trajectories: Mapping[int, object] | None = None) -> dict:
         lateral = (1.0 - np.minimum(cols[:, 1], 5.0) / 5.0) ** 2
         proximity_raw[eid] = lateral * 10.0 / (cols[:, 0] + 4.0 * cols[:, 1] + 5.0)
 
-    def joint_scale(raw):
-        flat = minmax_rescale(np.concatenate([raw[eid] for eid in order]))
-        out, pos = {}, 0
-        for eid in order:
-            out[eid] = flat[pos:pos + raw[eid].size]
-            pos += raw[eid].size
-        return out
-
-    pcad_scaled = joint_scale(pcad_raw)
-    brake_scaled = joint_scale(brake_raw)
-    proximity_scaled = joint_scale(proximity_raw)
+    pcad_scaled = joint_rescale(pcad_raw)
+    brake_scaled = joint_rescale(brake_raw)
+    proximity_scaled = joint_rescale(proximity_raw)
 
     # Sample the warped blend at each slot's canonical rating moment and
     # interpolate through all of that slot's placements: the truth then

@@ -134,11 +134,13 @@ def test_mb_flow_and_missing_group_weights(mb_ratings, tmp_path, caplog):
     assert main(["generate", "--out", out, "--scenario", "MB"]) == 0
     events = json.loads((tmp_path / "events.json").read_text())["events"]
     assert len(events) == 27
-    assert (tmp_path / "trajectories" / "event_001.csv").exists()
+    assert not (tmp_path / "trajectories").exists()
     assert main(["ingest", str(mb_ratings), "--out", out]) == 0
     assert main(["reconstruct", "--out", out]) == 0
     assert len(read_csv(tmp_path / "curves.csv")) == 27 * 301
     assert main(["features", "--out", out]) == 0
+    # features builds only the groups whose events generate listed
+    assert [p.name for p in tmp_path.glob("features_*.csv")] == ["features_MB.csv"]
     assert main(["train", "--out", out, "--scenario", "MB", "--epochs", "2"]) == 0
     weights = json.loads((tmp_path / "weights_MB.json").read_text())
     assert weights["config"]["epochs"] == 2
@@ -148,6 +150,18 @@ def test_mb_flow_and_missing_group_weights(mb_ratings, tmp_path, caplog):
     with caplog.at_level(logging.ERROR):
         assert main(["predict", "--out", out]) == 1
     assert "run the train stage first" in caplog.text
+
+
+def test_narrowed_features_drop_stale_group_matrices(tmp_path):
+    out = str(tmp_path)
+    assert main(["generate", "--out", out]) == 0
+    assert main(["features", "--out", out]) == 0
+    assert (tmp_path / "features_HB.csv").exists()
+    assert main(["generate", "--out", out, "--scenario", "MB"]) == 0
+    assert main(["features", "--out", out]) == 0
+    assert [p.name for p in tmp_path.glob("features_*.csv")] == ["features_MB.csv"]
+    normstats = json.loads((tmp_path / "normstats.json").read_text())
+    assert list(normstats["groups"]) == ["MB"]
 
 
 @pytest.mark.parametrize("stage,needs", [

@@ -9,7 +9,7 @@ from riskdecode.features import (DEFAULT_MANIFESTS, FEATURE_VOCABULARY,
                                  drac, drac_components, frame_features,
                                  relative_kinematics, uncertain_velocity,
                                  zscore_apply, zscore_fit)
-from riskdecode.scenarios import FrameState, VehicleState
+from riskdecode.scenarios import FrameState, VehicleState, simulate_event
 
 
 def make_frame(sub=None, *neigh):
@@ -116,6 +116,20 @@ def test_build_features_shapes(sample_trajs):
     assert np.all(np.isfinite(matrix))
     with pytest.raises(ValueError):
         build_features(traj, DEFAULT_MANIFESTS["MB"])
+
+
+def test_build_features_matches_per_frame_stack(catalog):
+    # the track-wide kernels must reproduce frame-by-frame evaluation bit for
+    # bit over the whole vocabulary, follower block included
+    for spec in catalog:
+        names = tuple(n for n in FEATURE_VOCABULARY
+                      if spec.family == "SVM" or n not in FOLLOWER_FEATURES)
+        traj = simulate_event(spec)
+        frames = [frame_features(traj.frame(k)) for k in range(traj.n_frames)]
+        oracle = np.array([[feats[n] for n in names] for feats in frames])
+        matrix = build_features(traj, FeatureManifest(spec.family, names))
+        assert matrix.shape == oracle.shape
+        assert matrix.tobytes() == oracle.tobytes(), spec.event_id
 
 
 def test_sigma_validation():
