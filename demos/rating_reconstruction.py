@@ -13,7 +13,7 @@ past the rated scores, while the quadratic visibly overshoots.  The figure
 import numpy as np
 
 from riskdecode.reconstruction import load_alignment_table, reconstruct_participant
-from riskdecode.scenarios import event_by_id, simulate_event
+from riskdecode.scenarios import event_by_id
 from riskdecode.synthetic import planted_truth, synthetic_ratings
 
 EVENT_ID = 41  # hard braking, mid intensity
@@ -21,7 +21,7 @@ EVENT_ID = 41  # hard braking, mid intensity
 
 def main():
     spec = event_by_id(EVENT_ID)
-    truth = planted_truth({EVENT_ID: simulate_event(spec)})[EVENT_ID]
+    truth = planted_truth()[EVENT_ID]
     table = load_alignment_table()
     records = synthetic_ratings({EVENT_ID: truth}, table, n_participants=1, seed=1)
     ratings = [r.rating for r in sorted(records, key=lambda r: r.clip_index)]
@@ -30,8 +30,7 @@ def main():
     curves = {}
     lo, hi = min(ratings), max(ratings)
     for method in ("pchip", "linear", "quadratic"):
-        curve = reconstruct_participant(EVENT_ID, ratings, table,
-                                        spec.duration, method)
+        curve = reconstruct_participant(EVENT_ID, ratings, table, method)
         rmse = float(np.sqrt(np.mean((curve.value - truth) ** 2)))
         overshoot = float(np.maximum(curve.value - hi, lo - curve.value).max())
         curves[method] = curve

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .risk_models import DrfParams, PcadParams, drf_risk_series, pcad_risk_series
-from .scenarios import enumerate_events, event_by_id, simulate_event
+from .scenarios import CATALOG, catalog_trajectory, event_by_id
 
 RISK_MIN = 0.0
 RISK_MAX = 10.0
@@ -147,7 +147,7 @@ def _check_catalog_coverage(targets: Mapping[int, np.ndarray]) -> list:
     event_ids = sorted(targets)
     families = {event_by_id(eid).family for eid in event_ids}
     for family in sorted(families):
-        catalog = [e for e in enumerate_events() if e.family == family]
+        catalog = [e for e in CATALOG if e.family == family]
         missing = [e.event_id for e in catalog if e.event_id not in targets]
         if missing:
             raise ValueError(f"targets missing {family} events: {missing}")
@@ -180,7 +180,7 @@ def calibrate(job: CalibrationJob, trajectories: Mapping[int, object] | None = N
     """
     event_ids = _check_catalog_coverage(job.targets)
     if trajectories is None:
-        trajectories = {eid: simulate_event(event_by_id(eid)) for eid in event_ids}
+        trajectories = {eid: catalog_trajectory(eid) for eid in event_ids}
     target_vec = np.concatenate([np.asarray(job.targets[eid], dtype=float) for eid in event_ids])
 
     bounds = job.resolved_bounds()

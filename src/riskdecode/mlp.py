@@ -167,8 +167,7 @@ def _sigmoid(z):
 
 
 def _gd_epochs(weights, x_train, y_train, x_val, y_val, epochs, lr, dropout,
-               loss_mode, rng, trainable=("w1", "b1", "w2", "b2"),
-               var_only=False):
+               loss_mode, rng, var_only=False):
     keep = 1.0 - dropout
     train_hist = np.empty(epochs)
     val_hist = np.empty(epochs)
@@ -221,14 +220,10 @@ def mlp_train(features, targets, config: MlpConfig):
     x_va, y_va = x[va], y[va]
 
     weights = mlp_init(config)
-    if config.loss_mode == "gaussian_nll":
-        train_hist, val_hist = _gd_epochs(
-            weights, x_tr, y_tr, x_va, y_va, config.epochs,
-            config.learning_rate, config.dropout_rate, "gaussian_nll", rng)
-    else:
-        train_hist, val_hist = _gd_epochs(
-            weights, x_tr, y_tr, x_va, y_va, config.epochs,
-            config.learning_rate, config.dropout_rate, "mse_mean", rng)
+    train_hist, val_hist = _gd_epochs(
+        weights, x_tr, y_tr, x_va, y_va, config.epochs,
+        config.learning_rate, config.dropout_rate, config.loss_mode, rng)
+    if config.loss_mode == "mse_mean":
         # second phase: variance column only, mean head frozen
         _gd_epochs(weights, x_tr, y_tr, x_va, y_va, config.epochs,
                    config.learning_rate, config.dropout_rate, "gaussian_nll",

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -28,7 +29,7 @@ from .features import (DEFAULT_MANIFESTS, FeatureManifest, NormStats, build_feat
 from .mlp import MlpConfig, MlpWeights, mlp_predict, mlp_train
 from .reconstruction import (RatingRecord, aggregate_curves, filter_ratings,
                              load_alignment_table, reconstruct_participant)
-from .scenarios import DT, enumerate_events, event_by_id, simulate_event
+from .scenarios import DT, catalog_trajectory, enumerate_events, event_by_id
 from .synthetic import planted_truth, synthetic_ratings
 
 log = logging.getLogger(__name__)
@@ -45,18 +46,6 @@ NETWORK_GROUPS = {
 }
 
 RATINGS_COLUMNS = ("participant_id", "event_id", "clip_index", "rating")
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Run-wide knobs shared by the CLI subcommands."""
-
-    out: Path
-    seed: int = 0
-    scenario: str | None = None
-    manifests: Mapping[str, Sequence[str]] | None = None
-    model_params: Mapping[str, Mapping[str, float]] | None = None
-    dataset: Path | None = None
 
 
 @dataclass(frozen=True)
@@ -151,7 +140,7 @@ def require(out: Path, name: str, stage: str) -> Path:
 
 
 def _selected_events(scenario: str | None):
-    specs = list(enumerate_events())
+    specs = enumerate_events()
     if scenario is None:
         return specs
     chosen = [s for s in specs if scenario in (s.family, s.scenario)]
@@ -245,6 +234,25 @@ def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
             yield line_no, exc
 
 
+def _complete_pairs(rows, table):
+    """Split validated (line, record) rows into kept records and (line, reason) rejects.
+
+    A (participant, event) pair is kept only if it rates clips 1..n_slots once each.
+    """
+    clips: dict = {}
+    for _, r in rows:
+        clips.setdefault((r.participant_id, r.event_id), Counter())[r.clip_index] += 1
+    faults = {}
+    for (pid, eid), counts in clips.items():
+        problems = [f"clip {c} {'missing' if counts[c] == 0 else 'repeated'}"
+                    for c in range(1, table.n_slots(eid) + 1) if counts[c] != 1]
+        if problems:
+            faults[pid, eid] = f"participant {pid} event {eid} dropped: {', '.join(problems)}"
+    kept = [r for _, r in rows if (r.participant_id, r.event_id) not in faults]
+    return kept, [(line_no, faults[r.participant_id, r.event_id]) for line_no, r in rows
+                  if (r.participant_id, r.event_id) in faults]
+
+
 def run_ingest(out: Path, ratings_path: Path, seed: int = 0,
                profile: Mapping[str, str] | None = None) -> DatasetIndex:
     out = Path(out)
@@ -252,12 +260,14 @@ def run_ingest(out: Path, ratings_path: Path, seed: int = 0,
     if not ratings_path.exists():
         raise FileNotFoundError(f"ratings file {ratings_path} does not exist")
 
-    valid, invalid = [], []
+    rows, invalid = [], []
     for line_no, item in _read_ratings_file(ratings_path, profile):
         if isinstance(item, RatingRecord):
-            valid.append(item)
+            rows.append((line_no, item))
         else:
             invalid.append((line_no, str(item)))
+    valid, incomplete = _complete_pairs(rows, load_alignment_table())
+    invalid = sorted(invalid + incomplete)
     for line_no, reason in invalid[:20]:
         log.warning("ratings line %d rejected: %s", line_no, reason)
     if not valid:
@@ -314,12 +324,11 @@ def run_reconstruct(out: Path, seed: int = 0, method: str = "pchip") -> Path:
 
     rows = []
     for eid in sorted(by_event):
-        duration = event_by_id(eid).duration
         curves = []
         for pid in sorted(by_event[eid]):
             recs = sorted(by_event[eid][pid], key=lambda r: r.clip_index)
             ratings_seq = [r.rating for r in recs]
-            curves.append(reconstruct_participant(eid, ratings_seq, table, duration, method))
+            curves.append(reconstruct_participant(eid, ratings_seq, table, method))
         agg = aggregate_curves(curves)
         for k in range(agg.t.size):
             rows.append((eid, agg.t[k], agg.mean[k], agg.p25[k], agg.p75[k],
@@ -350,7 +359,7 @@ def run_features(out: Path, seed: int = 0,
         manifest = _group_manifest(group, manifest_overrides)
         blocks, rows = [], []
         for spec in specs:
-            matrix = build_features(simulate_event(spec), manifest)
+            matrix = build_features(catalog_trajectory(spec.event_id), manifest)
             blocks.append(matrix)
             for k in range(matrix.shape[0]):
                 rows.append((spec.event_id, k * DT, *matrix[k]))
@@ -493,14 +502,13 @@ def run_calibrate(out: Path, seed: int = 0, draws: int = 500,
     out = Path(out)
     curves_path = require(out, "curves.csv", "reconstruct")
     targets = _load_mean_curves(out)
-    trajectories = {eid: simulate_event(event_by_id(eid)) for eid in targets}
 
     results = {}
     for offset, model in enumerate(("PCAD", "DRF")):
         bounds = (bounds_overrides or {}).get(model)
         job = CalibrationJob(model, targets, draws=draws, seed=seed + offset,
                              bounds=bounds)
-        res = calibrate(job, trajectories)
+        res = calibrate(job)
         results[model] = res
         params = {k: getattr(res.best_params, k) for k in job.resolved_bounds()}
         write_json(out / f"calibration_{model.lower()}.json", {
@@ -576,13 +584,13 @@ def run_explain(out: Path, seed: int = 0, events: Sequence[int] | None = None,
 def _model_curves(out: Path, targets: dict) -> dict:
     """Rescaled PCAD/DRF catalog outputs under their calibrated parameters."""
     outputs = {}
-    trajectories = {eid: simulate_event(event_by_id(eid)) for eid in sorted(targets)}
     for model in ("PCAD", "DRF"):
         path = require(out, f"calibration_{model.lower()}.json", "calibrate")
         payload = json.loads(path.read_text(encoding="utf-8"))
         params = replace(MODEL_DEFAULTS[model](), **payload["best_params"])
         outputs[model] = joint_rescale(
-            {eid: MODEL_SERIES[model](traj, params) for eid, traj in trajectories.items()})
+            {eid: MODEL_SERIES[model](catalog_trajectory(eid), params)
+             for eid in sorted(targets)})
     return outputs
 
 

@@ -21,20 +21,12 @@ from importlib import resources
 
 import numpy as np
 
-from .scenarios import DT, enumerate_events
+from .scenarios import CATALOG, DT, event_by_id, scenario_rank
 
 log = logging.getLogger(__name__)
 
 CORRELATION_FLOOR = 0.3  # participants below this against the event mean are dropped
 RATING_MIN, RATING_MAX = 0.0, 10.0
-
-# rating-moment placement statistics the alignment tables encode
-@dataclass(frozen=True)
-class AlignmentParams:
-    merge_peak_delay: float = 2.95  # s after a merge onset
-    brake_peak_delay: float = 1.15  # s after the minimum gap
-    decay_time: float = 3.93  # s back to baseline after a peak
-
 
 @dataclass(frozen=True)
 class RatingRecord:
@@ -80,13 +72,8 @@ class AlignmentTable:
     def __init__(self, rows: dict):
         # rows: {(family, event_rank): [(time_s, slot, dup), ...]}
         self._rows = rows
-        self._by_event_id = {}
-        ranks: dict = {}
-        for spec in enumerate_events():
-            ranks[spec.family] = ranks.get(spec.family, 0) + 1
-            key = (spec.family, ranks[spec.family])
-            if key in rows:
-                self._by_event_id[spec.event_id] = rows[key]
+        keys = {spec.event_id: (spec.family, scenario_rank(spec)) for spec in CATALOG}
+        self._by_event_id = {eid: rows[key] for eid, key in keys.items() if key in rows}
 
     def moments(self, event_id: int) -> list:
         try:
@@ -146,7 +133,8 @@ def filter_ratings(records) -> list:
 
     ``records`` are all ratings of one event. The reference is the mean
     sequence over every participant of the input (single pass). A single
-    participant cannot be screened and is returned unchanged.
+    participant, or a constant mean sequence, carries no ordering to screen
+    against, so the records are returned unchanged.
     """
     records = list(records)
     event_ids = {r.event_id for r in records}
@@ -158,16 +146,16 @@ def filter_ratings(records) -> list:
     n_clips = {len(v) for v in by_participant.values()}
     if len(n_clips) != 1:
         raise ValueError("participants disagree on the number of clips")
-    if len(by_participant) < 2:
-        log.warning("event %s has a single participant; no screening applied",
-                    event_ids.pop())
-        return records
 
     sequences = {}
     for pid, recs in by_participant.items():
         recs = sorted(recs, key=lambda r: r.clip_index)
         sequences[pid] = np.array([r.rating for r in recs], dtype=float)
     mean_seq = np.mean(list(sequences.values()), axis=0)
+    if len(sequences) < 2 or mean_seq.std() == 0.0:
+        log.warning("event %s has a single participant or a constant mean rating "
+                    "sequence; no screening applied", event_ids.pop())
+        return records
     keep = {pid for pid, seq in sequences.items()
             if _pearson(seq, mean_seq) >= CORRELATION_FLOOR}
     return [r for r in records if r.participant_id in keep]
@@ -275,19 +263,19 @@ INTERPOLATORS = {
 }
 
 
-def curve_from_anchors(anchors, duration: float, method: str = "pchip") -> RiskCurve:
-    """Interpolate anchors onto the 10 Hz event grid, clipped to the scale."""
+def curve_from_anchors(anchors, n_frames: int, method: str = "pchip") -> RiskCurve:
+    """Interpolate anchors onto the event's 10 Hz grid, clipped to the scale."""
     if method not in INTERPOLATORS:
         raise ValueError(f"unknown interpolation method {method!r}")
-    grid = np.arange(int(round(duration / DT)) + 1) * DT
+    grid = np.arange(n_frames) * DT
     values = INTERPOLATORS[method](anchors, grid)
     return RiskCurve(grid, np.clip(values, RATING_MIN, RATING_MAX))
 
 
 def reconstruct_participant(event_id: int, clip_ratings, table: AlignmentTable,
-                            duration: float, method: str = "pchip") -> RiskCurve:
+                            method: str = "pchip") -> RiskCurve:
     anchors = align_ratings(event_id, clip_ratings, table)
-    return curve_from_anchors(anchors, duration, method)
+    return curve_from_anchors(anchors, event_by_id(event_id).n_frames, method)
 
 
 # ---------------------------------------------------------------------------

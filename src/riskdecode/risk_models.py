@@ -181,14 +181,14 @@ class AvoidanceDetail:
     overlap: bool
 
 
-def _pair_geometry(frame: FrameState, neighbour_index: int, params: PcadParams):
-    """Expanded-rectangle offset and perceived relative velocity for a pair."""
-    s = frame.subject
-    n = frame.neighbours[neighbour_index]
+def _pair_geometry(scene, neighbour_index: int, params: PcadParams):
+    """Pair offset and perceived relative velocity, per ``FrameState`` or per track."""
+    s = scene.subject
+    n = scene.neighbours[neighbour_index]
     off_x = n.x - s.x
     off_y = n.y - s.y
     norm = np.hypot(off_x, off_y)
-    if norm == 0.0:
+    if np.any(norm == 0.0):
         raise ValueError("coincident centres")
     ux, uy = off_x / norm, off_y / norm
     v_s = perceived_velocity((s.vx, s.vy), (s.ax, s.ay), params.t_s_a,
@@ -223,32 +223,18 @@ def pcad_weight(v_s: float, params: PcadParams = PcadParams()) -> float:
 
 def pcad_risk(frame: FrameState, params: PcadParams = PcadParams()) -> float:
     """Highest per-neighbour difficulty, weighted by subject speed."""
-    s = frame.subject
-    w = pcad_weight(float(np.hypot(s.vx, s.vy)), params)
-    return w * max(avoidance_difficulty(frame, params, i)
-                   for i in range(len(frame.neighbours)))
+    return float(pcad_risk_series(frame, params))
 
 
 def pcad_risk_series(trajectory: EventTrajectory,
                      params: PcadParams = PcadParams()) -> np.ndarray:
-    """pcad_risk at every frame, vectorized."""
-    s = trajectory.subject
-    best = np.zeros(trajectory.n_frames)
-    for n in trajectory.neighbours:
-        off_x = n.x - s.x
-        off_y = n.y - s.y
-        norm = np.hypot(off_x, off_y)
-        ux, uy = off_x / norm, off_y / norm
-        wx = ((s.vx + s.ax * params.t_s_a + params.sigma_s_x * ux)
-              - (n.vx + n.ax * params.t_n_a - params.sigma_n_x * ux))
-        wy = ((s.vy + s.ay * params.t_s_a + params.sigma_s_y * uy)
-              - (n.vy + n.ay * params.t_n_a - params.sigma_n_y * uy))
-        a, _, _ = _avoidance_kernel(off_x, off_y, wx, wy,
-                                    0.5 * (s.length + n.length),
-                                    0.5 * (s.width + n.width),
+    """pcad_risk at every frame, vectorized (a ``FrameState`` is one frame)."""
+    best = 0.0
+    for i in range(len(trajectory.neighbours)):
+        a, _, _ = _avoidance_kernel(*_pair_geometry(trajectory, i, params),
                                     params.t_h, params.overlap_cap)
         best = np.maximum(best, a)
-    return best * pcad_weight(np.hypot(s.vx, s.vy), params)
+    return best * pcad_weight(np.hypot(trajectory.subject.vx, trajectory.subject.vy), params)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ class EventSpec:
         return int(round(self.duration / DT)) + 1
 
 
-def enumerate_events() -> list[EventSpec]:
+def _build_catalog() -> tuple:
     """The fixed 105-event catalog: 27 MB, 27 HB, 24 LC, 27 SVM.
 
     Ordering is deterministic: scenario blocks in the order MB, HB, LC, SVM;
@@ -133,12 +133,9 @@ def enumerate_events() -> list[EventSpec]:
     per-event rating-moment tables follow).
     """
     events = []
-    next_id = 1
 
     def add(**kw):
-        nonlocal next_id
-        events.append(EventSpec(event_id=next_id, **kw))
-        next_id += 1
+        events.append(EventSpec(event_id=len(events) + 1, **kw))
 
     for scenario, anchors in (("MB", _MB_ANCHORS), ("HB", _HB_ANCHORS)):
         for d in MERGE_DISTANCES:
@@ -160,7 +157,7 @@ def enumerate_events() -> list[EventSpec]:
                 add(scenario="SVM", initial_distance=d, duration=30.0,
                     timeline_anchors=_feasible_anchors(_SVM_ANCHORS, v * KMH, b),
                     cruise_speed=v, braking_intensity=b)
-    return events
+    return tuple(events)
 
 
 def _feasible_anchors(anchors: dict, v0: float, brake: float) -> dict:
@@ -171,16 +168,23 @@ def _feasible_anchors(anchors: dict, v0: float, brake: float) -> dict:
     return out
 
 
+CATALOG = _build_catalog()
+
+
+def enumerate_events() -> list[EventSpec]:
+    """The catalog as a fresh list (see ``_build_catalog`` for the ordering)."""
+    return list(CATALOG)
+
+
 def event_by_id(event_id: int) -> EventSpec:
-    events = enumerate_events()
-    if not 1 <= event_id <= len(events):
-        raise KeyError(f"event_id {event_id} outside 1..{len(events)}")
-    return events[event_id - 1]
+    if not 1 <= event_id <= len(CATALOG):
+        raise KeyError(f"event_id {event_id} outside 1..{len(CATALOG)}")
+    return CATALOG[event_id - 1]
 
 
 def scenario_rank(spec: EventSpec) -> int:
     """1-based row of the event inside its scenario family block."""
-    family_ids = [e.event_id for e in enumerate_events() if e.family == spec.family]
+    family_ids = [e.event_id for e in CATALOG if e.family == spec.family]
     return family_ids.index(spec.event_id) + 1
 
 
@@ -274,7 +278,7 @@ def _speed_knots(cruise, brake, brake_onset, recovery_onset, floor=BRAKE_FLOOR,
 
 
 def longitudinal_profile(cruise: float, brake: float, anchors: dict,
-                         duration: float = 30.0):
+                         n_frames: int = 301):
     """Sampled (vx, x) of the scripted cruise -> brake-to-60 -> recover profile.
 
     ``cruise`` in km/h, ``brake`` in m/s^2 (negative). Speed samples are the
@@ -288,7 +292,7 @@ def longitudinal_profile(cruise: float, brake: float, anchors: dict,
         raise ValueError("cruise speed must exceed the 60 km/h braking floor")
     knot_t, knot_v = _speed_knots(v, brake, anchors["brake_onset"],
                                   anchors["recovery_onset"])
-    t = np.arange(int(round(duration / DT)) + 1) * DT
+    t = np.arange(n_frames) * DT
     x = _integrate_piecewise_linear(knot_t, knot_v, t)
     vx = np.empty_like(x)
     vx[:-1] = np.diff(x) / DT
@@ -404,6 +408,22 @@ def simulate_event(spec: EventSpec) -> EventTrajectory:
                            tuple(neighbours))
 
 
+_TRAJECTORIES: dict = {}  # event id -> EventTrajectory, filled by catalog_trajectory
+
+
+def catalog_trajectory(event_id: int) -> EventTrajectory:
+    """The event simulated on first use; later calls share it, with read-only arrays."""
+    spec = event_by_id(event_id)
+    if spec.event_id not in _TRAJECTORIES:
+        trajectory = simulate_event(spec)
+        trajectory.t.flags.writeable = False
+        for track in (trajectory.subject, *trajectory.neighbours):
+            for arr in (track.x, track.y, track.vx, track.vy, track.ax, track.ay):
+                arr.flags.writeable = False
+        _TRAJECTORIES[spec.event_id] = trajectory
+    return _TRAJECTORIES[spec.event_id]
+
+
 def _simulate_subject(t, v0, v_des, neighbour_tracks, params, y_track=None,
                       x0=0.0):
     """Integrate an ACC vehicle from (x0, v0); lateral motion (if any) is scripted."""
@@ -456,7 +476,7 @@ def _simulate_mb(spec, t):
 def _simulate_hb(spec, t):
     v_c = spec.cruise_speed * KMH
     vx_l, x_l = longitudinal_profile(spec.cruise_speed, spec.braking_intensity,
-                                     spec.timeline_anchors, spec.duration)
+                                     spec.timeline_anchors, spec.n_frames)
     lead = _scripted_track(t, x_l + spec.initial_distance + VEHICLE_LENGTH,
                            _lane_ripple(t, spec.event_id, 1))
     params = replace(ControllerParams(), desired_gap=spec.initial_distance)
@@ -489,7 +509,7 @@ def _simulate_svm(spec, t):
     v_c = spec.cruise_speed * KMH
     t_merge = spec.timeline_anchors["merge_onset"]
     vx_l, x_l = longitudinal_profile(spec.cruise_speed, spec.braking_intensity,
-                                     spec.timeline_anchors, spec.duration)
+                                     spec.timeline_anchors, spec.n_frames)
     lead = _scripted_track(t, x_l + spec.initial_distance + VEHICLE_LENGTH,
                            _lane_ripple(t, spec.event_id, 1))
     y_s = _ramp_y(t, t_merge) + _lane_ripple(t, spec.event_id, 0)

@@ -19,7 +19,7 @@ from .features import FeatureManifest, build_features
 from .reconstruction import (AlignmentTable, RatingRecord, curve_from_anchors,
                              load_alignment_table)
 from .risk_models import PcadParams, pcad_risk_series
-from .scenarios import DT, event_by_id, simulate_event
+from .scenarios import CATALOG, DT, catalog_trajectory
 
 TRUTH_PCAD = PcadParams(sigma_n_x=1.5, t_s_a=1.0, alpha=2.8)
 TRUTH_PCAD_GAIN = 0.50
@@ -46,18 +46,15 @@ def _smooth(series: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(series, kernel, mode="same")
 
 
-def planted_truth(trajectories: Mapping[int, object] | None = None) -> dict:
-    """Deterministic ground-truth risk curve per catalog event."""
-    if trajectories is None:
-        from .scenarios import enumerate_events
-        trajectories = {s.event_id: simulate_event(s) for s in enumerate_events()}
-    order = sorted(trajectories)
-
+def planted_truth() -> dict:
+    """Ground-truth risk curve per catalog event; its signals rescale over the whole catalog."""
     pcad_raw, brake_raw, proximity_raw = {}, {}, {}
-    for eid in order:
-        pcad_raw[eid] = pcad_risk_series(trajectories[eid], TRUTH_PCAD)
-        manifest = FeatureManifest(event_by_id(eid).family, ("dx", "dy", "drac_r_x"))
-        cols = build_features(trajectories[eid], manifest)
+    for spec in CATALOG:
+        eid = spec.event_id
+        trajectory = catalog_trajectory(eid)
+        pcad_raw[eid] = pcad_risk_series(trajectory, TRUTH_PCAD)
+        manifest = FeatureManifest(spec.family, ("dx", "dy", "drac_r_x"))
+        cols = build_features(trajectory, manifest)
         # gate the braking demand on lateral overlap: a neighbour sliding past
         # in the adjacent lane closes the x-axis gap without being on a
         # collision course, and its clamped-gap DRAC spike would otherwise
@@ -79,7 +76,8 @@ def planted_truth(trajectories: Mapping[int, object] | None = None) -> dict:
     # reproduce it instead of smearing fast transients between moments.
     table = load_alignment_table()
     truth = {}
-    for eid in order:
+    for spec in CATALOG:
+        eid = spec.event_id
         blend = (TRUTH_PCAD_GAIN * pcad_scaled[eid]
                  + TRUTH_BRAKE_GAIN * brake_scaled[eid]
                  + TRUTH_PROXIMITY_GAIN * proximity_scaled[eid])
@@ -88,8 +86,7 @@ def planted_truth(trajectories: Mapping[int, object] | None = None) -> dict:
         slot_value = {slot: _curve_at(warped, t)
                       for t, slot, dup in moments if dup == 0}
         anchors = [(t, slot_value[slot]) for t, slot, _ in moments]
-        duration = event_by_id(eid).duration
-        truth[eid] = curve_from_anchors(anchors, duration, "pchip").value
+        truth[eid] = curve_from_anchors(anchors, spec.n_frames, "pchip").value
     return truth
 
 

@@ -4,10 +4,11 @@ import json
 import logging
 import re
 import shutil
+from collections import Counter
 
 import pytest
 
-from riskdecode import __version__
+from riskdecode import __version__, scenarios
 from riskdecode.cli import main
 from riskdecode.pipeline import NETWORK_GROUPS, read_csv
 from riskdecode.reconstruction import load_alignment_table
@@ -127,6 +128,63 @@ def test_ingest_validates_and_filters(mb_ratings, tmp_path):
     reasons = " ".join(d["reason"] for d in index["invalid_detail"])
     assert "unknown event_id 999" in reasons
     assert len(read_csv(tmp_path / "ratings_valid.csv")) == 675
+
+
+def _pair_ratings(path, defect):
+    """Events 1 and 2 rated by five agreeing raters; one defect hits rater 2, event 1."""
+    lines = ["participant_id,event_id,clip_index,rating"]
+    for eid in (1, 2):
+        for pid in range(1, 6):
+            for slot, base in enumerate(BASE, start=1):
+                row = f"{pid},{eid},{slot},{base + pid % 3 - 1}"
+                if (pid, eid, slot) == (2, 1, 3):
+                    row = {"drop_row": None, "duplicate_row": f"{row}\n{row}",
+                           "rating_11": f"{pid},{eid},{slot},11"}[defect]
+                if row is not None:
+                    lines.append(row)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("defect,fault,invalid", [
+    ("drop_row", "clip 3 missing", 4),
+    ("duplicate_row", "clip 3 repeated", 6),
+    ("rating_11", "clip 3 missing", 5),
+])
+def test_ingest_drops_incomplete_pairs(defect, fault, invalid, tmp_path):
+    ratings = _pair_ratings(tmp_path / "ratings.csv", defect)
+    assert main(["ingest", str(ratings), "--out", str(tmp_path)]) == 0
+    index = json.loads((tmp_path / "dataset_index.json").read_text())
+    n_rows = len(read_csv(ratings))
+    assert index["invalid_rows"] == invalid
+    assert index["total_ratings"] + index["dropped_pairs"] + index["invalid_rows"] == n_rows
+    # every complete pair survives, rater 2 included on event 2
+    kept = {(int(r["participant_id"]), int(r["event_id"]))
+            for r in read_csv(tmp_path / "ratings_valid.csv")}
+    assert kept == {(pid, eid) for pid in range(1, 6) for eid in (1, 2)} - {(2, 1)}
+    pair_detail = [d for d in index["invalid_detail"] if "participant 2 event 1" in d["reason"]]
+    assert len(pair_detail) == invalid - (defect == "rating_11")
+    assert all(fault in d["reason"] for d in pair_detail)
+    assert [d["line"] for d in index["invalid_detail"]] == sorted(
+        d["line"] for d in index["invalid_detail"])
+
+
+def test_all_simulates_each_catalog_event_once(tmp_path, monkeypatch):
+    calls = Counter()
+    simulate = scenarios.simulate_event
+
+    def counting(spec):
+        calls[spec.event_id] += 1
+        return simulate(spec)
+
+    monkeypatch.setattr(scenarios, "simulate_event", counting)
+    monkeypatch.setattr(scenarios, "_TRAJECTORIES", {})
+    cfg = write_config(tmp_path / "mini.json", participants=4, n_permutations=8, draws=2)
+    assert main(["all", "--out", str(tmp_path / "run"), "--seed", "1",
+                 "--epochs", "2", "--config", cfg]) == 0
+    assert calls == Counter(spec.event_id for spec in scenarios.CATALOG)
+    for k in range(1, len(scenarios.CATALOG) + 1):
+        assert scenarios.event_by_id(k) is scenarios.CATALOG[k - 1]
 
 
 def test_mb_flow_and_missing_group_weights(mb_ratings, tmp_path, caplog):

@@ -78,6 +78,18 @@ def test_filter_requires_consistent_input(table):
     assert filter_ratings(lonely) == lonely
 
 
+def test_filter_keeps_raters_of_a_flat_event(caplog):
+    # everyone agrees on one constant score: nothing to correlate against
+    flat = [RatingRecord(pid, 1, clip, 4) for pid in (1, 2, 3) for clip in range(1, 6)]
+    with caplog.at_level("WARNING"):
+        assert filter_ratings(flat) == flat
+    assert "no screening applied" in caplog.text
+    # raters that differ but average out flat are not screened either
+    mirrored = ([RatingRecord(1, 1, clip, r) for clip, r in enumerate((2, 5, 8, 6, 3), 1)]
+                + [RatingRecord(2, 1, clip, r) for clip, r in enumerate((8, 5, 2, 4, 7), 1)])
+    assert filter_ratings(mirrored) == mirrored
+
+
 # ---------------------------------------------------------------------------
 # interpolators
 
@@ -188,7 +200,7 @@ def test_crossval_validates_input():
 
 def test_curve_from_anchors_grid(table):
     curve = curve_from_anchors(align_ratings(1, [2, 5, 7, 4, 3][:table.n_slots(1)],
-                                             table), 30.0)
+                                             table), 301)
     assert curve.t.shape == (301,)
     assert curve.t[1] - curve.t[0] == pytest.approx(DT)
     assert np.all((curve.value >= 0.0) & (curve.value <= 10.0))
@@ -196,7 +208,7 @@ def test_curve_from_anchors_grid(table):
 
 def test_reconstruct_participant_end_to_end(table):
     n = table.n_slots(28)
-    curve = reconstruct_participant(28, [1] * (n - 1) + [9], table, 30.0)
+    curve = reconstruct_participant(28, [1] * (n - 1) + [9], table)
     assert curve.t.shape == (301,)
     assert curve.value[0] == pytest.approx(1.0, abs=1e-9)
 

@@ -5,7 +5,7 @@ import pytest
 
 from riskdecode.scenarios import (ACC_CATEGORIES, BRAKE_FLOOR, DT, KMH,
                                   LC_CATEGORIES, RIPPLE_AMP, EventSpec,
-                                  enumerate_events, event_by_id,
+                                  catalog_trajectory, enumerate_events, event_by_id,
                                   scenario_family, scenario_rank,
                                   simulate_event)
 
@@ -172,6 +172,21 @@ def test_no_contact_anywhere(sample_trajs):
             gap_y = np.abs(neighbour.y - traj.subject.y) - 0.5 * (
                 neighbour.width + traj.subject.width)
             assert np.all(np.maximum(gap_x, gap_y) > 0.0)
+
+
+def test_catalog_trajectory_is_shared_and_read_only():
+    traj = catalog_trajectory(33)
+    assert catalog_trajectory(33) is traj
+    assert catalog_trajectory(np.int64(33)) is traj
+    fresh = simulate_event(event_by_id(33))
+    for shared, own in zip((traj.subject, *traj.neighbours),
+                           (fresh.subject, *fresh.neighbours)):
+        for name in ("x", "y", "vx", "vy", "ax", "ay"):
+            assert getattr(shared, name).tobytes() == getattr(own, name).tobytes()
+            with pytest.raises(ValueError):
+                getattr(shared, name)[0] = 0.0
+    with pytest.raises(ValueError):
+        traj.t[0] = 1.0
 
 
 def test_simulation_is_deterministic():
