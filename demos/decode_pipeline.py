@@ -55,9 +55,10 @@ def main():
 
     print("\ntop risk factors per network (mean |attribution|):")
     ranking: dict = {}
-    for rec in pipeline.read_csv(out / "globals.csv"):
-        ranking.setdefault(rec["scenario"], []).append(
-            (int(rec["rank"]), rec["feature"], float(rec["mean_abs_phi"])))
+    table = pipeline.read_csv(out / "globals.csv")
+    for group, rank, name, score in zip(table["scenario"], table["rank"],
+                                        table["feature"], table["mean_abs_phi"]):
+        ranking.setdefault(group, []).append((rank, name, score))
     for group in sorted(ranking):
         top = sorted(ranking[group])[:3]
         labels = ", ".join(f"{name} ({score:.2f})" for _, name, score in top)

@@ -34,6 +34,11 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
+def _pick(value, config: dict, key: str, default=None):
+    """The command-line value when one was given (0 included), else the config's."""
+    return config.get(key, default) if value is None else value
+
+
 def _default_ratings(args, config) -> Path:
     if args.ratings:
         return Path(args.ratings)
@@ -101,8 +106,8 @@ def main(argv=None) -> int:
             log.info("feature tables written for %d networks", len(paths))
         elif args.stage == "train":
             summary = pipeline.run_train(out, seed, args.scenario,
-                                         args.epochs or config.get("epochs"),
-                                         args.lr or config.get("learning_rate"))
+                                         _pick(args.epochs, config, "epochs"),
+                                         _pick(args.lr, config, "learning_rate"))
             for group, entry in sorted(summary.items()):
                 log.info("%s: train RMSE %.4f validation RMSE %.4f", group,
                          entry["final_train_rmse"], entry["final_val_rmse"])
@@ -110,7 +115,7 @@ def main(argv=None) -> int:
             path = pipeline.run_predict(out, seed)
             log.info("predictions written to %s", path)
         elif args.stage == "calibrate":
-            draws = args.draws or config.get("draws", 500)
+            draws = _pick(args.draws, config, "draws", 500)
             results = pipeline.run_calibrate(out, seed, draws, config.get("bounds"))
             for model, res in results.items():
                 log.info("%s: best RMSE %.4f (default %.4f)", model,
@@ -126,9 +131,9 @@ def main(argv=None) -> int:
             ratings = Path(args.ratings) if args.ratings else None
             pipeline.run_all(out, seed, ratings,
                              n_participants=config.get("participants", 12),
-                             draws=args.draws or config.get("draws", 300),
-                             epochs=args.epochs or config.get("epochs"),
-                             learning_rate=args.lr or config.get("learning_rate"),
+                             draws=_pick(args.draws, config, "draws", 300),
+                             epochs=_pick(args.epochs, config, "epochs"),
+                             learning_rate=_pick(args.lr, config, "learning_rate"),
                              n_permutations=config.get("n_permutations", 200))
             log.info("full pipeline complete under %s", out)
     except (FileNotFoundError, ValueError) as exc:

@@ -196,8 +196,3 @@ def global_importance(attributions, names: Sequence[str]):
     scores = np.abs(attributions).mean(axis=0)
     order = np.argsort(-scores, kind="stable")
     return [(names[i], float(scores[i])) for i in order]
-
-
-def local_heatmap(result: ShapResult):
-    """Signed T x D attribution matrix paired with the predicted curve."""
-    return result.attributions, result.predicted

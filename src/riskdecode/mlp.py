@@ -42,6 +42,10 @@ class MlpConfig:
             raise ValueError("train_fraction must lie in (0, 1)")
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
 
 
 @dataclass

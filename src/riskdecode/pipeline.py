@@ -1,10 +1,17 @@
 """Stage orchestration and deterministic artifact persistence.
 
-Every stage reads only named upstream files, writes UTF-8 CSV/JSON with
-floats at 6 decimals, and stamps each artifact with a header carrying the
-tool version, the seed, and digests of its inputs.  Re-running a stage
-with unchanged inputs reproduces its outputs byte for byte; no artifact
-embeds timestamps or machine state.
+Every stage reads only named upstream files and writes UTF-8 CSV/JSON.
+Only ``read_csv`` and ``write_csv`` know the table format: a stamp line
+with the tool version, the seed and the digest of every file the stage
+read (JSON artifacts carry it as ``meta.inputs``), then the header and
+rows.  Floats are written at 6 decimals; model state that later stages
+read back (feature matrices, normalization stats, network weights) is
+written at ``repr``, because some catalog features vary only at the 1e-7
+level.  A missing float (NaN) is an empty cell.  ``read_csv`` returns
+columns keyed by header name, each cast once to int64, else float64,
+else left as strings.  Re-running a stage with unchanged inputs
+reproduces its outputs byte for byte; no artifact embeds timestamps or
+machine state.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import hashlib
 import json
 import logging
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -23,7 +30,7 @@ import numpy as np
 from . import __version__
 from .calibration import (MODEL_DEFAULTS, MODEL_SERIES, CalibrationJob, calibrate,
                           compare_models, joint_rescale)
-from .explain import Baseline, explain_frames, global_importance, mean_head
+from .explain import MAX_EXACT_DIM, Baseline, explain_frames, global_importance, mean_head
 from .features import (DEFAULT_MANIFESTS, FeatureManifest, NormStats, build_features,
                        zscore_apply, zscore_fit)
 from .mlp import MlpConfig, MlpWeights, mlp_predict, mlp_train
@@ -46,6 +53,7 @@ NETWORK_GROUPS = {
 }
 
 RATINGS_COLUMNS = ("participant_id", "event_id", "clip_index", "rating")
+_ROWS_PER_WRITE = 1024
 
 
 @dataclass(frozen=True)
@@ -65,33 +73,32 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:12]
 
 
-def _header(seed: int, inputs: Sequence[Path]) -> str:
-    tags = ",".join(f"{p.name}:{_digest(p)}" for p in inputs) or "-"
-    return f"# riskdecode {__version__} seed={seed} inputs={tags}"
+def _tags(inputs: Sequence[Path]) -> str:
+    return ",".join(f"{p.name}:{_digest(p)}" for p in inputs) or "-"
 
 
-def _fmt(value, precise: bool = False) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value)) if precise else f"{float(value):.6f}"
-    return str(value)
+def _cells(values: np.ndarray, precise: bool) -> list:
+    """A column's cells, with the formatter chosen once from its dtype."""
+    if values.dtype.kind != "f":
+        return list(map(str, values.tolist()))
+    cells = list(map(float.__repr__ if precise else "{:.6f}".format, values.tolist()))
+    for i in np.flatnonzero(np.isnan(values)):
+        cells[i] = ""
+    return cells
 
 
-def write_csv(path: Path, columns: Sequence[str], rows, seed: int,
+def write_csv(path: Path, table: Mapping[str, Sequence], seed: int,
               inputs: Sequence[Path] = (), precise: bool = False) -> Path:
-    """Stamped CSV; ``precise`` keeps full float precision for model state.
-
-    Plot-facing exports round to 6 decimals, but numeric state that is
-    read back by later stages (feature matrices, normalization stats,
-    network weights) must survive the round trip: some catalog features
-    vary only at the 1e-7 level and rounding would flatten them.
-    """
+    """Stamped CSV of ``table``'s columns; ``precise`` writes floats at ``repr``."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    columns = [np.asarray(column) for column in table.values()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_header(seed, inputs) + "\n")
+        fh.write(f"# riskdecode {__version__} seed={seed} inputs={_tags(inputs)}\n")
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v, precise) for v in row])
+        writer.writerow(table)
+        for start in range(0, len(columns[0]), _ROWS_PER_WRITE):  # bounds the formatted cells held
+            writer.writerows(zip(*(_cells(c[start:start + _ROWS_PER_WRITE], precise)
+                                   for c in columns)))
     return path
 
 
@@ -112,19 +119,44 @@ def _jsonify(obj, precise: bool):
 def write_json(path: Path, payload: dict, seed: int, inputs: Sequence[Path] = (),
                precise: bool = False) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
-    tags = ",".join(f"{p.name}:{_digest(p)}" for p in inputs) or "-"
     body = {"meta": {"tool": "riskdecode", "version": __version__,
-                     "seed": seed, "inputs": tags}}
+                     "seed": seed, "inputs": _tags(inputs)}}
     body.update(_jsonify(payload, precise))
     path.write_text(json.dumps(body, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
 
-def read_csv(path: Path) -> list:
-    """Rows of a stamped CSV as dicts, skipping the header comment."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    return list(csv.DictReader(lines))
+def _cast(column: tuple) -> np.ndarray:
+    """One column as int64, else float64, else strings; one parse pass per dtype tried."""
+    for parse, dtype in ((int, np.int64), (float, np.float64)):
+        try:
+            return np.fromiter(map(parse, column), dtype, len(column))
+        except (ValueError, OverflowError):
+            pass
+    return np.array(column, dtype=str)
+
+
+def read_csv(path: Path) -> dict:
+    """Columns of a stamped CSV keyed by header name, skipping the stamp line."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(ln for ln in fh if not ln.startswith("#"))
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: data row {i} has {len(row)} cells, not {len(header)}")
+    columns = zip(*rows) if rows else [()] * len(header)
+    return {name: _cast(column) for name, column in zip(header, columns)}
+
+
+def _stack(names: Sequence[str], blocks: list) -> dict:
+    """One table from blocks that each hold one array per column, in ``names`` order."""
+    if not blocks:
+        return dict.fromkeys(names, ())
+    return {name: np.concatenate(parts) for name, parts in zip(names, zip(*blocks))}
+
+
+def _by_event(event_ids: np.ndarray, values: np.ndarray) -> dict:
+    """Rows of ``values`` split by event id, in id order."""
+    return {int(eid): values[event_ids == eid] for eid in np.unique(event_ids)}
 
 
 def require(out: Path, name: str, stage: str) -> Path:
@@ -197,8 +229,8 @@ def write_synthetic_ratings(out: Path, seed: int = 0, n_participants: int = 12,
     truth = planted_truth()
     records = synthetic_ratings(truth, n_participants=n_participants, seed=seed,
                                 rater_sigma=rater_sigma)
-    rows = [(r.participant_id, r.event_id, r.clip_index, r.rating) for r in records]
-    return write_csv(out / "ratings.csv", RATINGS_COLUMNS, rows, seed)
+    return write_csv(out / "ratings.csv",
+                     {c: [getattr(r, c) for r in records] for c in RATINGS_COLUMNS}, seed)
 
 
 def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
@@ -207,30 +239,29 @@ def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
     if profile:
         mapping.update(profile)
     with open(path, encoding="utf-8") as fh:
-        raw = fh.readlines()
-    lines = [(i + 1, ln) for i, ln in enumerate(raw) if not ln.startswith("#")]
+        lines = [(i, ln) for i, ln in enumerate(fh, start=1) if not ln.startswith("#")]
     if not lines:
         raise ValueError(f"{path} holds no CSV content")
-    reader = csv.DictReader([ln for _, ln in lines])
-    missing = [mapping[c] for c in RATINGS_COLUMNS if mapping[c] not in (reader.fieldnames or [])]
+    reader = csv.reader([ln for _, ln in lines])
+    header = next(reader)
+    missing = [mapping[c] for c in RATINGS_COLUMNS if mapping[c] not in header]
     if missing:
         raise ValueError(f"{path} lacks required columns {missing} "
                          f"(line {lines[0][0]}: {lines[0][1].strip()!r})")
+    index = [header.index(mapping[c]) for c in RATINGS_COLUMNS]
     table = load_alignment_table()
     known = set(table.event_ids())
-    for offset, rec in enumerate(reader):
-        line_no = lines[offset + 1][0]
+    for (line_no, _), cells in zip(lines[1:], reader):
+        if not cells:
+            continue  # blank line
         try:
-            pid = int(rec[mapping["participant_id"]])
-            eid = int(rec[mapping["event_id"]])
-            clip = int(rec[mapping["clip_index"]])
-            rating = int(rec[mapping["rating"]])
+            pid, eid, clip, rating = (int(cells[i]) for i in index)
             if eid not in known:
                 raise ValueError(f"unknown event_id {eid}")
             if not 1 <= clip <= table.n_slots(eid):
                 raise ValueError(f"clip_index {clip} outside event {eid}'s slots")
             yield line_no, RatingRecord(pid, eid, clip, rating)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (IndexError, ValueError) as exc:
             yield line_no, exc
 
 
@@ -293,16 +324,12 @@ def run_ingest(out: Path, ratings_path: Path, seed: int = 0,
         dropped_pairs=dropped,
     )
 
-    rows = [(r.participant_id, r.event_id, r.clip_index, r.rating)
-            for r in sorted(kept, key=lambda r: (r.event_id, r.participant_id, r.clip_index))]
-    write_csv(out / "ratings_valid.csv", RATINGS_COLUMNS, rows, seed, [ratings_path])
+    kept.sort(key=lambda r: (r.event_id, r.participant_id, r.clip_index))
+    write_csv(out / "ratings_valid.csv",
+              {c: [getattr(r, c) for r in kept] for c in RATINGS_COLUMNS}, seed, [ratings_path])
     write_json(out / "dataset_index.json", {
-        "total_ratings": index.total_ratings,
-        "per_family": index.per_family,
-        "n_participants": index.n_participants,
-        "invalid_rows": index.invalid_rows,
+        **asdict(index),
         "invalid_detail": [{"line": n, "reason": msg} for n, msg in invalid[:50]],
-        "dropped_pairs": index.dropped_pairs,
     }, seed, [ratings_path])
     return index
 
@@ -316,26 +343,21 @@ def run_reconstruct(out: Path, seed: int = 0, method: str = "pchip") -> Path:
     ratings = require(out, "ratings_valid.csv", "ingest")
     table = load_alignment_table()
 
-    by_event: dict = {}
-    for rec in read_csv(ratings):
-        r = RatingRecord(int(rec["participant_id"]), int(rec["event_id"]),
-                         int(rec["clip_index"]), int(rec["rating"]))
-        by_event.setdefault(r.event_id, {}).setdefault(r.participant_id, []).append(r)
-
-    rows = []
-    for eid in sorted(by_event):
-        curves = []
-        for pid in sorted(by_event[eid]):
-            recs = sorted(by_event[eid][pid], key=lambda r: r.clip_index)
-            ratings_seq = [r.rating for r in recs]
-            curves.append(reconstruct_participant(eid, ratings_seq, table, method))
-        agg = aggregate_curves(curves)
-        for k in range(agg.t.size):
-            rows.append((eid, agg.t[k], agg.mean[k], agg.p25[k], agg.p75[k],
-                         agg.std[k], agg.n_participants))
+    cols = read_csv(ratings)
+    by_event = _by_event(cols["event_id"], np.column_stack(
+        [cols[c] for c in ("participant_id", "clip_index", "rating")]))
+    blocks = []
+    for eid, rows in by_event.items():
+        rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]  # by participant, then clip
+        seqs = np.split(rows[:, 2], np.flatnonzero(np.diff(rows[:, 0])) + 1)
+        agg = aggregate_curves([reconstruct_participant(eid, seq, table, method)
+                                for seq in seqs])
+        blocks.append((np.full(agg.t.size, eid), agg.t, agg.mean, agg.p25, agg.p75, agg.std,
+                       np.full(agg.t.size, agg.n_participants)))
     return write_csv(out / "curves.csv",
-                     ("event_id", "t", "mean", "p25", "p75", "std", "n_participants"),
-                     rows, seed, [ratings])
+                     _stack(("event_id", "t", "mean", "p25", "p75", "std", "n_participants"),
+                            blocks),
+                     seed, [ratings])
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +379,13 @@ def run_features(out: Path, seed: int = 0,
             (out / f"features_{group}.csv").unlink(missing_ok=True)
             continue
         manifest = _group_manifest(group, manifest_overrides)
-        blocks, rows = [], []
-        for spec in specs:
-            matrix = build_features(catalog_trajectory(spec.event_id), manifest)
-            blocks.append(matrix)
-            for k in range(matrix.shape[0]):
-                rows.append((spec.event_id, k * DT, *matrix[k]))
-        stats = zscore_fit(np.vstack(blocks), manifest.names)
-        paths[group] = write_csv(out / f"features_{group}.csv",
-                                 ("event_id", "t", *manifest.names), rows, seed,
+        blocks = [build_features(catalog_trajectory(s.event_id), manifest) for s in specs]
+        matrix = np.vstack(blocks)
+        stats = zscore_fit(matrix, manifest.names)
+        table = {"event_id": np.repeat([s.event_id for s in specs], [len(b) for b in blocks]),
+                 "t": np.concatenate([np.arange(len(b)) * DT for b in blocks]),
+                 **dict(zip(manifest.names, matrix.T))}
+        paths[group] = write_csv(out / f"features_{group}.csv", table, seed,
                                  [events_json], precise=True)
         manifest_meta[group] = {"family": manifest.scenario,
                                 "features": list(manifest.names)}
@@ -389,19 +409,9 @@ def _load_normstats(out: Path) -> dict:
 
 def _load_features(out: Path, group: str):
     """(event_ids, frame times, raw matrix) from one features CSV."""
-    rows = read_csv(out / f"features_{group}.csv")
-    names = [c for c in rows[0] if c not in ("event_id", "t")]
-    eids = np.array([int(r["event_id"]) for r in rows])
-    times = np.array([float(r["t"]) for r in rows])
-    matrix = np.array([[float(r[c]) for c in names] for r in rows])
-    return eids, times, matrix
-
-
-def _load_mean_curves(out: Path) -> dict:
-    curves: dict = {}
-    for rec in read_csv(out / "curves.csv"):
-        curves.setdefault(int(rec["event_id"]), []).append(float(rec["mean"]))
-    return {eid: np.array(vals) for eid, vals in curves.items()}
+    table = read_csv(out / f"features_{group}.csv")
+    eids, times = table.pop("event_id"), table.pop("t")
+    return eids, times, np.column_stack(list(table.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -413,21 +423,24 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
               learning_rate: float | None = None) -> dict:
     out = Path(out)
     curves_path = require(out, "curves.csv", "reconstruct")
-    require(out, "normstats.json", "features")
+    normstats_path = require(out, "normstats.json", "features")
     stats = _load_normstats(out)
-    mean_curves = _load_mean_curves(out)
+    curves = read_csv(curves_path)
+    mean_curves = _by_event(curves["event_id"], curves["mean"])
+    read_paths = [normstats_path, curves_path]
 
     groups = [g for g in NETWORK_GROUPS
               if scenario is None or scenario == g or scenario in NETWORK_GROUPS[g]]
     if not groups:
         raise ValueError(f"scenario selector {scenario!r} matches no network group")
 
-    summary, log_rows = {}, []
+    summary, log_blocks = {}, []
     for group in groups:
         feats_path = require(out, f"features_{group}.csv", "features")
+        read_paths.append(feats_path)
         eids, _, matrix = _load_features(out, group)
         targets = []
-        for eid in sorted(set(eids)):
+        for eid in np.unique(eids):
             if eid not in mean_curves:
                 raise ValueError(f"curves.csv lacks event {eid} needed by {group}")
             targets.append(mean_curves[eid])
@@ -444,9 +457,9 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
         summary[group] = {"final_train_rmse": report.final_train_rmse,
                           "final_val_rmse": report.final_val_rmse,
                           "input_dim": x.shape[1], "n_rows": x.shape[0]}
-        for epoch in range(report.train_rmse.size):
-            log_rows.append((group, epoch + 1,
-                             report.train_rmse[epoch], report.val_rmse[epoch]))
+        n_epochs = report.train_rmse.size
+        log_blocks.append((np.full(n_epochs, group), np.arange(1, n_epochs + 1),
+                           report.train_rmse, report.val_rmse))
         write_json(out / f"weights_{group}.json", {
             "group": group,
             "config": {"input_dim": config.input_dim, "hidden": config.hidden,
@@ -457,11 +470,12 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
             "weights": {"w1": weights.w1, "b1": weights.b1,
                         "w2": weights.w2, "b2": weights.b2},
             "report": summary[group],
-        }, seed, [feats_path, curves_path], precise=True)
+        }, seed, [normstats_path, curves_path, feats_path], precise=True)
 
-    write_csv(out / "training_log.csv", ("group", "epoch", "train_rmse", "val_rmse"),
-              log_rows, seed, [curves_path])
-    write_json(out / "train_summary.json", {"groups": summary}, seed, [curves_path])
+    write_csv(out / "training_log.csv",
+              _stack(("group", "epoch", "train_rmse", "val_rmse"), log_blocks),
+              seed, read_paths)
+    write_json(out / "train_summary.json", {"groups": summary}, seed, read_paths)
     return summary
 
 
@@ -476,21 +490,19 @@ def _load_weights(out: Path, group: str) -> MlpWeights:
 
 def run_predict(out: Path, seed: int = 0) -> Path:
     out = Path(out)
-    require(out, "normstats.json", "features")
+    normstats_path = require(out, "normstats.json", "features")
     stats = _load_normstats(out)
-    rows = []
-    input_paths = []
+    blocks, input_paths = [], [normstats_path]
     for group in sorted(NETWORK_GROUPS):
         weights = _load_weights(out, group)
-        input_paths.append(out / f"weights_{group}.json")
+        input_paths += [out / f"weights_{group}.json", out / f"features_{group}.csv"]
         eids, times, matrix = _load_features(out, group)
         pred = mlp_predict(weights, zscore_apply(matrix, stats[group]))
-        for i in range(eids.size):
-            rows.append((group, eids[i], times[i], pred.mean[i], pred.variance[i]))
-    rows.sort(key=lambda r: (r[1], r[2], r[0]))
-    return write_csv(out / "predictions.csv",
-                     ("group", "event_id", "t", "mean", "variance"),
-                     rows, seed, input_paths)
+        blocks.append((np.full(eids.size, group), eids, times, pred.mean, pred.variance))
+    table = _stack(("group", "event_id", "t", "mean", "variance"), blocks)
+    order = np.lexsort((table["group"], table["t"], table["event_id"]))
+    return write_csv(out / "predictions.csv", {k: v[order] for k, v in table.items()},
+                     seed, input_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +513,8 @@ def run_calibrate(out: Path, seed: int = 0, draws: int = 500,
                   bounds_overrides: Mapping[str, Mapping[str, tuple]] | None = None) -> dict:
     out = Path(out)
     curves_path = require(out, "curves.csv", "reconstruct")
-    targets = _load_mean_curves(out)
+    curves = read_csv(curves_path)
+    targets = _by_event(curves["event_id"], curves["mean"])
 
     results = {}
     for offset, model in enumerate(("PCAD", "DRF")):
@@ -516,11 +529,9 @@ def run_calibrate(out: Path, seed: int = 0, draws: int = 500,
             "best_rmse": res.best_rmse, "best_draw": res.best_draw,
             "default_rmse": res.trace[0]["rmse"], "best_params": params,
         }, seed, [curves_path])
-        param_names = list(job.resolved_bounds())
-        trace_rows = [(row["draw"], *[row[p] for p in param_names], row["rmse"])
-                      for row in res.trace]
         write_csv(out / f"trace_{model.lower()}.csv",
-                  ("draw", *param_names, "rmse"), trace_rows, seed, [curves_path])
+                  {c: [row[c] for row in res.trace] for c in ("draw", *params, "rmse")},
+                  seed, [curves_path])
     return results
 
 
@@ -531,18 +542,17 @@ def run_calibrate(out: Path, seed: int = 0, draws: int = 500,
 def run_explain(out: Path, seed: int = 0, events: Sequence[int] | None = None,
                 n_permutations: int = 200) -> Path:
     out = Path(out)
-    require(out, "normstats.json", "features")
+    normstats_path = require(out, "normstats.json", "features")
     stats = _load_normstats(out)
 
     chosen = set(events) if events else None
-    shap_rows, globals_rows = [], []
-    input_paths = []
+    shap_blocks, globals_blocks = [], []
+    input_paths = [normstats_path]
     for group in sorted(NETWORK_GROUPS):
         weights = _load_weights(out, group)
-        input_paths.append(out / f"weights_{group}.json")
+        input_paths += [out / f"weights_{group}.json", out / f"features_{group}.csv"]
         eids, times, matrix = _load_features(out, group)
-        group_events = sorted(set(eids))
-        targets = [e for e in group_events if chosen is None or e in chosen]
+        targets = [e for e in np.unique(eids).tolist() if chosen is None or e in chosen]
         if chosen is None:
             targets = targets[:1]  # default: one representative event per network
         if not targets:
@@ -550,30 +560,30 @@ def run_explain(out: Path, seed: int = 0, events: Sequence[int] | None = None,
         names = stats[group].names
         model = mean_head(weights)
         baseline = Baseline.from_training(zscore_apply(matrix, stats[group]))
+        mode = "exact" if len(names) <= MAX_EXACT_DIM else "sampled"
         collected = []
         for eid in targets:
             sel = eids == eid
             raw = matrix[sel]
-            normed = zscore_apply(raw, stats[group])
-            mode = "exact" if len(names) <= 15 else "sampled"
-            result = explain_frames(model, normed, baseline, mode=mode,
-                                    n_permutations=n_permutations, seed=seed)
+            result = explain_frames(model, zscore_apply(raw, stats[group]), baseline,
+                                    mode=mode, n_permutations=n_permutations, seed=seed)
             collected.append(result.attributions)
-            t_sel = times[sel]
-            for k in range(normed.shape[0]):
-                for j, name in enumerate(names):
-                    err = "" if result.std_errors is None else result.std_errors[k, j]
-                    shap_rows.append((eid, t_sel[k], name, result.attributions[k, j],
-                                      raw[k, j], err))
-        ranking = global_importance(np.vstack(collected), names)
-        for rank, (name, score) in enumerate(ranking, start=1):
-            globals_rows.append((group, name, score, rank))
+            n, d = raw.shape
+            err = np.full((n, d), np.nan) if result.std_errors is None else result.std_errors
+            shap_blocks.append((np.full(n * d, eid), np.repeat(times[sel], d),
+                                np.tile(names, n), result.attributions.ravel(),
+                                raw.ravel(), err.ravel()))
+        ranked, scores = zip(*global_importance(np.vstack(collected), names))
+        globals_blocks.append((np.full(len(ranked), group), ranked, scores,
+                               np.arange(1, len(ranked) + 1)))
 
     shap_path = write_csv(out / "shap.csv",
-                          ("event_id", "t", "feature", "phi", "feature_value", "std_err"),
-                          shap_rows, seed, input_paths)
-    write_csv(out / "globals.csv", ("scenario", "feature", "mean_abs_phi", "rank"),
-              globals_rows, seed, input_paths)
+                          _stack(("event_id", "t", "feature", "phi", "feature_value",
+                                  "std_err"), shap_blocks),
+                          seed, input_paths)
+    write_csv(out / "globals.csv",
+              _stack(("scenario", "feature", "mean_abs_phi", "rank"), globals_blocks),
+              seed, input_paths)
     return shap_path
 
 
@@ -581,11 +591,10 @@ def run_explain(out: Path, seed: int = 0, events: Sequence[int] | None = None,
 # report
 
 
-def _model_curves(out: Path, targets: dict) -> dict:
+def _model_curves(calibrations: Mapping[str, Path], targets: dict) -> dict:
     """Rescaled PCAD/DRF catalog outputs under their calibrated parameters."""
     outputs = {}
-    for model in ("PCAD", "DRF"):
-        path = require(out, f"calibration_{model.lower()}.json", "calibrate")
+    for model, path in calibrations.items():
         payload = json.loads(path.read_text(encoding="utf-8"))
         params = replace(MODEL_DEFAULTS[model](), **payload["best_params"])
         outputs[model] = joint_rescale(
@@ -600,52 +609,43 @@ def run_report(out: Path, seed: int = 0) -> dict:
     predictions_path = require(out, "predictions.csv", "predict")
     shap_path = require(out, "shap.csv", "explain")
     globals_path = require(out, "globals.csv", "explain")
+    calibrations = {model: require(out, f"calibration_{model.lower()}.json", "calibrate")
+                    for model in ("PCAD", "DRF")}
 
-    curve_rows = read_csv(curves_path)
-    write_csv(out / "report_curves.csv", ("event_id", "t", "mean", "p25", "p75"),
-              [(r["event_id"], float(r["t"]), float(r["mean"]),
-                float(r["p25"]), float(r["p75"])) for r in curve_rows],
+    curves = read_csv(curves_path)
+    write_csv(out / "report_curves.csv",
+              {c: curves[c] for c in ("event_id", "t", "mean", "p25", "p75")},
               seed, [curves_path])
 
-    truth = _load_mean_curves(out)
-    mlp_out: dict = {}
-    pred_lookup: dict = {}
-    for rec in read_csv(predictions_path):
-        eid = int(rec["event_id"])
-        mlp_out.setdefault(eid, []).append(float(rec["mean"]))
-        pred_lookup[(eid, round(float(rec["t"]) / DT))] = float(rec["mean"])
-    mlp_curves = {eid: np.array(vals) for eid, vals in mlp_out.items()}
-    outputs = _model_curves(out, truth)
-    outputs["MLP"] = mlp_curves
-    report = compare_models(truth, outputs)
+    truth = _by_event(curves["event_id"], curves["mean"])
+    predictions = read_csv(predictions_path)
+    mlp_curves = _by_event(predictions["event_id"], predictions["mean"])
+    report = compare_models(truth, {**_model_curves(calibrations, truth), "MLP": mlp_curves})
+    model_inputs = [curves_path, predictions_path, *calibrations.values()]
 
-    comparison_rows = [(fam, model, *report.scenario_stats[(fam, model)])
-                       for fam, model in sorted(report.scenario_stats)]
-    write_csv(out / "report_comparison.csv", ("scenario", "model", "median", "q1", "q3"),
-              comparison_rows, seed, [curves_path, predictions_path])
+    comparison_rows = [(*key, *stats) for key, stats in sorted(report.scenario_stats.items())]
+    write_csv(out / "report_comparison.csv",
+              dict(zip(("scenario", "model", "median", "q1", "q3"), zip(*comparison_rows))),
+              seed, model_inputs)
 
-    histogram_rows = []
-    for model in sorted(report.histograms):
-        bin_lo, counts = report.histograms[model]
-        for lo, count in zip(bin_lo, counts):
-            histogram_rows.append((model, lo, int(count)))
-    write_csv(out / "report_histogram.csv", ("model", "bin_lo", "count"),
-              histogram_rows, seed, [curves_path, predictions_path])
+    histogram_blocks = [(np.full(bin_lo.size, model), bin_lo, counts)
+                        for model, (bin_lo, counts) in sorted(report.histograms.items())]
+    write_csv(out / "report_histogram.csv",
+              _stack(("model", "bin_lo", "count"), histogram_blocks),
+              seed, model_inputs)
 
-    write_csv(out / "report_globals.csv", ("scenario", "feature", "mean_abs_phi", "rank"),
-              [(r["scenario"], r["feature"], float(r["mean_abs_phi"]), int(r["rank"]))
-               for r in read_csv(globals_path)],
-              seed, [globals_path])
+    write_csv(out / "report_globals.csv", read_csv(globals_path), seed, [globals_path])
 
-    heatmap_rows = []
-    for rec in read_csv(shap_path):
-        eid = int(rec["event_id"])
-        t = float(rec["t"])
-        predicted = pred_lookup.get((eid, round(t / DT)), "")
-        heatmap_rows.append((eid, t, rec["feature"], float(rec["phi"]), predicted))
+    shap = read_csv(shap_path)
+    frames = np.rint(shap["t"] / DT).astype(np.int64)
+    predicted = np.full(frames.size, np.nan)  # empty cell where no prediction exists
+    for eid, curve in mlp_curves.items():
+        sel = shap["event_id"] == eid
+        predicted[sel] = curve[frames[sel]]
     write_csv(out / "report_heatmap.csv",
-              ("event_id", "t", "feature", "phi", "predicted"),
-              heatmap_rows, seed, [shap_path, predictions_path])
+              {**{c: shap[c] for c in ("event_id", "t", "feature", "phi")},
+               "predicted": predicted},
+              seed, [shap_path, predictions_path])
 
     artifacts = sorted(p for p in out.rglob("*")
                        if p.is_file() and p.name != "manifest_outputs.json")

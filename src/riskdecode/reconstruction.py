@@ -94,10 +94,10 @@ def load_alignment_table() -> AlignmentTable:
     for name in ("alignment_mb.csv", "alignment_hb.csv", "alignment_lc.csv",
                  "alignment_svm.csv"):
         text = resources.files("riskdecode.data").joinpath(name).read_text()
-        for rec in csv.DictReader(text.splitlines()):
-            key = (rec["scenario"], int(rec["event"]))
-            rows.setdefault(key, []).append(
-                (float(rec["time_s"]), int(rec["slot"]), int(rec["duplicate_flag"])))
+        _, *body = csv.reader(text.splitlines())  # scenario,event,slot,time_s,duplicate_flag
+        for family, event, slot, time_s, dup in body:
+            rows.setdefault((family, int(event)), []).append(
+                (float(time_s), int(slot), int(dup)))
     for key, moments in rows.items():
         times = [m[0] for m in moments]
         if times != sorted(times):
@@ -309,7 +309,7 @@ def _nearest_rank(values: np.ndarray, q: float) -> np.ndarray:
     """Pointwise nearest-rank quantile along axis 0."""
     n = values.shape[0]
     rank = max(int(np.ceil(q * n)), 1) - 1
-    return np.sort(values, axis=0)[rank]
+    return np.sort(values, axis=0)[rank].copy()  # a row view would pin the sorted copy
 
 
 def aggregate_curves(curves) -> AggregateCurve:

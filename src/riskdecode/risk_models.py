@@ -200,11 +200,6 @@ def _pair_geometry(scene, neighbour_index: int, params: PcadParams):
     return off_x, off_y, v_s[0] - v_n[0], v_s[1] - v_n[1], half_x, half_y
 
 
-def avoidance_difficulty(frame: FrameState, params: PcadParams = PcadParams(),
-                         neighbour_index: int = 0) -> float:
-    return avoidance_detail(frame, params, neighbour_index).difficulty
-
-
 def avoidance_detail(frame: FrameState, params: PcadParams = PcadParams(),
                      neighbour_index: int = 0) -> AvoidanceDetail:
     off_x, off_y, wx, wy, half_x, half_y = _pair_geometry(

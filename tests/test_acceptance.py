@@ -70,13 +70,13 @@ def test_criterion_01_catalog_fidelity(capsys):
 
 def test_criterion_02_sample_counts(capsys, rehearsal):
     curve_counts: dict = {}
-    for row in read_csv(rehearsal.out / "curves.csv"):
-        fam = event_by_id(int(row["event_id"])).family
+    for eid in read_csv(rehearsal.out / "curves.csv")["event_id"].tolist():
+        fam = event_by_id(eid).family
         curve_counts[fam] = curve_counts.get(fam, 0) + 1
     feature_counts: dict = {}
     for group in NETWORK_GROUPS:
         fam = "LC" if group.startswith("LC") else group
-        n = len(read_csv(rehearsal.out / f"features_{group}.csv"))
+        n = len(read_csv(rehearsal.out / f"features_{group}.csv")["t"])
         feature_counts[fam] = feature_counts.get(fam, 0) + n
     expected = {"MB": 8127, "HB": 8127, "SVM": 8127, "LC": 8664}
     ok = curve_counts == expected and feature_counts == expected

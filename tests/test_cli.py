@@ -1,5 +1,6 @@
 """CLI stage wiring: artifacts, dependency errors, overrides, determinism."""
 
+import hashlib
 import json
 import logging
 import re
@@ -74,7 +75,7 @@ def test_all_branch_builds_every_artifact(mini_tree):
         assert (mini_tree / f"weights_{group}.json").exists()
     summary = json.loads((mini_tree / "train_summary.json").read_text())
     assert sorted(summary["groups"]) == sorted(NETWORK_GROUPS)
-    assert len(read_csv(mini_tree / "trace_pcad.csv")) == 2
+    assert len(read_csv(mini_tree / "trace_pcad.csv")["draw"]) == 2
     calib = json.loads((mini_tree / "calibration_pcad.json").read_text())
     assert calib["draws"] == 2
 
@@ -87,6 +88,20 @@ def test_artifact_headers_are_stamped(mini_tree):
     meta = json.loads((mini_tree / "dataset_index.json").read_text())["meta"]
     assert meta["seed"] == 1 and meta["version"] == __version__
     assert meta["inputs"].startswith("ratings.csv:")
+    # a stamp names every file its stage read, with that file's current digest
+    groups = sorted(NETWORK_GROUPS)
+    read_by = {
+        "predictions.csv": ["normstats.json", *[f"{kind}_{g}.{ext}" for g in groups
+                                                for kind, ext in (("weights", "json"),
+                                                                  ("features", "csv"))]],
+        "report_comparison.csv": ["curves.csv", "predictions.csv",
+                                  "calibration_pcad.json", "calibration_drf.json"],
+    }
+    for name, inputs in read_by.items():
+        header = (mini_tree / name).read_text().splitlines()[0]
+        tags = ",".join(f"{n}:{hashlib.sha256((mini_tree / n).read_bytes()).hexdigest()[:12]}"
+                        for n in inputs)
+        assert header == f"# riskdecode {__version__} seed=1 inputs={tags}", name
 
 
 def test_stage_reruns_are_byte_identical(mini_tree):
@@ -105,16 +120,29 @@ def test_explain_event_selection(mini_tree, tmp_path):
     cfg = write_config(tmp_path / "cfg.json", n_permutations=8)
     assert main(["explain", "--out", str(scratch), "--seed", "1",
                  "--events", "1", "28", "--config", cfg]) == 0
-    rows = read_csv(scratch / "shap.csv")
-    assert {int(r["event_id"]) for r in rows} == {1, 28}
+    shap = read_csv(scratch / "shap.csv")
+    assert set(shap["event_id"].tolist()) == {1, 28}
     # the narrow manifest is enumerated exactly (no error column), the wide
     # one falls back to permutation sampling with a spread estimate
-    hb = [r for r in rows if int(r["event_id"]) == 28]
-    mb = [r for r in rows if int(r["event_id"]) == 1]
-    assert all(r["std_err"] == "" for r in hb)
-    assert all(float(r["std_err"]) >= 0.0 for r in mb)
-    scenarios = {r["scenario"] for r in read_csv(scratch / "globals.csv")}
+    hb = shap["std_err"][shap["event_id"] == 28]
+    mb = shap["std_err"][shap["event_id"] == 1]
+    assert all(err == "" for err in hb)
+    assert all(float(err) >= 0.0 for err in mb)
+    scenarios = set(read_csv(scratch / "globals.csv")["scenario"].tolist())
     assert scenarios == {"MB", "HB"}
+
+
+@pytest.mark.parametrize("stage,flag,message", [
+    ("calibrate", "--draws", "calibration needs at least one draw"),
+    ("train", "--epochs", "epochs must be at least 1"),
+    ("train", "--lr", "learning_rate must be positive"),
+])
+def test_zero_overrides_reach_validation(stage, flag, message, mini_tree, tmp_path, caplog):
+    scratch = tmp_path / "tree"
+    shutil.copytree(mini_tree, scratch)
+    with caplog.at_level(logging.ERROR):
+        assert main([stage, "--out", str(scratch), "--seed", "1", flag, "0"]) == 1
+    assert message in caplog.text
 
 
 def test_ingest_validates_and_filters(mb_ratings, tmp_path):
@@ -127,7 +155,7 @@ def test_ingest_validates_and_filters(mb_ratings, tmp_path):
     assert index["dropped_pairs"] == 27 * len(BASE)
     reasons = " ".join(d["reason"] for d in index["invalid_detail"])
     assert "unknown event_id 999" in reasons
-    assert len(read_csv(tmp_path / "ratings_valid.csv")) == 675
+    assert len(read_csv(tmp_path / "ratings_valid.csv")["rating"]) == 675
 
 
 def _pair_ratings(path, defect):
@@ -155,18 +183,27 @@ def test_ingest_drops_incomplete_pairs(defect, fault, invalid, tmp_path):
     ratings = _pair_ratings(tmp_path / "ratings.csv", defect)
     assert main(["ingest", str(ratings), "--out", str(tmp_path)]) == 0
     index = json.loads((tmp_path / "dataset_index.json").read_text())
-    n_rows = len(read_csv(ratings))
+    n_rows = len(read_csv(ratings)["rating"])
     assert index["invalid_rows"] == invalid
     assert index["total_ratings"] + index["dropped_pairs"] + index["invalid_rows"] == n_rows
     # every complete pair survives, rater 2 included on event 2
-    kept = {(int(r["participant_id"]), int(r["event_id"]))
-            for r in read_csv(tmp_path / "ratings_valid.csv")}
+    valid = read_csv(tmp_path / "ratings_valid.csv")
+    kept = set(zip(valid["participant_id"].tolist(), valid["event_id"].tolist()))
     assert kept == {(pid, eid) for pid in range(1, 6) for eid in (1, 2)} - {(2, 1)}
     pair_detail = [d for d in index["invalid_detail"] if "participant 2 event 1" in d["reason"]]
     assert len(pair_detail) == invalid - (defect == "rating_11")
     assert all(fault in d["reason"] for d in pair_detail)
     assert [d["line"] for d in index["invalid_detail"]] == sorted(
         d["line"] for d in index["invalid_detail"])
+
+
+def test_ingest_reject_names_its_line_after_a_blank_line(tmp_path):
+    ratings = _pair_ratings(tmp_path / "ratings.csv", "drop_row")
+    ratings.write_text(ratings.read_text() + "\n7,999,1,5\n", encoding="utf-8")
+    n_lines = len(ratings.read_text().splitlines())
+    assert main(["ingest", str(ratings), "--out", str(tmp_path)]) == 0
+    index = json.loads((tmp_path / "dataset_index.json").read_text())
+    assert {"line": n_lines, "reason": "unknown event_id 999"} in index["invalid_detail"]
 
 
 def test_all_simulates_each_catalog_event_once(tmp_path, monkeypatch):
@@ -195,7 +232,7 @@ def test_mb_flow_and_missing_group_weights(mb_ratings, tmp_path, caplog):
     assert not (tmp_path / "trajectories").exists()
     assert main(["ingest", str(mb_ratings), "--out", out]) == 0
     assert main(["reconstruct", "--out", out]) == 0
-    assert len(read_csv(tmp_path / "curves.csv")) == 27 * 301
+    assert len(read_csv(tmp_path / "curves.csv")["t"]) == 27 * 301
     assert main(["features", "--out", out]) == 0
     # features builds only the groups whose events generate listed
     assert [p.name for p in tmp_path.glob("features_*.csv")] == ["features_MB.csv"]

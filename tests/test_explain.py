@@ -5,7 +5,7 @@ import pytest
 
 from riskdecode.explain import (MAX_EXACT_DIM, Baseline, ShapResult,
                                 explain_frames, global_importance,
-                                local_heatmap, mean_head, shap_exact,
+                                mean_head, shap_exact,
                                 shap_sampled, value_function)
 from riskdecode.mlp import MlpConfig, mlp_init
 
@@ -156,12 +156,3 @@ def test_global_importance_ranking():
         global_importance(np.empty((0, 2)), ["x", "y"])
     with pytest.raises(ValueError):
         global_importance(attributions, ["a", "b"])
-
-
-def test_local_heatmap_passthrough(net_model, frame_and_baseline):
-    _, base = frame_and_baseline
-    features = np.random.default_rng(3).normal(size=(4, 8))
-    result = explain_frames(net_model, features, base)
-    heat, curve = local_heatmap(result)
-    assert heat.shape == (4, 8) and curve.shape == (4,)
-    assert heat is result.attributions

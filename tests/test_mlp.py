@@ -32,6 +32,16 @@ def test_config_validation():
         MlpConfig(input_dim=4, loss_mode="huber")
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("epochs", 0, "epochs must be at least 1"),
+    ("learning_rate", 0.0, "learning_rate must be positive"),
+    ("learning_rate", -1.0, "learning_rate must be positive"),
+])
+def test_config_rejects_empty_or_ascending_training(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        MlpConfig(input_dim=4, **{field: value})
+
+
 def test_weights_validation():
     with pytest.raises(ValueError):
         MlpWeights(np.full((3, 8), np.nan), np.zeros(8),

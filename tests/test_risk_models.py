@@ -13,8 +13,7 @@ import pytest
 from scipy import integrate
 
 from riskdecode.risk_models import (AvoidanceDetail, DrfParams, PcadParams,
-                                    avoidance_detail, avoidance_difficulty,
-                                    drf_probability, drf_risk,
+                                    avoidance_detail, drf_probability, drf_risk,
                                     drf_risk_series, pcad_risk,
                                     pcad_risk_series, pcad_weight,
                                     perceived_velocity)
@@ -135,10 +134,10 @@ def test_difficulty_matches_brute_force_reference():
 def test_difficulty_zero_when_receding():
     # lead ahead, subject slower: the gap opens, no course, exact zero
     frame = kernel_frame(25.0, 0.0, -3.0, 0.0)
-    assert avoidance_difficulty(frame, ZERO_SIGMA) == 0.0
+    assert avoidance_detail(frame, ZERO_SIGMA).difficulty == 0.0
     # lateral offset large enough that the cone misses within the horizon
     frame = kernel_frame(20.0, 10.0, 1.0, 0.0)
-    assert avoidance_difficulty(frame, ZERO_SIGMA) == 0.0
+    assert avoidance_detail(frame, ZERO_SIGMA).difficulty == 0.0
 
 
 def test_difficulty_overlap_returns_cap():
@@ -151,18 +150,18 @@ def test_difficulty_overlap_returns_cap():
 def test_difficulty_monotone_in_closing_speed():
     # the horizon speed for this geometry is 25.5 m / 10 s; sweep above it
     speeds = np.linspace(3.0, 25.0, 60)
-    values = [avoidance_difficulty(kernel_frame(30.0, 0.0, w, 0.0), ZERO_SIGMA)
+    values = [avoidance_detail(kernel_frame(30.0, 0.0, w, 0.0), ZERO_SIGMA).difficulty
               for w in speeds]
     diffs = np.diff(values)
     assert np.all(diffs >= -1e-9)
     assert values[-1] > values[0] > 0.0
     # below the horizon speed the approach is safe
-    assert avoidance_difficulty(kernel_frame(30.0, 0.0, 2.0, 0.0), ZERO_SIGMA) == 0.0
+    assert avoidance_detail(kernel_frame(30.0, 0.0, 2.0, 0.0), ZERO_SIGMA).difficulty == 0.0
 
 
 def test_difficulty_monotone_in_gap():
     gaps = np.linspace(6.0, 60.0, 80)
-    values = [avoidance_difficulty(kernel_frame(g, 0.0, 15.0, 0.0), ZERO_SIGMA)
+    values = [avoidance_detail(kernel_frame(g, 0.0, 15.0, 0.0), ZERO_SIGMA).difficulty
               for g in gaps]
     assert np.all(np.diff(values) <= 1e-9)
 
