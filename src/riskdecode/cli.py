@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
+from .mlp import TrainingDiverged
 
 log = logging.getLogger("riskdecode")
 
@@ -136,7 +137,7 @@ def main(argv=None) -> int:
                              learning_rate=_pick(args.lr, config, "learning_rate"),
                              n_permutations=config.get("n_permutations", 200))
             log.info("full pipeline complete under %s", out)
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError, TrainingDiverged) as exc:
         log.error("%s", exc)
         return 1
     return 0

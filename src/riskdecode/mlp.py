@@ -7,8 +7,16 @@ descent; everything is seeded and deterministic.
 
 Two loss modes. The default trains the mean head on MSE against the average
 rating curve, then freezes everything except the variance column and fits it
-by Gaussian negative log-likelihood around the frozen mean. The joint mode
-trains both heads at once on the NLL.
+by Gaussian negative log-likelihood around the frozen mean (the two-step
+mean-variance scheme of Nix & Weigend, 1994). The joint mode trains both
+heads at once on the NLL.
+
+Each epoch does its work once. The hidden layer after an update serves both
+that epoch's train RMSE and the next epoch's forward pass. The variance phase
+trains on hidden activations computed once, since the layer below it is
+frozen, and computes only the head's gradient. Hidden layers are built in
+the buffer of their matrix product. The results are bit-identical to a plain
+loop that recomputes every pass (tests/test_mlp.py keeps that loop).
 """
 
 from __future__ import annotations
@@ -112,32 +120,31 @@ def _check_input(weights: MlpWeights, x) -> np.ndarray:
     return x
 
 
+def _hidden(weights: MlpWeights, x: np.ndarray) -> np.ndarray:
+    """relu(x @ w1 + b1), built in the product's own buffer."""
+    h = x @ weights.w1
+    h += weights.b1
+    np.maximum(h, 0.0, out=h)
+    return h
+
+
 def mlp_forward(weights: MlpWeights, x, train_mode: bool = False,
                 dropout_rate: float = 0.1, rng=None):
     """(mean, variance) for a batch; dropout only acts in train mode."""
-    x = _check_input(weights, x)
-    h = np.maximum(x @ weights.w1 + weights.b1, 0.0)
+    h = _hidden(weights, _check_input(weights, x))
     if train_mode:
         if rng is None:
             rng = np.random.default_rng(weights.seed)
         keep = 1.0 - dropout_rate
-        h = h * (rng.random(h.shape) < keep) / keep
+        h *= rng.random(h.shape) < keep
+        h /= keep
     z = h @ weights.w2 + weights.b2
     return z[:, 0], _softplus(z[:, 1]) + VAR_FLOOR
 
 
-def _forward_cache(weights, x, mask=None):
-    z1 = x @ weights.w1 + weights.b1
-    h = np.maximum(z1, 0.0)
-    hd = h if mask is None else h * mask
-    z2 = hd @ weights.w2 + weights.b2
-    return z1, hd, z2
-
-
-def _loss_and_grads(weights, x, y, loss_mode, mask=None):
-    """Loss plus gradients for every parameter (shared backprop path)."""
-    n = x.shape[0]
-    z1, hd, z2 = _forward_cache(weights, x, mask)
+def _head_loss(z2, y, loss_mode):
+    """Loss and its gradient with respect to the head outputs ``z2``."""
+    n = z2.shape[0]
     mean = z2[:, 0]
     v = _softplus(z2[:, 1]) + VAR_FLOOR
     resid = mean - y
@@ -150,12 +157,19 @@ def _loss_and_grads(weights, x, y, loss_mode, mask=None):
         dz2[:, 0] = resid / v / n
         dv = 0.5 * (1.0 / v - resid ** 2 / v ** 2) / n
         dz2[:, 1] = dv * _sigmoid(z2[:, 1])
+    return loss, dz2
+
+
+def _loss_and_grads(weights, x, h, y, loss_mode, mask=None):
+    """Loss plus gradients for every parameter, given ``h = _hidden(weights, x)``."""
+    hd = h if mask is None else h * mask
+    loss, dz2 = _head_loss(hd @ weights.w2 + weights.b2, y, loss_mode)
     dw2 = hd.T @ dz2
     db2 = dz2.sum(axis=0)
-    dh = dz2 @ weights.w2.T
+    dz1 = dz2 @ weights.w2.T
     if mask is not None:
-        dh = dh * mask
-    dz1 = dh * (z1 > 0.0)
+        dz1 *= mask
+    dz1 *= h > 0.0
     dw1 = x.T @ dz1
     db1 = dz1.sum(axis=0)
     return loss, (dw1, db1, dw2, db2)
@@ -170,40 +184,67 @@ def _sigmoid(z):
     return out
 
 
-def _gd_epochs(weights, x_train, y_train, x_val, y_val, epochs, lr, dropout,
-               loss_mode, rng, var_only=False):
-    keep = 1.0 - dropout
+def _dropout_mask(rng, shape, keep):
+    return (rng.random(shape) < keep) / keep
+
+
+def _rmse(mean, y):
+    return float(np.sqrt(np.mean((mean - y) ** 2)))
+
+
+class TrainingDiverged(RuntimeError):
+    """The training loss stopped being finite (learning rate too large)."""
+
+
+def _check_loss(loss, phase, epoch):
+    if not np.isfinite(loss):
+        raise TrainingDiverged(
+            f"training loss became non-finite at epoch {epoch} of the {phase} phase")
+
+
+def _fit_phase(weights, x_train, y_train, x_val, y_val, epochs, lr, keep,
+               loss_mode, phase, rng):
+    """Full-batch descent on every parameter; returns the final hidden layer.
+
+    The post-update hidden layer serves the epoch's train RMSE and the next
+    epoch's forward pass.
+    """
     train_hist = np.empty(epochs)
     val_hist = np.empty(epochs)
+    h = _hidden(weights, x_train)
     for epoch in range(epochs):
-        mask = (rng.random((x_train.shape[0], weights.b1.size)) < keep) / keep
+        mask = _dropout_mask(rng, h.shape, keep)
         loss, (dw1, db1, dw2, db2) = _loss_and_grads(
-            weights, x_train, y_train, loss_mode, mask)
-        if not np.isfinite(loss):
-            raise RuntimeError(f"training loss became non-finite at epoch {epoch}")
-        if var_only:
-            weights.w2[:, 1] -= lr * dw2[:, 1]
-            weights.b2[1] -= lr * db2[1]
-        else:
-            weights.w1 -= lr * dw1
-            weights.b1 -= lr * db1
-            weights.w2 -= lr * dw2
-            weights.b2 -= lr * db2
-        train_hist[epoch] = _rmse_of_mean(weights, x_train, y_train)
-        val_hist[epoch] = _rmse_of_mean(weights, x_val, y_val)
-    return train_hist, val_hist
+            weights, x_train, h, y_train, loss_mode, mask)
+        _check_loss(loss, phase, epoch)
+        weights.w1 -= lr * dw1
+        weights.b1 -= lr * db1
+        weights.w2 -= lr * dw2
+        weights.b2 -= lr * db2
+        h = _hidden(weights, x_train)
+        train_hist[epoch] = _rmse((h @ weights.w2 + weights.b2)[:, 0], y_train)
+        val_hist[epoch] = _rmse(mlp_forward(weights, x_val)[0], y_val)
+    return h, train_hist, val_hist
 
 
-def _rmse_of_mean(weights, x, y):
-    mean, _ = mlp_forward(weights, x, train_mode=False)
-    return float(np.sqrt(np.mean((mean - y) ** 2)))
+def _fit_variance(weights, h, y_train, epochs, lr, keep, rng):
+    """NLL descent on the variance column alone over frozen hidden activations."""
+    for epoch in range(epochs):
+        hd = _dropout_mask(rng, h.shape, keep)
+        hd *= h
+        loss, dz2 = _head_loss(hd @ weights.w2 + weights.b2, y_train, "gaussian_nll")
+        _check_loss(loss, "variance", epoch)
+        # the two-column product keeps the bits of the full gradient's column
+        weights.w2[:, 1] -= lr * (hd.T @ dz2)[:, 1]
+        weights.b2[1] -= lr * dz2.sum(axis=0)[1]
 
 
 def mlp_train(features, targets, config: MlpConfig):
     """Fit on a seeded point-wise 80/20 split; returns weights and report.
 
     The split shuffles individual samples, not events, so every event is
-    represented on both sides.
+    represented on both sides.  A loss that stops being finite raises
+    ``TrainingDiverged`` naming the phase and epoch.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -224,14 +265,15 @@ def mlp_train(features, targets, config: MlpConfig):
     x_va, y_va = x[va], y[va]
 
     weights = mlp_init(config)
-    train_hist, val_hist = _gd_epochs(
-        weights, x_tr, y_tr, x_va, y_va, config.epochs,
-        config.learning_rate, config.dropout_rate, config.loss_mode, rng)
-    if config.loss_mode == "mse_mean":
-        # second phase: variance column only, mean head frozen
-        _gd_epochs(weights, x_tr, y_tr, x_va, y_va, config.epochs,
-                   config.learning_rate, config.dropout_rate, "gaussian_nll",
-                   rng, var_only=True)
+    keep = 1.0 - config.dropout_rate
+    joint = config.loss_mode == "gaussian_nll"
+    h, train_hist, val_hist = _fit_phase(
+        weights, x_tr, y_tr, x_va, y_va, config.epochs, config.learning_rate,
+        keep, config.loss_mode, "joint" if joint else "mean", rng)
+    if not joint:
+        # second phase: variance column only, hidden layer and mean head frozen
+        _fit_variance(weights, h, y_tr, config.epochs, config.learning_rate,
+                      keep, rng)
     return weights, TrainReport(train_hist, val_hist)
 
 
@@ -243,7 +285,11 @@ def gradient_check(weights: MlpWeights, x, y, step: float = 1e-5) -> float:
     """
     x = _check_input(weights, x)
     y = np.asarray(y, dtype=float)
-    _, grads = _loss_and_grads(weights, x, y, "gaussian_nll")
+
+    def loss_and_grads():
+        return _loss_and_grads(weights, x, _hidden(weights, x), y, "gaussian_nll")
+
+    _, grads = loss_and_grads()
     arrays = (weights.w1, weights.b1, weights.w2, weights.b2)
     worst = 0.0
     for arr, grad in zip(arrays, grads):
@@ -252,9 +298,9 @@ def gradient_check(weights: MlpWeights, x, y, step: float = 1e-5) -> float:
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + step
-            up, _ = _loss_and_grads(weights, x, y, "gaussian_nll")
+            up, _ = loss_and_grads()
             flat[i] = keep - step
-            down, _ = _loss_and_grads(weights, x, y, "gaussian_nll")
+            down, _ = loss_and_grads()
             flat[i] = keep
             numeric = (up - down) / (2.0 * step)
             denom = max(abs(numeric), abs(gflat[i]), 1e-12)

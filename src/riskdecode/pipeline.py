@@ -33,7 +33,7 @@ from .calibration import (MODEL_DEFAULTS, MODEL_SERIES, CalibrationJob, calibrat
 from .explain import MAX_EXACT_DIM, Baseline, explain_frames, global_importance, mean_head
 from .features import (DEFAULT_MANIFESTS, FeatureManifest, NormStats, build_features,
                        zscore_apply, zscore_fit)
-from .mlp import MlpConfig, MlpWeights, mlp_predict, mlp_train
+from .mlp import MlpConfig, MlpWeights, TrainingDiverged, mlp_predict, mlp_train
 from .reconstruction import (RatingRecord, aggregate_curves, filter_ratings,
                              load_alignment_table, reconstruct_participant)
 from .scenarios import DT, catalog_trajectory, enumerate_events, event_by_id
@@ -453,7 +453,11 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
             config = replace(config, epochs=epochs)
         if learning_rate is not None:
             config = replace(config, learning_rate=learning_rate)
-        weights, report = mlp_train(x, y, config)
+        try:
+            weights, report = mlp_train(x, y, config)
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(f"group {group}: {exc}; lower the learning rate "
+                                   f"(was {config.learning_rate})") from None
         summary[group] = {"final_train_rmse": report.final_train_rmse,
                           "final_val_rmse": report.final_val_rmse,
                           "input_dim": x.shape[1], "n_rows": x.shape[0]}
@@ -549,6 +553,8 @@ def run_explain(out: Path, seed: int = 0, events: Sequence[int] | None = None,
     shap_blocks, globals_blocks = [], []
     input_paths = [normstats_path]
     for group in sorted(NETWORK_GROUPS):
+        if chosen is not None and chosen.isdisjoint(s.event_id for s in _group_events(group)):
+            continue  # the selection names none of this network's events
         weights = _load_weights(out, group)
         input_paths += [out / f"weights_{group}.json", out / f"features_{group}.csv"]
         eids, times, matrix = _load_features(out, group)

@@ -7,6 +7,7 @@ import re
 import shutil
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from riskdecode import __version__, scenarios
@@ -130,6 +131,37 @@ def test_explain_event_selection(mini_tree, tmp_path):
     assert all(float(err) >= 0.0 for err in mb)
     scenarios = set(read_csv(scratch / "globals.csv")["scenario"].tolist())
     assert scenarios == {"MB", "HB"}
+
+
+def _stamped_inputs(path):
+    header = path.read_text(encoding="utf-8").splitlines()[0]
+    return [tag.split(":")[0] for tag in header.split("inputs=", 1)[1].split(",")]
+
+
+@pytest.mark.parametrize("events,stamped", [
+    (["28"], ["normstats.json", "weights_HB.json", "features_HB.csv"]),
+    (["999"], ["normstats.json"]),
+])
+def test_explain_reads_only_selected_groups(events, stamped, mini_tree, tmp_path):
+    scratch = tmp_path / "tree"
+    shutil.copytree(mini_tree, scratch)
+    cfg = write_config(tmp_path / "cfg.json", n_permutations=8)
+    assert main(["explain", "--out", str(scratch), "--seed", "1",
+                 "--events", *events, "--config", cfg]) == 0
+    for name in ("shap.csv", "globals.csv"):
+        assert _stamped_inputs(scratch / name) == stamped, name
+
+
+def test_diverging_training_fails_cleanly(mini_tree, tmp_path, caplog):
+    scratch = tmp_path / "tree"
+    shutil.copytree(mini_tree, scratch)
+    with caplog.at_level(logging.ERROR), np.errstate(all="ignore"):
+        assert main(["train", "--out", str(scratch), "--seed", "1",
+                     "--lr", "1e6", "--epochs", "3"]) == 1
+    # MB trains first; its mean fit stays finite for three epochs, then the
+    # first variance step overflows
+    assert ("group MB: training loss became non-finite at epoch 0 of the "
+            "variance phase" in caplog.text)
 
 
 @pytest.mark.parametrize("stage,flag,message", [

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from riskdecode.mlp import (VAR_FLOOR, MlpConfig, MlpWeights, Prediction,
-                            TrainReport, gradient_check, mlp_forward,
-                            mlp_init, mlp_predict, mlp_train)
+                            TrainingDiverged, TrainReport, gradient_check,
+                            mlp_forward, mlp_init, mlp_predict, mlp_train)
 
 
 def overfit_problem():
@@ -167,6 +167,17 @@ def test_divergent_training_raises():
             mlp_train(x, y, cfg)
 
 
+def test_divergence_names_its_phase():
+    x, y = overfit_problem()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged, match="epoch 3 of the mean phase"):
+            mlp_train(x, y, MlpConfig(input_dim=5, epochs=5, learning_rate=1e9))
+        # five epochs at this rate leave the mean finite but far off, so the
+        # first variance step already overflows the NLL
+        with pytest.raises(TrainingDiverged, match="epoch 0 of the variance phase"):
+            mlp_train(x, y, MlpConfig(input_dim=5, epochs=5, learning_rate=1.0))
+
+
 def test_predict_clamps_mean_but_keeps_raw():
     weights = MlpWeights(np.zeros((2, 4)), np.zeros(4), np.zeros((4, 2)),
                          np.array([15.0, 0.0]), 0)
@@ -179,3 +190,102 @@ def test_predict_clamps_mean_but_keeps_raw():
 def test_report_validation():
     with pytest.raises(ValueError):
         TrainReport(np.array([0.5, -0.1]), np.array([0.5, 0.4]))
+
+
+# ---------------------------------------------------------------------------
+# bit-exactness oracle: the straightforward training loop, one full forward
+# and backward pass per epoch in both phases plus fresh RMSE forwards
+
+
+def reference_forward(weights, x):
+    h = np.maximum(x @ weights.w1 + weights.b1, 0.0)
+    z = h @ weights.w2 + weights.b2
+    return z[:, 0], np.logaddexp(0.0, z[:, 1]) + VAR_FLOOR
+
+
+def reference_loss_and_grads(weights, x, y, loss_mode, mask):
+    n = x.shape[0]
+    z1 = x @ weights.w1 + weights.b1
+    hd = np.maximum(z1, 0.0) * mask
+    z2 = hd @ weights.w2 + weights.b2
+    v = np.logaddexp(0.0, z2[:, 1]) + VAR_FLOOR
+    resid = z2[:, 0] - y
+    dz2 = np.zeros_like(z2)
+    if loss_mode == "mse_mean":
+        loss = float(np.mean(resid ** 2))
+        dz2[:, 0] = 2.0 * resid / n
+    else:
+        loss = float(np.mean(0.5 * (np.log(v) + resid ** 2 / v)))
+        dz2[:, 0] = resid / v / n
+        dv = 0.5 * (1.0 / v - resid ** 2 / v ** 2) / n
+        s = z2[:, 1]
+        sig = np.where(s >= 0, 1.0 / (1.0 + np.exp(-np.abs(s))),
+                       np.exp(-np.abs(s)) / (1.0 + np.exp(-np.abs(s))))
+        dz2[:, 1] = dv * sig
+    dz1 = (dz2 @ weights.w2.T) * mask * (z1 > 0.0)
+    return loss, (x.T @ dz1, dz1.sum(axis=0), hd.T @ dz2, dz2.sum(axis=0))
+
+
+def reference_rmse(weights, x, y):
+    mean, _ = reference_forward(weights, x)
+    return float(np.sqrt(np.mean((mean - y) ** 2)))
+
+
+def reference_epochs(weights, x_tr, y_tr, x_va, y_va, cfg, loss_mode, rng, var_only):
+    keep = 1.0 - cfg.dropout_rate
+    hist = []
+    for _ in range(cfg.epochs):
+        mask = (rng.random((x_tr.shape[0], cfg.hidden)) < keep) / keep
+        loss, (dw1, db1, dw2, db2) = reference_loss_and_grads(
+            weights, x_tr, y_tr, loss_mode, mask)
+        assert np.isfinite(loss)
+        if var_only:
+            weights.w2[:, 1] -= cfg.learning_rate * dw2[:, 1]
+            weights.b2[1] -= cfg.learning_rate * db2[1]
+        else:
+            weights.w1 -= cfg.learning_rate * dw1
+            weights.b1 -= cfg.learning_rate * db1
+            weights.w2 -= cfg.learning_rate * dw2
+            weights.b2 -= cfg.learning_rate * db2
+        hist.append((reference_rmse(weights, x_tr, y_tr),
+                     reference_rmse(weights, x_va, y_va)))
+    return np.array(hist)
+
+
+def reference_train(x, y, cfg):
+    rng = np.random.default_rng(cfg.seed)
+    order = rng.permutation(x.shape[0])
+    n_train = int(round(cfg.train_fraction * x.shape[0]))
+    tr, va = order[:n_train], order[n_train:]
+    weights = mlp_init(cfg)
+    hist = reference_epochs(weights, x[tr], y[tr], x[va], y[va], cfg,
+                            cfg.loss_mode, rng, var_only=False)
+    if cfg.loss_mode == "mse_mean":
+        reference_epochs(weights, x[tr], y[tr], x[va], y[va], cfg,
+                         "gaussian_nll", rng, var_only=True)
+    return weights, hist[:, 0], hist[:, 1]
+
+
+@pytest.mark.parametrize("loss_mode", ["mse_mean", "gaussian_nll"])
+def test_training_matches_reference_loop_bit_for_bit(loss_mode):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(300, 7))
+    y = np.clip(5.0 + x[:, 0] - 0.5 * x[:, 1] + 0.3 * rng.normal(size=300), 0.0, 10.0)
+    cfg = MlpConfig(input_dim=7, hidden=48, epochs=4, seed=3, dropout_rate=0.2,
+                    learning_rate=0.05, loss_mode=loss_mode)
+    weights, report = mlp_train(x, y, cfg)
+    ref, train_hist, val_hist = reference_train(x, y, cfg)
+    for name in ("w1", "b1", "w2", "b2"):
+        assert getattr(weights, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert report.train_rmse.tobytes() == train_hist.tobytes()
+    assert report.val_rmse.tobytes() == val_hist.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2048])
+def test_forward_matches_out_of_place_reference(rows):
+    weights = mlp_init(MlpConfig(input_dim=11, seed=8))
+    x = np.random.default_rng(rows).normal(size=(rows, 11))
+    mean, variance = mlp_forward(weights, x)
+    ref_mean, ref_variance = reference_forward(weights, x)
+    assert mean.tobytes() == ref_mean.tobytes()
+    assert variance.tobytes() == ref_variance.tobytes()
