@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .risk_models import DrfParams, PcadParams, drf_risk_series, pcad_risk_series
+from .risk_models import DrfParams, PairTable, PcadParams, drf_risk_series, pcad_risk_series
 from .scenarios import CATALOG, catalog_trajectory, event_by_id
 
 RISK_MIN = 0.0
@@ -51,7 +51,7 @@ DRF_BOUNDS = {
     "c_width": (0.1, 1.5),
 }
 
-# the model registry: parameter record, search bounds and per-event series
+# the model registry: parameter record, search bounds and series over a pair table
 MODEL_DEFAULTS = {"PCAD": PcadParams, "DRF": DrfParams}
 MODEL_BOUNDS = {"PCAD": PCAD_BOUNDS, "DRF": DRF_BOUNDS}
 MODEL_SERIES = {"PCAD": pcad_risk_series, "DRF": drf_risk_series}
@@ -176,11 +176,13 @@ def calibrate(job: CalibrationJob, trajectories: Mapping[int, object] | None = N
 
     Degenerate draws (constant raw output, which cannot be rescaled) are
     recorded with infinite error and never win.  The returned trace holds
-    one row per draw with the drawn values and the scored RMSE.
+    one row per draw with the drawn values and the scored RMSE.  Every draw
+    is scored with one model call over a pair table of all target events.
     """
     event_ids = _check_catalog_coverage(job.targets)
     if trajectories is None:
         trajectories = {eid: catalog_trajectory(eid) for eid in event_ids}
+    table = PairTable([trajectories[eid] for eid in event_ids])
     target_vec = np.concatenate([np.asarray(job.targets[eid], dtype=float) for eid in event_ids])
 
     bounds = job.resolved_bounds()
@@ -198,7 +200,7 @@ def calibrate(job: CalibrationJob, trajectories: Mapping[int, object] | None = N
         else:
             record = _draw_record(rng, bounds)
         params = replace(defaults, **record)
-        raw = np.concatenate([series_fn(trajectories[eid], params) for eid in event_ids])
+        raw = series_fn(table, params)
         if raw.max() > raw.min():
             score = rmse(minmax_rescale(raw), target_vec)
         else:

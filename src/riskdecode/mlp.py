@@ -149,14 +149,16 @@ def _head_loss(z2, y, loss_mode):
     v = _softplus(z2[:, 1]) + VAR_FLOOR
     resid = mean - y
     dz2 = np.zeros_like(z2)
-    if loss_mode == "mse_mean":
-        loss = float(np.mean(resid ** 2))
-        dz2[:, 0] = 2.0 * resid / n
-    else:
-        loss = float(np.mean(0.5 * (np.log(v) + resid ** 2 / v)))
-        dz2[:, 0] = resid / v / n
-        dv = 0.5 * (1.0 / v - resid ** 2 / v ** 2) / n
-        dz2[:, 1] = dv * _sigmoid(z2[:, 1])
+    # a diverging fit overflows here; the caller's finiteness check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if loss_mode == "mse_mean":
+            loss = float(np.mean(resid ** 2))
+            dz2[:, 0] = 2.0 * resid / n
+        else:
+            loss = float(np.mean(0.5 * (np.log(v) + resid ** 2 / v)))
+            dz2[:, 0] = resid / v / n
+            dv = 0.5 * (1.0 / v - resid ** 2 / v ** 2) / n
+            dz2[:, 1] = dv * _sigmoid(z2[:, 1])
     return loss, dz2
 
 
@@ -189,7 +191,10 @@ def _dropout_mask(rng, shape, keep):
 
 
 def _rmse(mean, y):
-    return float(np.sqrt(np.mean((mean - y) ** 2)))
+    # overflow means divergence, which the next loss check or the final
+    # RMSE check in mlp_train reports
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.mean((mean - y) ** 2)))
 
 
 class TrainingDiverged(RuntimeError):
@@ -266,14 +271,17 @@ def mlp_train(features, targets, config: MlpConfig):
 
     weights = mlp_init(config)
     keep = 1.0 - config.dropout_rate
-    joint = config.loss_mode == "gaussian_nll"
+    phase = "joint" if config.loss_mode == "gaussian_nll" else "mean"
     h, train_hist, val_hist = _fit_phase(
         weights, x_tr, y_tr, x_va, y_va, config.epochs, config.learning_rate,
-        keep, config.loss_mode, "joint" if joint else "mean", rng)
-    if not joint:
+        keep, config.loss_mode, phase, rng)
+    if phase == "mean":
         # second phase: variance column only, hidden layer and mean head frozen
         _fit_variance(weights, h, y_tr, config.epochs, config.learning_rate,
                       keep, rng)
+    if not np.isfinite(train_hist[-1]):
+        raise TrainingDiverged(f"training RMSE became non-finite at epoch "
+                               f"{config.epochs - 1} of the {phase} phase")
     return weights, TrainReport(train_hist, val_hist)
 
 

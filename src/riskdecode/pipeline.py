@@ -36,6 +36,7 @@ from .features import (DEFAULT_MANIFESTS, FeatureManifest, NormStats, build_feat
 from .mlp import MlpConfig, MlpWeights, TrainingDiverged, mlp_predict, mlp_train
 from .reconstruction import (RatingRecord, aggregate_curves, filter_ratings,
                              load_alignment_table, reconstruct_participant)
+from .risk_models import PairTable
 from .scenarios import DT, catalog_trajectory, enumerate_events, event_by_id
 from .synthetic import planted_truth, synthetic_ratings
 
@@ -238,7 +239,8 @@ def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
     mapping = {c: c for c in RATINGS_COLUMNS}
     if profile:
         mapping.update(profile)
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheet exports put before line 1
+    with open(path, encoding="utf-8-sig") as fh:
         lines = [(i, ln) for i, ln in enumerate(fh, start=1) if not ln.startswith("#")]
     if not lines:
         raise ValueError(f"{path} holds no CSV content")
@@ -599,13 +601,14 @@ def run_explain(out: Path, seed: int = 0, events: Sequence[int] | None = None,
 
 def _model_curves(calibrations: Mapping[str, Path], targets: dict) -> dict:
     """Rescaled PCAD/DRF catalog outputs under their calibrated parameters."""
+    event_ids = sorted(targets)
+    table = PairTable([catalog_trajectory(eid) for eid in event_ids])
     outputs = {}
     for model, path in calibrations.items():
         payload = json.loads(path.read_text(encoding="utf-8"))
         params = replace(MODEL_DEFAULTS[model](), **payload["best_params"])
-        outputs[model] = joint_rescale(
-            {eid: MODEL_SERIES[model](catalog_trajectory(eid), params)
-             for eid in sorted(targets)})
+        raw = MODEL_SERIES[model](table, params)
+        outputs[model] = joint_rescale(dict(zip(event_ids, table.split(raw))))
     return outputs
 
 

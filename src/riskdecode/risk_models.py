@@ -15,6 +15,22 @@ footprints and scaled by a severity constant.
 
 Both models return raw non-negative scalars; calibration rescales them onto
 the rating scale.
+
+Both evaluate a ``PairTable``: the subject and neighbour columns of every
+(scene, neighbour) pair of some scenes, stacked into rows, with each row's
+index in the output frame vector.  Calibration builds one table over the
+catalog and scores every draw with one call per model; a single
+``EventTrajectory`` or ``FrameState`` is the same kernel on a one-scene
+table.  The table keeps what no drawn parameter changes: for PCAD the pair
+overlap, the slab bounds, the unit vectors of the two tangent corners and
+the near-face segments (these last depend on ``t_h``, so they are rebuilt
+when it changes); for DRF each footprint's cell offsets per grid
+resolution.  A PCAD draw then computes only the perceived relative
+velocity, the slab test and the ray and segment distances, and takes the
+per-frame maximum over neighbours; a DRF draw evaluates the field in place,
+one block of frames x cells per pair, skips the frames whose cells all lie
+outside the field's support, and adds the pair sums per frame in neighbour
+order.  Every result is bit-for-bit the per-event, per-pair evaluation.
 """
 
 from __future__ import annotations
@@ -24,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import DEFAULT_SIGMAS, UncertaintySigmas
-from .scenarios import KMH, EventTrajectory, FrameState
+from .scenarios import KMH, FrameState
 
 
 @dataclass(frozen=True)
@@ -74,6 +90,77 @@ class DrfParams:
 
 
 # ---------------------------------------------------------------------------
+# pair table
+
+
+_STATE = ("x", "y", "vx", "vy", "ax", "ay")
+
+
+def _track(vehicle) -> list:
+    """A vehicle's state columns as arrays (one element for a ``VehicleState``)."""
+    return [np.atleast_1d(np.asarray(getattr(vehicle, k), dtype=float)) for k in _STATE]
+
+
+class PairTable:
+    """Every (scene, neighbour) pair of some scenes, stacked into rows.
+
+    A scene is an ``EventTrajectory`` or a ``FrameState`` (one frame).  A
+    model series over the table is one vector holding each scene's frames
+    in order.  Rows run scene by scene and, within a scene, neighbour by
+    neighbour over all of its frames: ``frame`` maps each row to its index
+    in that vector and ``blocks`` holds each pair's row range.
+    """
+
+    def __init__(self, scenes):
+        pairs, speed, self.scene_frames, self.blocks, self.footprints = [], [], [], [], []
+        first = rows = 0
+        for scene in scenes:
+            s = scene.subject
+            sx, sy, svx, svy, sax, say = _track(s)
+            n_frames = sx.size
+            speed.append(np.hypot(svx, svy))
+            for n in scene.neighbours:
+                nx, ny, nvx, nvy, nax, nay = _track(n)
+                pairs.append((nx - sx, ny - sy, svx, svy, sax, say, nvx, nvy, nax, nay,
+                              np.full(n_frames, 0.5 * (s.length + n.length)),
+                              np.full(n_frames, 0.5 * (s.width + n.width)),
+                              np.arange(first, first + n_frames)))
+                self.blocks.append((rows, rows + n_frames))
+                self.footprints.append((n.length, n.width))
+                rows += n_frames
+            first += n_frames
+            self.scene_frames.append(n_frames)
+        columns = [np.concatenate(c) for c in zip(*pairs)] if pairs else [np.empty(0)] * 13
+        (self.off_x, self.off_y, self.s_vx, self.s_vy, self.s_ax, self.s_ay,
+         self.n_vx, self.n_vy, self.n_ax, self.n_ay, self.half_x, self.half_y) = columns[:12]
+        self.frame = columns[12].astype(np.intp, copy=False)
+        self.speed = np.concatenate([np.empty(0), *speed])
+        self.n_frames = first
+        self._pcad = None  # (t_h, _PcadGeometry)
+        self._drf = None  # ((grid_dx, grid_dy), per-pair cell offsets and area)
+
+    def split(self, series) -> list:
+        """A model series over the table, cut back into one array per scene."""
+        return np.split(np.asarray(series), np.cumsum(self.scene_frames)[:-1])
+
+    def pcad_geometry(self, t_h: float) -> _PcadGeometry:
+        if self._pcad is None or self._pcad[0] != t_h:
+            self._pcad = (t_h, _PcadGeometry(self, t_h))
+        return self._pcad[1]
+
+    def drf_cells(self, params: DrfParams) -> list:
+        key = (params.grid_dx, params.grid_dy)
+        if self._drf is None or self._drf[0] != key:
+            cells = {size: _footprint_offsets(*size, params) for size in set(self.footprints)}
+            self._drf = (key, [cells[size] for size in self.footprints])
+        return self._drf[1]
+
+
+def _as_table(source) -> PairTable:
+    return source if isinstance(source, PairTable) else PairTable([source])
+
+
+# ---------------------------------------------------------------------------
 # PCAD
 
 
@@ -89,89 +176,119 @@ def _wrap_angle(theta):
     return (theta + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def _point_segment_distance(px, py, ax, ay, bx, by):
-    abx, aby = bx - ax, by - ay
-    denom = abx * abx + aby * aby
-    tt = np.clip(((px - ax) * abx + (py - ay) * aby) / denom, 0.0, 1.0)
-    return np.hypot(px - (ax + tt * abx), py - (ay + tt * aby))
+class _Segment:
+    """Segment a -> a + ab with its squared length, for point distances."""
+
+    def __init__(self, ax, ay, bx, by):
+        self.ax, self.ay = ax, ay
+        self.abx, self.aby = bx - ax, by - ay
+        self.denom = self.abx * self.abx + self.aby * self.aby
+
+    def distance(self, px, py):
+        tt = np.clip(((px - self.ax) * self.abx + (py - self.ay) * self.aby) / self.denom,
+                     0.0, 1.0)
+        return np.hypot(px - (self.ax + tt * self.abx), py - (self.ay + tt * self.aby))
 
 
-def _ray_distance(wx, wy, ux, uy):
-    """Distance from point w to the ray {r*u : r >= 0} (unit u)."""
+class _PcadGeometry:
+    """The draw-invariant half of the avoidance kernel, per table row.
+
+    It depends only on the pair offsets, the vehicle sizes and ``t_h``:
+    the overlap flag, the slab bounds, the unit vectors of the two tangent
+    corners and the near faces scaled onto the velocity plane by 1/t_h.
+    """
+
+    def __init__(self, table: PairTable, t_h: float):
+        dx, dy, half_x, half_y = table.off_x, table.off_y, table.half_x, table.half_y
+        norm = np.hypot(dx, dy)
+        if np.any(norm == 0.0):
+            raise ValueError("coincident centres")
+        self.ux, self.uy = dx / norm, dy / norm
+        self.overlap = (np.abs(dx) < half_x) & (np.abs(dy) < half_y)
+        # slab bounds per axis, and the interval end a motionless axis takes
+        self.slab_x = (dx - half_x, dx + half_x, np.where(np.abs(dx) < half_x, -np.inf, np.inf))
+        self.slab_y = (dy - half_y, dy + half_y, np.where(np.abs(dy) < half_y, -np.inf, np.inf))
+
+        # tangent rays through the angularly extreme corners
+        theta_c = np.arctan2(dy, dx)
+        cx = np.stack([dx - half_x, dx - half_x, dx + half_x, dx + half_x])
+        cy = np.stack([dy - half_y, dy + half_y, dy - half_y, dy + half_y])
+        rel = _wrap_angle(np.arctan2(cy, cx) - theta_c)
+        self.rays = []
+        for pick in (np.argmin(rel, axis=0), np.argmax(rel, axis=0)):
+            px = np.take_along_axis(cx, pick[None], 0)[0]
+            py = np.take_along_axis(cy, pick[None], 0)[0]
+            corner = np.hypot(px, py)
+            self.rays.append((px / corner, py / corner))
+
+        # visible near faces, scaled onto the velocity plane by 1/t_h
+        fx = np.where(dx - half_x > 0, dx - half_x,
+                      np.where(dx + half_x < 0, dx + half_x, np.nan))
+        fy = np.where(dy - half_y > 0, dy - half_y,
+                      np.where(dy + half_y < 0, dy + half_y, np.nan))
+        self.faces = (
+            (~np.isnan(fx), _Segment(np.nan_to_num(fx) / t_h, (dy - half_y) / t_h,
+                                     np.nan_to_num(fx) / t_h, (dy + half_y) / t_h)),
+            (~np.isnan(fy), _Segment((dx - half_x) / t_h, np.nan_to_num(fy) / t_h,
+                                     (dx + half_x) / t_h, np.nan_to_num(fy) / t_h)))
+
+
+def _slab_interval(slab, w):
+    """Ray parameter interval inside one axis slab [offset-half, offset+half]."""
+    lo, hi, still_lo = slab
+    t_lo = lo / w
+    t_hi = hi / w
+    t_lo, t_hi = np.minimum(t_lo, t_hi), np.maximum(t_lo, t_hi)
+    still = w == 0.0
+    np.copyto(t_lo, still_lo, where=still)
+    np.copyto(t_hi, -still_lo, where=still)
+    return t_lo, t_hi
+
+
+def _ray_distance(wx, wy, speed, ux, uy):
+    """Distance from point w (of norm ``speed``) to the ray {r*u : r >= 0}."""
     along = wx * ux + wy * uy
     perp = np.abs(wx * uy - wy * ux)
-    return np.where(along < 0.0, np.hypot(wx, wy), perp)
+    return np.where(along < 0.0, speed, perp)
 
 
-def _avoidance_kernel(dx, dy, wx, wy, half_x, half_y, t_h, overlap_cap):
-    """Exit distance from the unsafe velocity set, elementwise over arrays.
+def _avoidance_rows(table: PairTable, params: PcadParams):
+    """Exit distance from the unsafe velocity set, per table row.
 
     (dx, dy) is the expanded neighbour rectangle centre relative to the
     subject, (wx, wy) the perceived relative velocity. The unsafe set is
     {w : the ray along w first hits the rectangle within t_h}; its boundary
     is the two tangent rays plus the visible near faces scaled by 1/t_h,
-    so the minimum over those pieces is the exact exit distance.
+    so the minimum over those pieces is the exact exit distance.  Returns
+    the difficulty, the collision-course flag and the overlap flag.
     """
-    dx, dy, wx, wy = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (dx, dy, wx, wy)))
-    overlap = (np.abs(dx) < half_x) & (np.abs(dy) < half_y)
+    g = table.pcad_geometry(params.t_h)
+    p = params
+    wx = (perceived_velocity(table.s_vx, table.s_ax, p.t_s_a, p.sigma_s_x * g.ux)
+          - perceived_velocity(table.n_vx, table.n_ax, p.t_n_a, -p.sigma_n_x * g.ux))
+    wy = (perceived_velocity(table.s_vy, table.s_ay, p.t_s_a, p.sigma_s_y * g.uy)
+          - perceived_velocity(table.n_vy, table.n_ay, p.t_n_a, -p.sigma_n_y * g.uy))
 
     # slab test: first-hit ray parameter (time, since |w| is a speed)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_enter_x, t_exit_x = _slab_interval(dx, wx, half_x)
-        t_enter_y, t_exit_y = _slab_interval(dy, wy, half_y)
+        t_enter_x, t_exit_x = _slab_interval(g.slab_x, wx)
+        t_enter_y, t_exit_y = _slab_interval(g.slab_y, wy)
     t_enter = np.maximum(t_enter_x, t_enter_y)
     t_exit = np.minimum(t_exit_x, t_exit_y)
-    on_course = (t_enter <= t_exit) & (t_enter > 0.0) & (t_enter <= t_h)
+    on_course = (t_enter <= t_exit) & (t_enter > 0.0) & (t_enter <= p.t_h)
 
-    # tangent rays through the angularly extreme corners
-    theta_c = np.arctan2(dy, dx)
-    cx = np.stack([dx - half_x, dx - half_x, dx + half_x, dx + half_x])
-    cy = np.stack([dy - half_y, dy + half_y, dy - half_y, dy + half_y])
-    rel = _wrap_angle(np.arctan2(cy, cx) - theta_c)
-    lo = np.argmin(rel, axis=0)
-    hi = np.argmax(rel, axis=0)
-    take = np.take_along_axis
-    d_rays = np.minimum(
-        _corner_ray_distance(wx, wy, take(cx, lo[None], 0)[0], take(cy, lo[None], 0)[0]),
-        _corner_ray_distance(wx, wy, take(cx, hi[None], 0)[0], take(cy, hi[None], 0)[0]))
-
-    # visible near faces, scaled onto the velocity plane by 1/t_h
-    inf = np.full_like(dx, np.inf)
-    fx = np.where(dx - half_x > 0, dx - half_x,
-                  np.where(dx + half_x < 0, dx + half_x, np.nan))
-    d_face_x = np.where(
-        np.isnan(fx), inf,
-        _point_segment_distance(wx, wy, np.nan_to_num(fx) / t_h, (dy - half_y) / t_h,
-                                np.nan_to_num(fx) / t_h, (dy + half_y) / t_h))
-    fy = np.where(dy - half_y > 0, dy - half_y,
-                  np.where(dy + half_y < 0, dy + half_y, np.nan))
-    d_face_y = np.where(
-        np.isnan(fy), inf,
-        _point_segment_distance(wx, wy, (dx - half_x) / t_h, np.nan_to_num(fy) / t_h,
-                                (dx + half_x) / t_h, np.nan_to_num(fy) / t_h))
-
-    exit_dist = np.minimum(d_rays, np.minimum(d_face_x, d_face_y))
-    return np.where(overlap, overlap_cap,
-                    np.where(on_course, exit_dist, 0.0)), on_course, overlap
-
-
-def _slab_interval(offset, w, half):
-    """Ray parameter interval inside one axis slab [offset-half, offset+half]."""
-    t1 = (offset - half) / w
-    t2 = (offset + half) / w
-    t_lo = np.minimum(t1, t2)
-    t_hi = np.maximum(t1, t2)
-    inside = np.abs(offset) < half
-    still = (w == 0.0)
-    t_lo = np.where(still, np.where(inside, -np.inf, np.inf), t_lo)
-    t_hi = np.where(still, np.where(inside, np.inf, -np.inf), t_hi)
-    return t_lo, t_hi
-
-
-def _corner_ray_distance(wx, wy, cx, cy):
-    norm = np.hypot(cx, cy)
-    return _ray_distance(wx, wy, cx / norm, cy / norm)
+    speed = np.hypot(wx, wy)
+    (lo_x, lo_y), (hi_x, hi_y) = g.rays
+    d_rays = np.minimum(_ray_distance(wx, wy, speed, lo_x, lo_y),
+                        _ray_distance(wx, wy, speed, hi_x, hi_y))
+    d_faces = []
+    for visible, segment in g.faces:
+        d = segment.distance(wx, wy)
+        np.copyto(d, np.inf, where=~visible)
+        d_faces.append(d)
+    exit_dist = np.minimum(d_rays, np.minimum(*d_faces))
+    return (np.where(g.overlap, p.overlap_cap, np.where(on_course, exit_dist, 0.0)),
+            on_course, g.overlap)
 
 
 @dataclass(frozen=True)
@@ -181,32 +298,11 @@ class AvoidanceDetail:
     overlap: bool
 
 
-def _pair_geometry(scene, neighbour_index: int, params: PcadParams):
-    """Pair offset and perceived relative velocity, per ``FrameState`` or per track."""
-    s = scene.subject
-    n = scene.neighbours[neighbour_index]
-    off_x = n.x - s.x
-    off_y = n.y - s.y
-    norm = np.hypot(off_x, off_y)
-    if np.any(norm == 0.0):
-        raise ValueError("coincident centres")
-    ux, uy = off_x / norm, off_y / norm
-    v_s = perceived_velocity((s.vx, s.vy), (s.ax, s.ay), params.t_s_a,
-                             (params.sigma_s_x * ux, params.sigma_s_y * uy))
-    v_n = perceived_velocity((n.vx, n.vy), (n.ax, n.ay), params.t_n_a,
-                             (-params.sigma_n_x * ux, -params.sigma_n_y * uy))
-    half_x = 0.5 * (s.length + n.length)
-    half_y = 0.5 * (s.width + n.width)
-    return off_x, off_y, v_s[0] - v_n[0], v_s[1] - v_n[1], half_x, half_y
-
-
 def avoidance_detail(frame: FrameState, params: PcadParams = PcadParams(),
                      neighbour_index: int = 0) -> AvoidanceDetail:
-    off_x, off_y, wx, wy, half_x, half_y = _pair_geometry(
-        frame, neighbour_index, params)
-    a, on_course, overlap = _avoidance_kernel(
-        off_x, off_y, wx, wy, half_x, half_y, params.t_h, params.overlap_cap)
-    return AvoidanceDetail(float(a), bool(on_course), bool(overlap))
+    table = PairTable([FrameState(frame.subject, (frame.neighbours[neighbour_index],))])
+    a, on_course, overlap = _avoidance_rows(table, params)
+    return AvoidanceDetail(float(a[0]), bool(on_course[0]), bool(overlap[0]))
 
 
 def pcad_weight(v_s: float, params: PcadParams = PcadParams()) -> float:
@@ -218,22 +314,43 @@ def pcad_weight(v_s: float, params: PcadParams = PcadParams()) -> float:
 
 def pcad_risk(frame: FrameState, params: PcadParams = PcadParams()) -> float:
     """Highest per-neighbour difficulty, weighted by subject speed."""
-    return float(pcad_risk_series(frame, params))
+    return float(pcad_risk_series(frame, params)[0])
 
 
-def pcad_risk_series(trajectory: EventTrajectory,
-                     params: PcadParams = PcadParams()) -> np.ndarray:
-    """pcad_risk at every frame, vectorized (a ``FrameState`` is one frame)."""
-    best = 0.0
-    for i in range(len(trajectory.neighbours)):
-        a, _, _ = _avoidance_kernel(*_pair_geometry(trajectory, i, params),
-                                    params.t_h, params.overlap_cap)
-        best = np.maximum(best, a)
-    return best * pcad_weight(np.hypot(trajectory.subject.vx, trajectory.subject.vy), params)
+def pcad_risk_series(source, params: PcadParams = PcadParams()) -> np.ndarray:
+    """pcad_risk at every frame of a ``PairTable``, ``EventTrajectory`` or ``FrameState``."""
+    table = _as_table(source)
+    a, _, _ = _avoidance_rows(table, params)
+    best = np.zeros(table.n_frames)
+    np.maximum.at(best, table.frame, a)
+    return best * pcad_weight(table.speed, params)
 
 
 # ---------------------------------------------------------------------------
 # DRF
+
+
+def _field_into(x, preview, y, scratch, params: DrfParams):
+    """The DRF field at cells (x, y) ahead of previews ``preview``, written into ``y``.
+
+    ``x`` is kept; ``scratch`` (shaped like ``y``) is overwritten.
+    """
+    sigma = np.maximum(x, 0.0, out=scratch)
+    sigma *= params.m_widening
+    sigma += params.c_width
+    # -(y*y) / (2*sigma*sigma) as (y*y) / ((sigma*sigma) * -2): doubling and
+    # negation are exact while sigma*sigma is a normal number, so the bits match
+    sigma *= sigma
+    sigma *= -2.0
+    np.multiply(y, y, out=y)
+    y /= sigma
+    np.exp(y, out=y)
+    h = np.subtract(x, preview, out=scratch)
+    h *= h
+    h *= params.s_steepness
+    y *= h
+    np.copyto(y, 0.0, where=(x < 0.0) | (x > preview))
+    return y
 
 
 def drf_probability(x, y, v_sx, params: DrfParams = DrfParams()):
@@ -241,18 +358,15 @@ def drf_probability(x, y, v_sx, params: DrfParams = DrfParams()):
 
     The subject sits at the origin facing +x. The parabolic height has its
     root at the preview point x = v_sx * t_la; beyond it (and behind the
-    subject) the field is zero.
+    subject) the field is zero.  The width line only applies on the
+    support; clamping it at x = 0 keeps sigma > 0 for the masked-out cells
+    behind the subject.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    v_sx = np.asarray(v_sx, dtype=float)
-    preview = v_sx * params.t_la
-    h = params.s_steepness * (x - preview) ** 2
-    # the width line only applies on the support; clamping keeps sigma > 0
-    # for the masked-out cells behind the subject
-    sigma = params.m_widening * np.maximum(x, 0.0) + params.c_width
-    p = h * np.exp(-(y * y) / (2.0 * sigma * sigma))
-    out = np.where((x < 0.0) | (x > preview), 0.0, p)
+    preview = np.asarray(v_sx, dtype=float) * params.t_la
+    shape = np.broadcast_shapes(x.shape, np.shape(y), preview.shape)
+    out = np.array(np.broadcast_to(np.asarray(y, dtype=float), shape))
+    _field_into(x, preview, out, np.empty(shape), params)
     return float(out) if out.ndim == 0 else out
 
 
@@ -270,27 +384,39 @@ def _footprint_offsets(length, width, params: DrfParams):
 
 def drf_risk(frame: FrameState, params: DrfParams = DrfParams()) -> float:
     """Field integral over every neighbour footprint, times severity."""
-    series = _drf_neighbour_sums(
-        frame.subject.x, frame.subject.y, np.asarray([frame.subject.vx]),
-        frame.neighbours, params)
-    return float(series[0])
+    return float(drf_risk_series(frame, params)[0])
 
 
-def drf_risk_series(trajectory: EventTrajectory,
-                    params: DrfParams = DrfParams()) -> np.ndarray:
-    """drf_risk at every frame, vectorized over frames and grid cells."""
-    s = trajectory.subject
-    return _drf_neighbour_sums(s.x, s.y, s.vx, trajectory.neighbours, params)
+def drf_risk_series(source, params: DrfParams = DrfParams()) -> np.ndarray:
+    """drf_risk at every frame of a ``PairTable``, ``EventTrajectory`` or ``FrameState``.
 
-
-def _drf_neighbour_sums(sx, sy, s_vx, neighbours, params):
-    s_vx = np.asarray(s_vx, dtype=float)
-    total = np.zeros(s_vx.size)
-    for n in neighbours:
-        nx, ny = np.atleast_1d(n.x), np.atleast_1d(n.y)
-        ox, oy, area = _footprint_offsets(n.length, n.width, params)
-        cell_x = (nx - sx)[:, None] + ox[None, :]
-        cell_y = (ny - sy)[:, None] + oy[None, :]
-        p = drf_probability(cell_x, cell_y, s_vx[:, None], params)
-        total = total + p.sum(axis=1) * params.c_sev * area
+    The field is evaluated in place one pair at a time: a block of the
+    pair's frames by its footprint cells stays small enough for the cache.
+    A frame whose cells all lie behind the subject or past the preview
+    point has a zero field and is skipped; rounding is monotone, so the
+    footprint's extreme offsets bound every cell of the frame.
+    """
+    table = _as_table(source)
+    cells = table.drf_cells(params)
+    preview = table.s_vx * params.t_la
+    size = max([(r1 - r0) * ox.size for (r0, r1), (ox, _, _) in zip(table.blocks, cells)],
+               default=0)
+    x, y, scratch = np.empty(size), np.empty(size), np.empty(size)
+    sums = np.empty(table.off_x.size)
+    for (r0, r1), (ox, oy, area) in zip(table.blocks, cells):
+        rows = slice(r0, r1)
+        live = np.flatnonzero((table.off_x[rows] + ox.max() >= 0.0)
+                              & (table.off_x[rows] + ox.min() <= preview[rows]))
+        shape = (live.size, ox.size)
+        bx = np.add(table.off_x[rows][live, None], ox, out=x[:live.size * ox.size].reshape(shape))
+        by = np.add(table.off_y[rows][live, None], oy, out=y[:bx.size].reshape(shape))
+        p = _field_into(bx, preview[rows][live, None], by, scratch[:bx.size].reshape(shape),
+                        params)
+        block = np.zeros(r1 - r0)
+        block[live] = p.sum(axis=1)
+        block *= params.c_sev
+        block *= area
+        sums[rows] = block
+    total = np.zeros(table.n_frames)
+    np.add.at(total, table.frame, sums)
     return total

@@ -1,12 +1,15 @@
 """Calibration search and model comparison: scoring, coverage, tie rules."""
 
+import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from risk_oracles import drf_series, pcad_series
 
-from riskdecode.calibration import (CalibrationJob, calibrate, compare_models,
-                                    minmax_rescale, rmse)
+from riskdecode.calibration import (DRF_BOUNDS, LOG_UNIFORM_PARAMS, MODEL_DEFAULTS, PCAD_BOUNDS,
+                                    CalibrationJob, calibrate, compare_models, minmax_rescale,
+                                    rmse)
 from riskdecode.risk_models import PcadParams, pcad_risk_series
 from riskdecode.scenarios import enumerate_events, simulate_event
 
@@ -142,6 +145,40 @@ def test_calibrate_degenerate_output_never_wins(mb_trajectories):
     assert all(row["rmse"] == np.inf for row in result.trace)
     assert result.best_rmse == np.inf
     assert result.best_params == PcadParams()
+
+
+def oracle_trace(job, trajectories, reference):
+    """The search loop scored event by event with a per-event reference series."""
+    ids = sorted(job.targets)
+    target = np.concatenate([job.targets[eid] for eid in ids])
+    defaults = MODEL_DEFAULTS[job.model]()
+    bounds = job.resolved_bounds()
+    rng = np.random.default_rng(job.seed)
+    trace = []
+    for draw in range(job.draws):
+        if draw == 0:
+            record = {name: getattr(defaults, name) for name in bounds}
+        else:
+            record = {name: float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+                      if name in LOG_UNIFORM_PARAMS else float(rng.uniform(lo, hi))
+                      for name, (lo, hi) in bounds.items()}
+        params = replace(defaults, **record)
+        raw = np.concatenate([reference(trajectories[eid], params) for eid in ids])
+        score = rmse(minmax_rescale(raw), target) if raw.max() > raw.min() else math.inf
+        trace.append({"draw": draw, **record, "rmse": score})
+    return trace
+
+
+@pytest.mark.parametrize("model, bounds, reference", [
+    ("PCAD", {**PCAD_BOUNDS, "t_h": (2.0, 20.0)}, pcad_series),
+    ("DRF", {**DRF_BOUNDS, "grid_dx": (0.3, 1.0)}, drf_series),
+])
+def test_calibrate_trace_matches_per_event_loop(mb_trajectories, model, bounds, reference):
+    rng = np.random.default_rng(4)
+    targets = {eid: rng.uniform(0.0, 10.0, size=N_MB) for eid in mb_trajectories}
+    job = CalibrationJob(model, targets, draws=6, seed=5, bounds=bounds)
+    result = calibrate(job, mb_trajectories)
+    assert list(result.trace) == oracle_trace(job, mb_trajectories, reference)
 
 
 def test_compare_models_stats_and_histograms():

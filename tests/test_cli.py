@@ -1,18 +1,24 @@
 """CLI stage wiring: artifacts, dependency errors, overrides, determinism."""
 
+import codecs
 import hashlib
 import json
 import logging
+import os
 import re
 import shutil
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import riskdecode
 from riskdecode import __version__, scenarios
 from riskdecode.cli import main
-from riskdecode.pipeline import NETWORK_GROUPS, read_csv
+from riskdecode.pipeline import NETWORK_GROUPS, read_csv, write_synthetic_ratings
 from riskdecode.reconstruction import load_alignment_table
 from riskdecode.scenarios import enumerate_events
 
@@ -155,13 +161,20 @@ def test_explain_reads_only_selected_groups(events, stamped, mini_tree, tmp_path
 def test_diverging_training_fails_cleanly(mini_tree, tmp_path, caplog):
     scratch = tmp_path / "tree"
     shutil.copytree(mini_tree, scratch)
+    argv = ["train", "--out", str(scratch), "--seed", "1", "--lr", "1e6", "--epochs", "3"]
     with caplog.at_level(logging.ERROR), np.errstate(all="ignore"):
-        assert main(["train", "--out", str(scratch), "--seed", "1",
-                     "--lr", "1e6", "--epochs", "3"]) == 1
+        assert main(argv) == 1
     # MB trains first; its mean fit stays finite for three epochs, then the
     # first variance step overflows
-    assert ("group MB: training loss became non-finite at epoch 0 of the "
-            "variance phase" in caplog.text)
+    message = "group MB: training loss became non-finite at epoch 0 of the variance phase"
+    assert message in caplog.text
+    # from the command line, stderr holds that one error and no numpy warning
+    env = {**os.environ, "PYTHONPATH": str(Path(riskdecode.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-m", "riskdecode.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1
+    assert run.stderr.splitlines() == [
+        f"ERROR riskdecode: {message}; lower the learning rate (was 1000000.0)"]
 
 
 @pytest.mark.parametrize("stage,flag,message", [
@@ -236,6 +249,19 @@ def test_ingest_reject_names_its_line_after_a_blank_line(tmp_path):
     assert main(["ingest", str(ratings), "--out", str(tmp_path)]) == 0
     index = json.loads((tmp_path / "dataset_index.json").read_text())
     assert {"line": n_lines, "reason": "unknown event_id 999"} in index["invalid_detail"]
+
+
+def test_ingest_accepts_a_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start the file with U+FEFF
+    ratings = write_synthetic_ratings(tmp_path / "plain", seed=3, n_participants=2)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(codecs.BOM_UTF8 + ratings.read_bytes())
+    bodies = []
+    for source in (ratings, marked):
+        out = tmp_path / f"out_{source.stem}"
+        assert main(["ingest", str(source), "--out", str(out)]) == 0
+        bodies.append((out / "ratings_valid.csv").read_text().splitlines()[1:])
+    assert bodies[0] == bodies[1] and len(bodies[0]) > 1
 
 
 def test_all_simulates_each_catalog_event_once(tmp_path, monkeypatch):

@@ -178,6 +178,14 @@ def test_divergence_names_its_phase():
             mlp_train(x, y, MlpConfig(input_dim=5, epochs=5, learning_rate=1.0))
 
 
+def test_joint_divergence_at_the_last_epoch_is_reported():
+    # the one update overflows the train RMSE, and no later loss would see it
+    x, y = overfit_problem()
+    with pytest.raises(TrainingDiverged, match="RMSE became non-finite at epoch 0 of the joint"):
+        mlp_train(x, y, MlpConfig(input_dim=5, epochs=1, learning_rate=1e100,
+                                  loss_mode="gaussian_nll"))
+
+
 def test_predict_clamps_mean_but_keeps_raw():
     weights = MlpWeights(np.zeros((2, 4)), np.zeros(4), np.zeros((4, 2)),
                          np.array([15.0, 0.0]), 0)

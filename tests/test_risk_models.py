@@ -7,17 +7,20 @@ grid search over provably safe velocities.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from risk_oracles import drf_series, pcad_series
 from scipy import integrate
 
-from riskdecode.risk_models import (AvoidanceDetail, DrfParams, PcadParams,
+from riskdecode.calibration import DRF_BOUNDS, PCAD_BOUNDS
+from riskdecode.risk_models import (AvoidanceDetail, DrfParams, PairTable, PcadParams,
                                     avoidance_detail, drf_probability, drf_risk,
                                     drf_risk_series, pcad_risk,
                                     pcad_risk_series, pcad_weight,
                                     perceived_velocity)
-from riskdecode.scenarios import FrameState, VehicleState
+from riskdecode.scenarios import CATALOG, FrameState, VehicleState, catalog_trajectory
 
 # ---------------------------------------------------------------------------
 # brute-force reference for the unsafe-velocity-set exit distance
@@ -269,3 +272,61 @@ def test_drf_param_validation():
         DrfParams(grid_dx=-0.5)
     with pytest.raises(ValueError):
         DrfParams(m_widening=-0.01)
+
+
+# ---------------------------------------------------------------------------
+# pair-table kernels against the per-event references, bit for bit
+
+MODELS = {"PCAD": (PcadParams, PCAD_BOUNDS, pcad_risk_series, pcad_series),
+          "DRF": (DrfParams, DRF_BOUNDS, drf_risk_series, drf_series)}
+# the search bounds plus the fields the table keeps state for
+EXTRA_BOUNDS = {"PCAD": {"t_h": (2.0, 20.0), "overlap_cap": (5.0, 50.0)},
+                "DRF": {"grid_dx": (0.2, 1.0), "grid_dy": (0.1, 0.5)}}
+
+
+def drawn_params(model, n, seed):
+    """The default record, then ``n`` records drawn within the extended bounds."""
+    cls, bounds, _, _ = MODELS[model]
+    rng = np.random.default_rng(seed)
+    bounds = {**bounds, **EXTRA_BOUNDS[model]}
+    return [cls()] + [replace(cls(), **{name: float(rng.uniform(lo, hi))
+                                        for name, (lo, hi) in bounds.items()})
+                      for _ in range(n)]
+
+
+def crowded_event(trajectory):
+    """A two-neighbour event plus two cars ahead of its first neighbour.
+
+    Three neighbours then carry field mass at every frame, so adding their
+    sums in another order changes bits (two addends commute exactly).
+    """
+    lead = trajectory.neighbours[0]
+    extra = tuple(replace(lead, x=lead.x + dx, y=lead.y + dy)
+                  for dx, dy in ((7.0, 0.6), (14.0, -0.4)))
+    return replace(trajectory, neighbours=trajectory.neighbours + extra)
+
+
+@pytest.mark.parametrize("family", ["all", "MB"])
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_table_series_matches_per_event_reference(model, family):
+    _, _, series, reference = MODELS[model]
+    trajectories = [catalog_trajectory(spec.event_id) for spec in CATALOG
+                    if family in ("all", spec.family)]
+    table = PairTable(trajectories)
+    # one table across every record: state kept for one t_h or grid must
+    # not leak into a draw with another
+    for params in drawn_params(model, 4, seed=len(family)):
+        got = series(table, params)
+        want = np.concatenate([reference(t, params) for t in trajectories])
+        assert got.tobytes() == want.tobytes(), params
+    assert [s.size for s in table.split(got)] == [t.n_frames for t in trajectories]
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_event_series_matches_reference_with_several_neighbours(model, sample_trajs):
+    _, _, series, reference = MODELS[model]
+    two = sample_trajs["SVM"]
+    assert len(two.neighbours) == 2
+    for trajectory in (two, crowded_event(two)):
+        for params in drawn_params(model, 3, seed=9):
+            assert series(trajectory, params).tobytes() == reference(trajectory, params).tobytes()
