@@ -25,11 +25,11 @@ def main():
 
     out = Path(args.out)
     result = pipeline.run_all(out, args.seed,
-                              n_participants=args.participants,
+                              participants=args.participants,
                               draws=args.draws, epochs=args.epochs,
                               learning_rate=0.005, n_permutations=100)
 
-    index = result["index"]
+    index = result["ingest"]
     print(f"\ningested {index.total_ratings} synthetic ratings from "
           f"{index.n_participants} raters ({index.dropped_pairs} dropped "
           f"by the agreement filter)")
@@ -40,11 +40,11 @@ def main():
               f"({entry['n_rows']} frames, {entry['input_dim']} features)")
 
     print("\ncalibrated baselines (RMSE against the mean rated curve):")
-    for model, res in result["calibration"].items():
+    for model, res in result["calibrate"].items():
         print(f"  {model:5s} default {res.trace[0]['rmse']:.3f} -> "
               f"best {res.best_rmse:.3f} after {args.draws} draws")
 
-    stats = result["comparison"].scenario_stats
+    stats = result["report"]["comparison"].scenario_stats
     families = sorted({fam for fam, _ in stats})
     print("\nmedian absolute error per scenario family:")
     header = "".join(f"{m:>8s}" for m in ("MLP", "PCAD", "DRF"))

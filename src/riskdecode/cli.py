@@ -1,10 +1,13 @@
 """Command-line front end for the risk-decoding pipeline.
 
-Stages read and write deterministic artifacts under --out; a config JSON
-can override stage knobs (participants, draws, epochs, manifests,
-calibration bounds, ingest column profile).  The RISKDECODE_DATA_DIR
-environment variable provides the default location of an external
-ratings dataset.
+Each stage command runs one entry of ``pipeline.STAGES`` on the artifacts
+under --out, and ``all`` runs every entry in order.  A stage option comes
+from its flag, else from the --config JSON, else from the default in the
+stage's function.  The config may set every stage option except the
+--scenario and --events selections; any other key is an error.  ``ingest``
+and ``all`` read ratings from the positional path, else the config's
+``dataset``, else ``$RISKDECODE_DATA_DIR/ratings.csv``; --synthetic writes
+rehearsal ratings instead.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from .mlp import TrainingDiverged
 
 log = logging.getLogger("riskdecode")
 
-STAGES = ("generate", "ingest", "reconstruct", "features", "calibrate",
-          "train", "predict", "explain", "report", "all")
+# --scenario and --events select part of the catalog, which only a flag does
+CONFIG_KEYS = pipeline.OPTIONS - {"scenario", "events"}
 
 
 def _load_config(path: str | None) -> dict:
@@ -32,48 +35,78 @@ def _load_config(path: str | None) -> dict:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"config {path} must hold a JSON object")
+    unknown = sorted(set(config) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"config {path} has unknown keys {unknown}; "
+                         f"known keys: {sorted(CONFIG_KEYS)}")
     return config
 
 
-def _pick(value, config: dict, key: str, default=None):
-    """The command-line value when one was given (0 included), else the config's."""
-    return config.get(key, default) if value is None else value
-
-
-def _default_ratings(args, config) -> Path:
-    if args.ratings:
-        return Path(args.ratings)
-    if config.get("dataset"):
-        return Path(config["dataset"])
+def _dataset(args, options: dict) -> Path | None:
+    """The ratings file ``ingest`` reads; None asks for rehearsal ratings."""
+    given = args.ratings or options.get("dataset")
+    if args.synthetic:
+        if given:
+            raise SystemExit(f"--synthetic and the ratings path {given} both name a "
+                             "ratings source; give one")
+        return None
+    if given:
+        return Path(given)
     data_dir = os.environ.get("RISKDECODE_DATA_DIR")
     if data_dir:
         return Path(data_dir) / "ratings.csv"
     raise SystemExit("ingest needs a ratings path, a config 'dataset' entry, "
-                     "or RISKDECODE_DATA_DIR")
+                     "RISKDECODE_DATA_DIR or --synthetic")
+
+
+def _log_train(summary: dict) -> None:
+    for group, entry in sorted(summary.items()):
+        log.info("%s: train RMSE %.4f validation RMSE %.4f", group,
+                 entry["final_train_rmse"], entry["final_val_rmse"])
+
+
+def _log_calibrate(results: dict) -> None:
+    for model, res in results.items():
+        log.info("%s: best RMSE %.4f (default %.4f)", model,
+                 res.best_rmse, res.trace[0]["rmse"])
+
+
+# what each stage command logs of its result
+SUMMARIES = {
+    "generate": lambda path: log.info("catalog written to %s", path),
+    "ingest": lambda index: log.info(
+        "ingested %d ratings from %d participants (%d invalid rows)",
+        index.total_ratings, index.n_participants, index.invalid_rows),
+    "reconstruct": lambda path: log.info("curves written to %s", path),
+    "features": lambda paths: log.info("feature tables written for %d networks", len(paths)),
+    "train": _log_train,
+    "predict": lambda path: log.info("predictions written to %s", path),
+    "calibrate": _log_calibrate,
+    "explain": lambda path: log.info("attributions written to %s", path),
+    "report": lambda result: log.info("report bundle complete: %d artifacts",
+                                      result["artifacts"]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riskdecode",
         description="Perceived-risk modeling pipeline for automated driving events.")
-    parser.add_argument("stage", choices=STAGES, help="pipeline stage to run")
+    parser.add_argument("stage", choices=(*pipeline.STAGES, "all"),
+                        help="pipeline stage to run")
     parser.add_argument("ratings", nargs="?", default=None,
-                        help="ratings CSV (ingest stage)")
+                        help="ratings CSV (ingest and all)")
     parser.add_argument("--out", default="runs", help="output directory")
-    parser.add_argument("--seed", type=int, default=0, help="run seed")
-    parser.add_argument("--scenario", default=None,
-                        help="restrict generate/train to one scenario or group")
-    parser.add_argument("--config", default=None, help="JSON config overrides")
+    parser.add_argument("--seed", type=int, help="run seed")
+    parser.add_argument("--scenario", help="restrict generate/train to one scenario or group")
+    parser.add_argument("--config", help="JSON config overrides")
     parser.add_argument("--synthetic", action="store_true",
                         help="generate rehearsal ratings before ingesting")
-    parser.add_argument("--draws", type=int, default=None,
-                        help="calibration draw count override")
-    parser.add_argument("--epochs", type=int, default=None,
-                        help="training epoch override")
-    parser.add_argument("--lr", type=float, default=None,
+    parser.add_argument("--draws", type=int, help="calibration draw count override")
+    parser.add_argument("--epochs", type=int, help="training epoch override")
+    parser.add_argument("--lr", type=float, dest="learning_rate", metavar="LR",
                         help="training learning-rate override")
-    parser.add_argument("--events", type=int, nargs="*", default=None,
-                        help="event ids to explain")
+    parser.add_argument("--events", type=int, nargs="*", help="event ids to explain")
     parser.add_argument("-v", "--verbose", action="store_true")
     return parser
 
@@ -82,64 +115,26 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    config = _load_config(args.config)
+    flags = {k: getattr(args, k)
+             for k in ("seed", "scenario", "draws", "epochs", "learning_rate", "events")}
+    options = {**_load_config(args.config),
+               **{k: v for k, v in flags.items() if v is not None}}
+    if args.stage == "all" and args.scenario is not None:
+        raise SystemExit("--scenario narrows generate and train only, and the stages "
+                         "after them need every network; all cannot take it")
+    stages = list(pipeline.STAGES) if args.stage == "all" else [args.stage]
+    if "ingest" in stages:
+        options["dataset"] = _dataset(args, options)
     out = Path(args.out)
-    seed = args.seed
 
     try:
-        if args.stage == "generate":
-            path = pipeline.run_generate(out, seed, args.scenario)
-            log.info("catalog written to %s", path)
-        elif args.stage == "ingest":
-            if args.synthetic:
-                ratings = pipeline.write_synthetic_ratings(
-                    out, seed, config.get("participants", 12))
-            else:
-                ratings = _default_ratings(args, config)
-            index = pipeline.run_ingest(out, ratings, seed, config.get("profile"))
-            log.info("ingested %d ratings from %d participants (%d invalid rows)",
-                     index.total_ratings, index.n_participants, index.invalid_rows)
-        elif args.stage == "reconstruct":
-            path = pipeline.run_reconstruct(out, seed, config.get("method", "pchip"))
-            log.info("curves written to %s", path)
-        elif args.stage == "features":
-            paths = pipeline.run_features(out, seed, config.get("manifests"))
-            log.info("feature tables written for %d networks", len(paths))
-        elif args.stage == "train":
-            summary = pipeline.run_train(out, seed, args.scenario,
-                                         _pick(args.epochs, config, "epochs"),
-                                         _pick(args.lr, config, "learning_rate"))
-            for group, entry in sorted(summary.items()):
-                log.info("%s: train RMSE %.4f validation RMSE %.4f", group,
-                         entry["final_train_rmse"], entry["final_val_rmse"])
-        elif args.stage == "predict":
-            path = pipeline.run_predict(out, seed)
-            log.info("predictions written to %s", path)
-        elif args.stage == "calibrate":
-            draws = _pick(args.draws, config, "draws", 500)
-            results = pipeline.run_calibrate(out, seed, draws, config.get("bounds"))
-            for model, res in results.items():
-                log.info("%s: best RMSE %.4f (default %.4f)", model,
-                         res.best_rmse, res.trace[0]["rmse"])
-        elif args.stage == "explain":
-            path = pipeline.run_explain(out, seed, args.events,
-                                        config.get("n_permutations", 200))
-            log.info("attributions written to %s", path)
-        elif args.stage == "report":
-            result = pipeline.run_report(out, seed)
-            log.info("report bundle complete: %d artifacts", result["artifacts"])
-        else:
-            ratings = Path(args.ratings) if args.ratings else None
-            pipeline.run_all(out, seed, ratings,
-                             n_participants=config.get("participants", 12),
-                             draws=_pick(args.draws, config, "draws", 300),
-                             epochs=_pick(args.epochs, config, "epochs"),
-                             learning_rate=_pick(args.lr, config, "learning_rate"),
-                             n_permutations=config.get("n_permutations", 200))
-            log.info("full pipeline complete under %s", out)
+        for stage in stages:
+            SUMMARIES[stage](pipeline.run_stage(stage, out, options))
     except (FileNotFoundError, ValueError, TrainingDiverged) as exc:
         log.error("%s", exc)
         return 1
+    if args.stage == "all":
+        log.info("full pipeline complete under %s", out)
     return 0
 
 

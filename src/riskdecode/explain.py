@@ -80,17 +80,6 @@ def _check_frame(x, baseline: Baseline) -> np.ndarray:
     return x
 
 
-def value_function(model: ModelFn, x, subset, baseline: Baseline) -> float:
-    """Model mean on the composite input: subset from x, rest from baseline."""
-    x = _check_frame(x, baseline)
-    subset = np.asarray(sorted(set(int(i) for i in subset)), dtype=int)
-    if subset.size and (subset.min() < 0 or subset.max() >= baseline.dim):
-        raise ValueError("subset indices outside the feature range")
-    composite = baseline.values.copy()
-    composite[subset] = x[subset]
-    return float(model(composite[None, :])[0])
-
-
 def _subset_weights(d: int) -> np.ndarray:
     """w[s] = s! (d - s - 1)! / d! for subset sizes s = 0 .. d-1."""
     total = math.factorial(d)

@@ -38,7 +38,7 @@ from .reconstruction import (RatingRecord, aggregate_curves, filter_ratings,
                              load_alignment_table, reconstruct_participant)
 from .risk_models import PairTable
 from .scenarios import DT, catalog_trajectory, enumerate_events, event_by_id
-from .synthetic import planted_truth, synthetic_ratings
+from .synthetic import DEFAULT_PARTICIPANTS, planted_truth, synthetic_ratings
 
 log = logging.getLogger(__name__)
 
@@ -223,13 +223,11 @@ def run_generate(out: Path, seed: int = 0, scenario: str | None = None) -> Path:
 # synthetic ratings + ingest
 
 
-def write_synthetic_ratings(out: Path, seed: int = 0, n_participants: int = 12,
-                            rater_sigma: float = 0.5) -> Path:
+def write_synthetic_ratings(out: Path, seed: int = 0,
+                            n_participants: int = DEFAULT_PARTICIPANTS) -> Path:
     """Materialize the offline rehearsal ratings file."""
     out = Path(out)
-    truth = planted_truth()
-    records = synthetic_ratings(truth, n_participants=n_participants, seed=seed,
-                                rater_sigma=rater_sigma)
+    records = synthetic_ratings(planted_truth(), n_participants=n_participants, seed=seed)
     return write_csv(out / "ratings.csv",
                      {c: [getattr(r, c) for r in records] for c in RATINGS_COLUMNS}, seed)
 
@@ -367,7 +365,7 @@ def run_reconstruct(out: Path, seed: int = 0, method: str = "pchip") -> Path:
 
 
 def run_features(out: Path, seed: int = 0,
-                 manifest_overrides: Mapping[str, Sequence[str]] | None = None) -> dict:
+                 manifests: Mapping[str, Sequence[str]] | None = None) -> dict:
     out = Path(out)
     events_json = require(out, "events.json", "generate")
     listed = {e["event_id"] for e in
@@ -380,7 +378,7 @@ def run_features(out: Path, seed: int = 0,
             # a matrix left by an earlier, wider run would outlive its normstats
             (out / f"features_{group}.csv").unlink(missing_ok=True)
             continue
-        manifest = _group_manifest(group, manifest_overrides)
+        manifest = _group_manifest(group, manifests)
         blocks = [build_features(catalog_trajectory(s.event_id), manifest) for s in specs]
         matrix = np.vstack(blocks)
         stats = zscore_fit(matrix, manifest.names)
@@ -516,7 +514,7 @@ def run_predict(out: Path, seed: int = 0) -> Path:
 
 
 def run_calibrate(out: Path, seed: int = 0, draws: int = 500,
-                  bounds_overrides: Mapping[str, Mapping[str, tuple]] | None = None) -> dict:
+                  bounds: Mapping[str, Mapping[str, tuple]] | None = None) -> dict:
     out = Path(out)
     curves_path = require(out, "curves.csv", "reconstruct")
     curves = read_csv(curves_path)
@@ -524,9 +522,8 @@ def run_calibrate(out: Path, seed: int = 0, draws: int = 500,
 
     results = {}
     for offset, model in enumerate(("PCAD", "DRF")):
-        bounds = (bounds_overrides or {}).get(model)
         job = CalibrationJob(model, targets, draws=draws, seed=seed + offset,
-                             bounds=bounds)
+                             bounds=(bounds or {}).get(model))
         res = calibrate(job)
         results[model] = res
         params = {k: getattr(res.best_params, k) for k in job.resolved_bounds()}
@@ -666,25 +663,48 @@ def run_report(out: Path, seed: int = 0) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# end-to-end convenience
+# the stage table
 
 
-def run_all(out: Path, seed: int = 0, ratings_path: Path | None = None,
-            n_participants: int = 12, draws: int = 300,
-            epochs: int | None = None,
-            learning_rate: float | None = None,
-            n_permutations: int = 200) -> dict:
-    """Run every stage in order; synthesizes ratings when none are given."""
-    out = Path(out)
-    run_generate(out, seed)
-    if ratings_path is None:
-        ratings_path = write_synthetic_ratings(out, seed, n_participants)
-    index = run_ingest(out, ratings_path, seed)
-    run_reconstruct(out, seed)
-    run_features(out, seed)
-    summary = run_train(out, seed, epochs=epochs, learning_rate=learning_rate)
-    run_predict(out, seed)
-    calib = run_calibrate(out, seed, draws=draws)
-    run_explain(out, seed, n_permutations=n_permutations)
-    report = run_report(out, seed)
-    return {"index": index, "train": summary, "calibration": calib, **report}
+def _ingest_source(out: Path, seed: int = 0, dataset: Path | None = None,
+                   participants: int = DEFAULT_PARTICIPANTS,
+                   profile: Mapping[str, str] | None = None) -> DatasetIndex:
+    """Ingest ``dataset``, or rehearsal ratings from ``participants`` raters when it is None."""
+    if dataset is None:
+        dataset = write_synthetic_ratings(out, seed, participants)
+    return run_ingest(out, dataset, seed, profile)
+
+
+# The stage commands in run order: each one's function and the options it
+# takes by keyword, named as ``--config`` names them.  Every stage also
+# takes ``seed``.  An option left out keeps its default in the function.
+STAGES = {
+    "generate": (run_generate, ("scenario",)),
+    "ingest": (_ingest_source, ("dataset", "participants", "profile")),
+    "reconstruct": (run_reconstruct, ("method",)),
+    "features": (run_features, ("manifests",)),
+    "train": (run_train, ("scenario", "epochs", "learning_rate")),
+    "predict": (run_predict, ()),
+    "calibrate": (run_calibrate, ("draws", "bounds")),
+    "explain": (run_explain, ("events", "n_permutations")),
+    "report": (run_report, ()),
+}
+OPTIONS = frozenset(name for _, names in STAGES.values() for name in names)
+
+
+def run_stage(stage: str, out: Path, options: Mapping):
+    """Run one stage with ``seed`` and the options of ``options`` that it takes."""
+    run, names = STAGES[stage]
+    return run(out, **{k: options[k] for k in ("seed", *names) if k in options})
+
+
+def run_all(out: Path, seed: int = 0, **options) -> dict:
+    """Run every stage in order with ``options`` (see ``STAGES``); results keyed by stage.
+
+    Rehearsal ratings are synthesized when no ``dataset`` ratings path is given.
+    """
+    known = OPTIONS - {"scenario"}  # a narrowed train leaves predict without networks
+    unknown = sorted(set(options) - known)
+    if unknown:
+        raise TypeError(f"run_all takes no options {unknown}; it takes {sorted(known)}")
+    return {stage: run_stage(stage, out, {**options, "seed": seed}) for stage in STAGES}

@@ -217,10 +217,6 @@ class VehicleTrack:
     length: float = VEHICLE_LENGTH
     width: float = VEHICLE_WIDTH
 
-    def state(self, k: int) -> VehicleState:
-        return VehicleState(self.x[k], self.y[k], self.vx[k], self.vy[k],
-                            self.ax[k], self.ay[k], self.length, self.width)
-
 
 @dataclass(frozen=True)
 class FrameState:
@@ -240,10 +236,6 @@ class EventTrajectory:
     @property
     def n_frames(self) -> int:
         return self.t.size
-
-    def frame(self, k: int) -> FrameState:
-        return FrameState(self.subject.state(k),
-                          tuple(n.state(k) for n in self.neighbours))
 
 
 # ---------------------------------------------------------------------------

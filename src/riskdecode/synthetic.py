@@ -98,9 +98,7 @@ def _curve_at(curve: np.ndarray, moment: float) -> float:
 def synthetic_ratings(truth: Mapping[int, np.ndarray],
                       table: AlignmentTable | None = None,
                       n_participants: int = DEFAULT_PARTICIPANTS,
-                      seed: int = 0,
-                      rater_sigma: float = RATER_SIGMA,
-                      participant_sigma: float = PARTICIPANT_SIGMA) -> list:
+                      seed: int = 0) -> list:
     """Integer clip ratings for every event in ``truth``.
 
     Each slot's rating reads the truth at the slot's canonical moment
@@ -122,9 +120,9 @@ def synthetic_ratings(truth: Mapping[int, np.ndarray],
                 slot_moment[slot] = t
         slot_values = {slot: _curve_at(truth[eid], t) for slot, t in slot_moment.items()}
         for pid in range(1, n_participants + 1):
-            offset = rng.normal(0.0, participant_sigma)
+            offset = rng.normal(0.0, PARTICIPANT_SIGMA)
             for slot in sorted(slot_values):
-                noisy = slot_values[slot] + offset + rng.normal(0.0, rater_sigma)
+                noisy = slot_values[slot] + offset + rng.normal(0.0, RATER_SIGMA)
                 rating = int(np.clip(round(noisy), 0, 10))
                 records.append(RatingRecord(pid, eid, slot, rating))
     return records

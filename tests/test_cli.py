@@ -18,7 +18,7 @@ import pytest
 import riskdecode
 from riskdecode import __version__, scenarios
 from riskdecode.cli import main
-from riskdecode.pipeline import NETWORK_GROUPS, read_csv, write_synthetic_ratings
+from riskdecode.pipeline import NETWORK_GROUPS, read_csv, run_all, write_synthetic_ratings
 from riskdecode.reconstruction import load_alignment_table
 from riskdecode.scenarios import enumerate_events
 
@@ -61,7 +61,7 @@ def mini_tree(tmp_path_factory):
     out = tmp_path_factory.mktemp("mini")
     cfg = write_config(tmp_path_factory.mktemp("cfg") / "mini.json",
                        participants=4, n_permutations=8, draws=2)
-    assert main(["all", "--out", str(out), "--seed", "1",
+    assert main(["all", "--synthetic", "--out", str(out), "--seed", "1",
                  "--epochs", "2", "--config", cfg]) == 0
     return out
 
@@ -264,6 +264,64 @@ def test_ingest_accepts_a_byte_order_mark(tmp_path):
     assert bodies[0] == bodies[1] and len(bodies[0]) > 1
 
 
+def _digests(out):
+    return {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_all_runs_the_stage_commands(tmp_path):
+    # every stage option, flag or config key, means the same to all as to its stage
+    cfg = write_config(tmp_path / "cfg.json", method="linear",
+                       bounds={"PCAD": {"alpha": [3.9, 4.0]}},
+                       manifests={"HB": ["dx", "dv_x"]},
+                       participants=4, draws=2, n_permutations=4)
+    common = ["--seed", "1", "--epochs", "2", "--config", cfg]
+    together, staged = tmp_path / "all", tmp_path / "staged"
+    assert main(["all", "--synthetic", "--out", str(together), *common]) == 0
+    for stage in ("generate", "ingest", "reconstruct", "features", "calibrate",
+                  "train", "predict", "explain", "report"):
+        synthetic = ["--synthetic"] if stage == "ingest" else []
+        assert main([stage, *synthetic, "--out", str(staged), *common]) == 0
+    digests = _digests(together)
+    assert len(digests) == 34 and "manifest_outputs.json" in digests
+    assert digests == _digests(staged)
+    # and the overrides took hold
+    manifest = json.loads((together / "manifest.json").read_text())
+    assert manifest["groups"]["HB"]["features"] == ["dx", "dv_x"]
+    drawn = read_csv(together / "trace_pcad.csv")["alpha"][1:]  # draw 0 is the default record
+    assert drawn.size == 1 and 3.9 <= drawn[0] <= 4.0
+    assert json.loads((together / "dataset_index.json").read_text())["n_participants"] <= 4
+
+
+def test_all_reads_the_data_dir(tmp_path, monkeypatch):
+    data_dir = tmp_path / "data"
+    ratings = write_synthetic_ratings(data_dir, seed=3, n_participants=2)
+    monkeypatch.setenv("RISKDECODE_DATA_DIR", str(data_dir))
+    cfg = write_config(tmp_path / "cfg.json", draws=2, n_permutations=4)
+    out = tmp_path / "run"
+    assert main(["all", "--out", str(out), "--seed", "1", "--epochs", "2",
+                 "--config", cfg]) == 0
+    meta = json.loads((out / "dataset_index.json").read_text())["meta"]
+    assert meta["inputs"] == f"ratings.csv:{hashlib.sha256(ratings.read_bytes()).hexdigest()[:12]}"
+    assert not (out / "ratings.csv").exists()
+
+
+def test_all_rejects_a_scenario(tmp_path):
+    with pytest.raises(SystemExit, match="--scenario"):
+        main(["all", "--synthetic", "--scenario", "MB", "--out", str(tmp_path)])
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("stage", ["ingest", "all"])
+@pytest.mark.parametrize("by_config", [False, True])
+def test_synthetic_and_a_ratings_path_conflict(stage, by_config, mb_ratings, tmp_path):
+    source = ["--config", write_config(tmp_path / "cfg.json", dataset=str(mb_ratings))] \
+        if by_config else [str(mb_ratings)]
+    with pytest.raises(SystemExit, match=f"--synthetic and the ratings path {mb_ratings}"):
+        main([stage, *source, "--synthetic", "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
+
+
 def test_all_simulates_each_catalog_event_once(tmp_path, monkeypatch):
     calls = Counter()
     simulate = scenarios.simulate_event
@@ -275,7 +333,7 @@ def test_all_simulates_each_catalog_event_once(tmp_path, monkeypatch):
     monkeypatch.setattr(scenarios, "simulate_event", counting)
     monkeypatch.setattr(scenarios, "_TRAJECTORIES", {})
     cfg = write_config(tmp_path / "mini.json", participants=4, n_permutations=8, draws=2)
-    assert main(["all", "--out", str(tmp_path / "run"), "--seed", "1",
+    assert main(["all", "--synthetic", "--out", str(tmp_path / "run"), "--seed", "1",
                  "--epochs", "2", "--config", cfg]) == 0
     assert calls == Counter(spec.event_id for spec in scenarios.CATALOG)
     for k in range(1, len(scenarios.CATALOG) + 1):
@@ -333,15 +391,18 @@ def test_missing_dependency_messages(stage, needs, tmp_path, caplog):
 
 
 def test_ingest_needs_a_source(tmp_path, monkeypatch, caplog):
-    monkeypatch.delenv("RISKDECODE_DATA_DIR", raising=False)
-    with pytest.raises(SystemExit):
-        main(["ingest", "--out", str(tmp_path)])
     empty = tmp_path / "data"
     empty.mkdir()
-    monkeypatch.setenv("RISKDECODE_DATA_DIR", str(empty))
-    with caplog.at_level(logging.ERROR):
-        assert main(["ingest", "--out", str(tmp_path)]) == 1
-    assert "does not exist" in caplog.text
+    for stage in ("ingest", "all"):  # all finds its ratings as ingest does
+        out = str(tmp_path / stage)
+        monkeypatch.delenv("RISKDECODE_DATA_DIR", raising=False)
+        with pytest.raises(SystemExit, match="ingest needs a ratings path"):
+            main([stage, "--out", out])
+        monkeypatch.setenv("RISKDECODE_DATA_DIR", str(empty))
+        caplog.clear()
+        with caplog.at_level(logging.ERROR):
+            assert main([stage, "--out", out]) == 1
+        assert "does not exist" in caplog.text
 
 
 def test_synthetic_ingest_branch(tmp_path):
@@ -363,3 +424,11 @@ def test_bad_selector_and_config(tmp_path, caplog):
     bad.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ValueError, match="JSON object"):
         main(["generate", "--out", str(tmp_path), "--config", str(bad)])
+    # a misspelt key is named, with its file and the keys that exist
+    typo = write_config(tmp_path / "typo.json", n_permutation=8)
+    with pytest.raises(ValueError, match=rf"config {re.escape(typo)} has unknown keys "
+                                         r"\['n_permutation'\]; known keys: .*'n_permutations'"):
+        main(["explain", "--out", str(tmp_path), "--config", typo])
+    for option in ("n_permutation", "scenario"):
+        with pytest.raises(TypeError, match=rf"run_all takes no options \['{option}'\]"):
+            run_all(tmp_path, **{option: 8})

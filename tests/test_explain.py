@@ -6,7 +6,7 @@ import pytest
 from riskdecode.explain import (MAX_EXACT_DIM, Baseline, ShapResult,
                                 explain_frames, global_importance,
                                 mean_head, shap_exact,
-                                shap_sampled, value_function)
+                                shap_sampled)
 from riskdecode.mlp import MlpConfig, mlp_init
 
 LIN_W = np.array([0.5, -1.0, 2.0, 0.0, 0.25, -0.75, 1.5, -0.1])
@@ -37,24 +37,6 @@ def test_baseline_validation():
     base = Baseline.from_training(np.array([[1.0, 3.0], [3.0, 5.0]]))
     assert np.allclose(base.values, [2.0, 4.0])
     assert base.dim == 2
-
-
-def test_value_function_composites(frame_and_baseline):
-    x, base = frame_and_baseline
-    assert value_function(linear_model, x, [], base) == pytest.approx(
-        linear_model(base.values))
-    assert value_function(linear_model, x, range(8), base) == pytest.approx(
-        linear_model(x))
-    # revealing one coordinate moves the value by exactly its linear term
-    v1 = value_function(linear_model, x, [2], base)
-    assert v1 - linear_model(base.values) == pytest.approx(
-        LIN_W[2] * (x[2] - base.values[2]))
-    # duplicates collapse
-    assert value_function(linear_model, x, [2, 2], base) == v1
-    with pytest.raises(ValueError):
-        value_function(linear_model, x, [8], base)
-    with pytest.raises(ValueError):
-        value_function(linear_model, np.zeros(5), [0], base)
 
 
 def test_exact_additivity(net_model, frame_and_baseline):

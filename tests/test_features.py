@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from frames import frame_at
 
 from riskdecode.features import (DEFAULT_MANIFESTS, FEATURE_VOCABULARY,
                                  FOLLOWER_FEATURES, GAP_FLOOR, FeatureManifest,
@@ -125,7 +126,7 @@ def test_build_features_matches_per_frame_stack(catalog):
         names = tuple(n for n in FEATURE_VOCABULARY
                       if spec.family == "SVM" or n not in FOLLOWER_FEATURES)
         traj = simulate_event(spec)
-        frames = [frame_features(traj.frame(k)) for k in range(traj.n_frames)]
+        frames = [frame_features(frame_at(traj, k)) for k in range(traj.n_frames)]
         oracle = np.array([[feats[n] for n in names] for feats in frames])
         matrix = build_features(traj, FeatureManifest(spec.family, names))
         assert matrix.shape == oracle.shape

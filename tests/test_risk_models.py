@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from frames import frame_at
 from risk_oracles import drf_series, pcad_series
 from scipy import integrate
 
@@ -185,7 +186,7 @@ def test_pcad_series_matches_frame_loop(sample_trajs):
     for name in ("HB", "MB"):
         traj = sample_trajs[name]
         series = pcad_risk_series(traj)
-        framewise = np.array([pcad_risk(traj.frame(k))
+        framewise = np.array([pcad_risk(frame_at(traj, k))
                               for k in range(traj.n_frames)])
         assert np.allclose(series, framewise, atol=1e-12)
 
@@ -261,7 +262,7 @@ def test_dead_ahead_sweep_nonincreasing():
 def test_drf_series_matches_frame_loop(sample_trajs):
     traj = sample_trajs["SVM"]
     series = drf_risk_series(traj)
-    framewise = np.array([drf_risk(traj.frame(k)) for k in range(traj.n_frames)])
+    framewise = np.array([drf_risk(frame_at(traj, k)) for k in range(traj.n_frames)])
     assert np.allclose(series, framewise, atol=1e-9)
 
 
