@@ -23,8 +23,9 @@ def main():
     spec = event_by_id(EVENT_ID)
     truth = planted_truth()[EVENT_ID]
     table = load_alignment_table()
-    records = synthetic_ratings({EVENT_ID: truth}, table, n_participants=1, seed=1)
-    ratings = [r.rating for r in sorted(records, key=lambda r: r.clip_index)]
+    # one rater, so the rating column runs clip by clip
+    ratings = synthetic_ratings({EVENT_ID: truth}, table, n_participants=1,
+                                seed=1)["rating"].tolist()
     print(f"event {EVENT_ID} ({spec.scenario}): one rater's clip scores {ratings}")
 
     curves = {}

@@ -3,8 +3,9 @@
 Each stage command runs one entry of ``pipeline.STAGES`` on the artifacts
 under --out, and ``all`` runs every entry in order.  A stage option comes
 from its flag, else from the --config JSON, else from the default in the
-stage's function.  The config may set every stage option except the
---scenario and --events selections; any other key is an error.  ``ingest``
+stage's function.  A flag that sets no option of the stage is an error.
+The config may set every stage option except the --scenario and --events
+selections; any other key is an error.  ``ingest``
 and ``all`` read ratings from the positional path, else the config's
 ``dataset``, else ``$RISKDECODE_DATA_DIR/ratings.csv``; --synthetic writes
 rehearsal ratings instead.
@@ -26,13 +27,18 @@ log = logging.getLogger("riskdecode")
 
 # --scenario and --events select part of the catalog, which only a flag does
 CONFIG_KEYS = pipeline.OPTIONS - {"scenario", "events"}
+# the flags that set a stage option of the same name (--lr sets learning_rate)
+OPTION_FLAGS = ("seed", "scenario", "draws", "epochs", "learning_rate", "events")
 
 
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config {path} is not JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError(f"config {path} must hold a JSON object")
     unknown = sorted(set(config) - CONFIG_KEYS)
@@ -111,23 +117,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stray_flags(args, flags: dict, stages) -> list:
+    """The flags given that set no option of any of ``stages``, as typed."""
+    taken = {"seed"}.union(*(pipeline.STAGES[stage][1] for stage in stages))
+    stray = ["--lr" if k == "learning_rate" else f"--{k}" for k in flags if k not in taken]
+    if "dataset" not in taken:  # --synthetic and the ratings path choose the dataset
+        stray += ["--synthetic"] if args.synthetic else []
+        stray += [f"the ratings path {args.ratings}"] if args.ratings else []
+    return stray
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    flags = {k: getattr(args, k)
-             for k in ("seed", "scenario", "draws", "epochs", "learning_rate", "events")}
-    options = {**_load_config(args.config),
-               **{k: v for k, v in flags.items() if v is not None}}
+    flags = {k: getattr(args, k) for k in OPTION_FLAGS if getattr(args, k) is not None}
     if args.stage == "all" and args.scenario is not None:
         raise SystemExit("--scenario narrows generate and train only, and the stages "
                          "after them need every network; all cannot take it")
     stages = list(pipeline.STAGES) if args.stage == "all" else [args.stage]
-    if "ingest" in stages:
-        options["dataset"] = _dataset(args, options)
+    stray = _stray_flags(args, flags, stages)
+    if stray:
+        raise SystemExit(f"{args.stage} does not take {', '.join(stray)}")
     out = Path(args.out)
 
     try:
+        options = {**_load_config(args.config), **flags}
+        if "ingest" in stages:
+            options["dataset"] = _dataset(args, options)
         for stage in stages:
             SUMMARIES[stage](pipeline.run_stage(stage, out, options))
     except (FileNotFoundError, ValueError, TrainingDiverged) as exc:

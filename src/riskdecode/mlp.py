@@ -128,16 +128,9 @@ def _hidden(weights: MlpWeights, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def mlp_forward(weights: MlpWeights, x, train_mode: bool = False,
-                dropout_rate: float = 0.1, rng=None):
-    """(mean, variance) for a batch; dropout only acts in train mode."""
+def mlp_forward(weights: MlpWeights, x):
+    """(mean, variance) for a batch, without dropout."""
     h = _hidden(weights, _check_input(weights, x))
-    if train_mode:
-        if rng is None:
-            rng = np.random.default_rng(weights.seed)
-        keep = 1.0 - dropout_rate
-        h *= rng.random(h.shape) < keep
-        h /= keep
     z = h @ weights.w2 + weights.b2
     return z[:, 0], _softplus(z[:, 1]) + VAR_FLOOR
 
@@ -325,5 +318,5 @@ class Prediction:
 
 def mlp_predict(weights: MlpWeights, features) -> Prediction:
     """Eval-mode prediction; mean reported on the 0-10 scale, raw kept."""
-    mean, variance = mlp_forward(weights, features, train_mode=False)
+    mean, variance = mlp_forward(weights, features)
     return Prediction(np.clip(mean, 0.0, 10.0), mean, variance)

@@ -20,7 +20,6 @@ import csv
 import hashlib
 import json
 import logging
-from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -34,8 +33,9 @@ from .explain import MAX_EXACT_DIM, Baseline, explain_frames, global_importance,
 from .features import (DEFAULT_MANIFESTS, FeatureManifest, NormStats, build_features,
                        zscore_apply, zscore_fit)
 from .mlp import MlpConfig, MlpWeights, TrainingDiverged, mlp_predict, mlp_train
-from .reconstruction import (RatingRecord, aggregate_curves, filter_ratings,
-                             load_alignment_table, reconstruct_participant)
+from .reconstruction import (RATING_MAX, RATING_MIN, RATINGS_COLUMNS, AlignmentTable,
+                             aggregate_curves, filter_ratings, load_alignment_table,
+                             reconstruct_participant)
 from .risk_models import PairTable
 from .scenarios import DT, catalog_trajectory, enumerate_events, event_by_id
 from .synthetic import DEFAULT_PARTICIPANTS, planted_truth, synthetic_ratings
@@ -53,7 +53,6 @@ NETWORK_GROUPS = {
     "LC_aborted": ("LC_aborted",),
 }
 
-RATINGS_COLUMNS = ("participant_id", "event_id", "clip_index", "rating")
 _ROWS_PER_WRITE = 1024
 
 
@@ -226,14 +225,14 @@ def run_generate(out: Path, seed: int = 0, scenario: str | None = None) -> Path:
 def write_synthetic_ratings(out: Path, seed: int = 0,
                             n_participants: int = DEFAULT_PARTICIPANTS) -> Path:
     """Materialize the offline rehearsal ratings file."""
-    out = Path(out)
-    records = synthetic_ratings(planted_truth(), n_participants=n_participants, seed=seed)
-    return write_csv(out / "ratings.csv",
-                     {c: [getattr(r, c) for r in records] for c in RATINGS_COLUMNS}, seed)
+    ratings = synthetic_ratings(planted_truth(), n_participants=n_participants, seed=seed)
+    return write_csv(Path(out) / "ratings.csv", ratings, seed)
 
 
-def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
-    """Yield (line_number, RatingRecord-or-error) for every data row."""
+def _read_ratings_file(path: Path, profile: Mapping[str, str] | None,
+                       alignment: AlignmentTable):
+    """Accepted rows as ``RATINGS_COLUMNS`` int64 columns, their line numbers,
+    and ``(line_number, reason)`` for every rejected row."""
     mapping = {c: c for c in RATINGS_COLUMNS}
     if profile:
         mapping.update(profile)
@@ -249,8 +248,8 @@ def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
         raise ValueError(f"{path} lacks required columns {missing} "
                          f"(line {lines[0][0]}: {lines[0][1].strip()!r})")
     index = [header.index(mapping[c]) for c in RATINGS_COLUMNS]
-    table = load_alignment_table()
-    known = set(table.event_ids())
+    known = set(alignment.event_ids())
+    accepted, invalid = [], []
     for (line_no, _), cells in zip(lines[1:], reader):
         if not cells:
             continue  # blank line
@@ -258,30 +257,54 @@ def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
             pid, eid, clip, rating = (int(cells[i]) for i in index)
             if eid not in known:
                 raise ValueError(f"unknown event_id {eid}")
-            if not 1 <= clip <= table.n_slots(eid):
+            if not 1 <= clip <= alignment.n_slots(eid):
                 raise ValueError(f"clip_index {clip} outside event {eid}'s slots")
-            yield line_no, RatingRecord(pid, eid, clip, rating)
+            if not RATING_MIN <= rating <= RATING_MAX:
+                raise ValueError(f"rating must be an integer in 0..10, got {rating}")
+            if not -2**63 <= pid < 2**63:
+                raise ValueError(f"participant_id {pid} does not fit in 64 bits")
         except (IndexError, ValueError) as exc:
-            yield line_no, exc
+            invalid.append((line_no, str(exc)))
+        else:
+            accepted.append((line_no, pid, eid, clip, rating))
+    rows = np.array(accepted, dtype=np.int64).reshape(-1, 5)
+    return dict(zip(RATINGS_COLUMNS, rows[:, 1:].T)), rows[:, 0], invalid
 
 
-def _complete_pairs(rows, table):
-    """Split validated (line, record) rows into kept records and (line, reason) rejects.
+def _pair_matrices(table: Mapping[str, np.ndarray], alignment: AlignmentTable):
+    """Each event's complete (participant, event) pairs as one participants × slots matrix.
 
-    A (participant, event) pair is kept only if it rates clips 1..n_slots once each.
+    A pair is complete if it rates clips 1..n_slots once each.  Returns
+    ``{event_id: (participant ids, ratings)}`` by event, then participant, and
+    ``(row, reason)`` for every row of ``table`` in an incomplete pair.
     """
-    clips: dict = {}
-    for _, r in rows:
-        clips.setdefault((r.participant_id, r.event_id), Counter())[r.clip_index] += 1
-    faults = {}
-    for (pid, eid), counts in clips.items():
-        problems = [f"clip {c} {'missing' if counts[c] == 0 else 'repeated'}"
-                    for c in range(1, table.n_slots(eid) + 1) if counts[c] != 1]
-        if problems:
-            faults[pid, eid] = f"participant {pid} event {eid} dropped: {', '.join(problems)}"
-    kept = [r for _, r in rows if (r.participant_id, r.event_id) not in faults]
-    return kept, [(line_no, faults[r.participant_id, r.event_id]) for line_no, r in rows
-                  if (r.participant_id, r.event_id) in faults]
+    order = np.lexsort((table["clip_index"], table["participant_id"], table["event_id"]))
+    pid, eid, clip, rating = (np.asarray(table[c])[order] for c in RATINGS_COLUMNS)
+    starts_pair = np.ones(order.size, dtype=bool)
+    starts_pair[1:] = (eid[1:] != eid[:-1]) | (pid[1:] != pid[:-1])
+    pair = np.cumsum(starts_pair) - 1
+    first = np.flatnonzero(starts_pair)
+    n_slots = np.array([alignment.n_slots(e) for e in eid[first].tolist()], dtype=np.int64)
+    width = int(n_slots.max(initial=0)) + 2  # the outer bins take clips outside 1..n_slots
+    counts = np.bincount(pair * width + np.clip(clip, 0, width - 1),
+                         minlength=first.size * width).reshape(first.size, width)
+    slot = np.arange(width)
+    faulty = (counts != ((slot >= 1) & (slot <= n_slots[:, None]))).any(axis=1)
+    bounds, rejects = np.append(first, order.size), []
+    for p in np.flatnonzero(faulty).tolist():
+        problems = [f"clip {c} {'missing' if counts[p, c] == 0 else 'repeated'}"
+                    for c in range(1, n_slots[p] + 1) if counts[p, c] != 1]
+        reason = (f"participant {pid[first[p]]} event {eid[first[p]]} dropped: "
+                  f"{', '.join(problems)}")
+        rejects += [(row, reason) for row in order[bounds[p]:bounds[p + 1]].tolist()]
+
+    complete = ~faulty[pair]
+    matrices = {}
+    for event in np.unique(eid[complete]).tolist():
+        rows = complete & (eid == event)
+        n = alignment.n_slots(event)
+        matrices[event] = (pid[rows][::n], rating[rows].reshape(-1, n))
+    return matrices, rejects
 
 
 def run_ingest(out: Path, ratings_path: Path, seed: int = 0,
@@ -291,42 +314,36 @@ def run_ingest(out: Path, ratings_path: Path, seed: int = 0,
     if not ratings_path.exists():
         raise FileNotFoundError(f"ratings file {ratings_path} does not exist")
 
-    rows, invalid = [], []
-    for line_no, item in _read_ratings_file(ratings_path, profile):
-        if isinstance(item, RatingRecord):
-            rows.append((line_no, item))
-        else:
-            invalid.append((line_no, str(item)))
-    valid, incomplete = _complete_pairs(rows, load_alignment_table())
-    invalid = sorted(invalid + incomplete)
+    alignment = load_alignment_table()
+    accepted, lines, invalid = _read_ratings_file(ratings_path, profile, alignment)
+    matrices, incomplete = _pair_matrices(accepted, alignment)
+    invalid = sorted(invalid + [(int(lines[row]), reason) for row, reason in incomplete])
     for line_no, reason in invalid[:20]:
         log.warning("ratings line %d rejected: %s", line_no, reason)
-    if not valid:
+    if not matrices:
         raise ValueError(f"{ratings_path} holds no valid rating rows")
 
-    by_event: dict = {}
-    for r in valid:
-        by_event.setdefault(r.event_id, []).append(r)
-    kept = []
-    for eid in sorted(by_event):
-        kept.extend(filter_ratings(by_event[eid]))
-    dropped = len(valid) - len(kept)
+    blocks = []
+    for eid, (pids, ratings) in matrices.items():
+        kept = filter_ratings(ratings, eid)
+        n_slots = ratings.shape[1]
+        blocks.append((np.repeat(pids[kept], n_slots), np.full(kept.size * n_slots, eid),
+                       np.tile(np.arange(1, n_slots + 1), kept.size), ratings[kept].ravel()))
+    valid = _stack(RATINGS_COLUMNS, blocks)
 
+    total = int(valid["rating"].size)
     per_family: dict = {}
-    for r in kept:
-        fam = event_by_id(r.event_id).family
-        per_family[fam] = per_family.get(fam, 0) + 1
+    for eid, count in zip(*np.unique(valid["event_id"], return_counts=True)):
+        family = event_by_id(int(eid)).family
+        per_family[family] = per_family.get(family, 0) + int(count)
     index = DatasetIndex(
-        total_ratings=len(kept),
+        total_ratings=total,
         per_family=per_family,
-        n_participants=len({r.participant_id for r in kept}),
+        n_participants=int(np.unique(valid["participant_id"]).size),
         invalid_rows=len(invalid),
-        dropped_pairs=dropped,
+        dropped_pairs=accepted["rating"].size - len(incomplete) - total,
     )
-
-    kept.sort(key=lambda r: (r.event_id, r.participant_id, r.clip_index))
-    write_csv(out / "ratings_valid.csv",
-              {c: [getattr(r, c) for r in kept] for c in RATINGS_COLUMNS}, seed, [ratings_path])
+    write_csv(out / "ratings_valid.csv", valid, seed, [ratings_path])
     write_json(out / "dataset_index.json", {
         **asdict(index),
         "invalid_detail": [{"line": n, "reason": msg} for n, msg in invalid[:50]],
@@ -341,17 +358,16 @@ def run_ingest(out: Path, ratings_path: Path, seed: int = 0,
 def run_reconstruct(out: Path, seed: int = 0, method: str = "pchip") -> Path:
     out = Path(out)
     ratings = require(out, "ratings_valid.csv", "ingest")
-    table = load_alignment_table()
+    alignment = load_alignment_table()
 
-    cols = read_csv(ratings)
-    by_event = _by_event(cols["event_id"], np.column_stack(
-        [cols[c] for c in ("participant_id", "clip_index", "rating")]))
+    matrices, incomplete = _pair_matrices(read_csv(ratings), alignment)
+    if incomplete:
+        raise ValueError(f"{ratings} holds an incomplete pair, which ingest never keeps: "
+                         f"{incomplete[0][1]}")
     blocks = []
-    for eid, rows in by_event.items():
-        rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]  # by participant, then clip
-        seqs = np.split(rows[:, 2], np.flatnonzero(np.diff(rows[:, 0])) + 1)
-        agg = aggregate_curves([reconstruct_participant(eid, seq, table, method)
-                                for seq in seqs])
+    for eid, (_, sequences) in matrices.items():
+        agg = aggregate_curves([reconstruct_participant(eid, seq, alignment, method)
+                                for seq in sequences])
         blocks.append((np.full(agg.t.size, eid), agg.t, agg.mean, agg.p25, agg.p75, agg.std,
                        np.full(agg.t.size, agg.n_participants)))
     return write_csv(out / "curves.csv",

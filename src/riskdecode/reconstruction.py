@@ -1,10 +1,12 @@
 """Continuous risk curves from discrete in-event ratings.
 
 Participants rated the most dangerous moment of each 6 s clip on a 0-10
-integer scale. Reconstruction places those ratings at per-event rating
-moments (shipped alignment tables), screens out participants whose rating
-sequence does not track the event consensus, interpolates each participant's
-anchors to 10 Hz, and aggregates across participants.
+integer scale. A ratings table is the four ``RATINGS_COLUMNS`` as int64
+arrays; the stages hand one event's ratings to this module as a
+participants × clips matrix. Reconstruction places those ratings at
+per-event rating moments (shipped alignment tables), screens out the rows
+whose rating sequence does not track the event's mean row, interpolates
+each participant's anchors to 10 Hz, and aggregates across participants.
 
 Three interpolators are provided. The shape-preserving cubic is the default
 used by the pipeline; the linear and quadratic ones exist for the
@@ -27,19 +29,8 @@ log = logging.getLogger(__name__)
 
 CORRELATION_FLOOR = 0.3  # participants below this against the event mean are dropped
 RATING_MIN, RATING_MAX = 0.0, 10.0
-
-@dataclass(frozen=True)
-class RatingRecord:
-    participant_id: int
-    event_id: int
-    clip_index: int  # 1-based
-    rating: int
-
-    def __post_init__(self):
-        if not float(self.rating).is_integer() or not RATING_MIN <= self.rating <= RATING_MAX:
-            raise ValueError(f"rating must be an integer in 0..10, got {self.rating}")
-        if self.clip_index < 1:
-            raise ValueError("clip_index is 1-based")
+# the columns of a ratings table; clip_index is 1-based, ratings are integers in 0..10
+RATINGS_COLUMNS = ("participant_id", "event_id", "clip_index", "rating")
 
 
 @dataclass(frozen=True)
@@ -74,6 +65,8 @@ class AlignmentTable:
         self._rows = rows
         keys = {spec.event_id: (spec.family, scenario_rank(spec)) for spec in CATALOG}
         self._by_event_id = {eid: rows[key] for eid, key in keys.items() if key in rows}
+        self._n_slots = {eid: max(slot for _, slot, _ in moments)
+                         for eid, moments in self._by_event_id.items()}
 
     def moments(self, event_id: int) -> list:
         try:
@@ -82,7 +75,10 @@ class AlignmentTable:
             raise KeyError(f"event_id {event_id} has no alignment row") from None
 
     def n_slots(self, event_id: int) -> int:
-        return max(slot for _, slot, _ in self.moments(event_id))
+        try:
+            return self._n_slots[event_id]
+        except KeyError:
+            raise KeyError(f"event_id {event_id} has no alignment row") from None
 
     def event_ids(self) -> list:
         return sorted(self._by_event_id)
@@ -128,37 +124,24 @@ def _pearson(a, b) -> float:
     return float(np.corrcoef(a, b)[0, 1])
 
 
-def filter_ratings(records) -> list:
-    """Drop raters whose sequence correlates < 0.3 with the event mean.
+def filter_ratings(records, event_id: int) -> np.ndarray:
+    """Row indices of the raters whose sequence correlates >= 0.3 with the event mean.
 
-    ``records`` are all ratings of one event. The reference is the mean
-    sequence over every participant of the input (single pass). A single
-    participant, or a constant mean sequence, carries no ordering to screen
-    against, so the records are returned unchanged.
+    ``records`` holds the ratings of event ``event_id`` as one participants ×
+    clips matrix.  The reference is the mean sequence over every row (single
+    pass).  A single participant, or a constant mean sequence, carries no
+    ordering to screen against, so every row is kept.
     """
-    records = list(records)
-    event_ids = {r.event_id for r in records}
-    if len(event_ids) != 1:
-        raise ValueError(f"filter_ratings expects one event, got {sorted(event_ids)}")
-    by_participant: dict = {}
-    for r in records:
-        by_participant.setdefault(r.participant_id, []).append(r)
-    n_clips = {len(v) for v in by_participant.values()}
-    if len(n_clips) != 1:
-        raise ValueError("participants disagree on the number of clips")
-
-    sequences = {}
-    for pid, recs in by_participant.items():
-        recs = sorted(recs, key=lambda r: r.clip_index)
-        sequences[pid] = np.array([r.rating for r in recs], dtype=float)
-    mean_seq = np.mean(list(sequences.values()), axis=0)
+    sequences = np.asarray(records, dtype=float)
+    if sequences.ndim != 2:
+        raise ValueError(f"filter_ratings expects a participants × clips matrix, "
+                         f"got shape {sequences.shape}")
+    mean_seq = sequences.mean(axis=0)
     if len(sequences) < 2 or mean_seq.std() == 0.0:
         log.warning("event %s has a single participant or a constant mean rating "
-                    "sequence; no screening applied", event_ids.pop())
-        return records
-    keep = {pid for pid, seq in sequences.items()
-            if _pearson(seq, mean_seq) >= CORRELATION_FLOOR}
-    return [r for r in records if r.participant_id in keep]
+                    "sequence; no screening applied", event_id)
+        return np.arange(len(sequences))
+    return np.flatnonzero([_pearson(seq, mean_seq) >= CORRELATION_FLOOR for seq in sequences])
 
 
 # ---------------------------------------------------------------------------

@@ -269,29 +269,6 @@ def _speed_knots(cruise, brake, brake_onset, recovery_onset, floor=BRAKE_FLOOR,
             [v0, v0, floor, floor, cruise])
 
 
-def longitudinal_profile(cruise: float, brake: float, anchors: dict,
-                         n_frames: int = 301):
-    """Sampled (vx, x) of the scripted cruise -> brake-to-60 -> recover profile.
-
-    ``cruise`` in km/h, ``brake`` in m/s^2 (negative). Speed samples are the
-    per-frame forward differences of the exact positions, so x is the exact
-    integral of vx step by step.
-    """
-    if brake >= 0:
-        raise ValueError("braking intensity must be negative")
-    v = cruise * KMH
-    if v <= BRAKE_FLOOR:
-        raise ValueError("cruise speed must exceed the 60 km/h braking floor")
-    knot_t, knot_v = _speed_knots(v, brake, anchors["brake_onset"],
-                                  anchors["recovery_onset"])
-    t = np.arange(n_frames) * DT
-    x = _integrate_piecewise_linear(knot_t, knot_v, t)
-    vx = np.empty_like(x)
-    vx[:-1] = np.diff(x) / DT
-    vx[-1] = np.interp(t[-1], knot_t, knot_v)
-    return vx, x
-
-
 def _lane_change_y(t, category, onset, speed, lane_width, y_start, direction):
     half = 0.5 * lane_width / speed  # time to the lane line
     full = lane_width / speed
@@ -465,12 +442,19 @@ def _simulate_mb(spec, t):
     return subject, [merger]
 
 
+def _braking_lead(spec, t) -> VehicleTrack:
+    """The HB/SVM lead one gap ahead: cruise, brake to 60 km/h, recover (exact positions)."""
+    knot_t, knot_v = _speed_knots(spec.cruise_speed * KMH, spec.braking_intensity,
+                                  spec.timeline_anchors["brake_onset"],
+                                  spec.timeline_anchors["recovery_onset"])
+    x = _integrate_piecewise_linear(knot_t, knot_v, t)
+    return _scripted_track(t, x + spec.initial_distance + VEHICLE_LENGTH,
+                           _lane_ripple(t, spec.event_id, 1))
+
+
 def _simulate_hb(spec, t):
     v_c = spec.cruise_speed * KMH
-    vx_l, x_l = longitudinal_profile(spec.cruise_speed, spec.braking_intensity,
-                                     spec.timeline_anchors, spec.n_frames)
-    lead = _scripted_track(t, x_l + spec.initial_distance + VEHICLE_LENGTH,
-                           _lane_ripple(t, spec.event_id, 1))
+    lead = _braking_lead(spec, t)
     params = replace(ControllerParams(), desired_gap=spec.initial_distance)
     subject = _simulate_subject(t, v_c, v_c, [lead], params,
                                 y_track=_lane_ripple(t, spec.event_id, 0))
@@ -500,10 +484,7 @@ def _simulate_lc(spec, t):
 def _simulate_svm(spec, t):
     v_c = spec.cruise_speed * KMH
     t_merge = spec.timeline_anchors["merge_onset"]
-    vx_l, x_l = longitudinal_profile(spec.cruise_speed, spec.braking_intensity,
-                                     spec.timeline_anchors, spec.n_frames)
-    lead = _scripted_track(t, x_l + spec.initial_distance + VEHICLE_LENGTH,
-                           _lane_ripple(t, spec.event_id, 1))
+    lead = _braking_lead(spec, t)
     y_s = _ramp_y(t, t_merge) + _lane_ripple(t, spec.event_id, 0)
     params = replace(ControllerParams(), desired_gap=spec.initial_distance)
     subject = _simulate_subject(t, v_c, v_c, [lead], params, y_track=y_s)

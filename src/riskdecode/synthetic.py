@@ -5,7 +5,8 @@ with a smoothed braking-demand term, so neither baseline model family can
 reproduce it exactly while a network fed per-frame features can.  Raters
 see the truth at each clip's canonical rating moment through a
 per-(participant, event) offset plus independent noise, rounded to the
-integer 0..10 scale.
+integer 0..10 scale.  The ratings come out as the four ``RATINGS_COLUMNS``
+int64 arrays that ``pipeline.write_csv`` writes as ``ratings.csv``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .calibration import joint_rescale
 from .features import FeatureManifest, build_features
-from .reconstruction import (AlignmentTable, RatingRecord, curve_from_anchors,
+from .reconstruction import (RATINGS_COLUMNS, AlignmentTable, curve_from_anchors,
                              load_alignment_table)
 from .risk_models import PcadParams, pcad_risk_series
 from .scenarios import CATALOG, DT, catalog_trajectory
@@ -98,12 +99,12 @@ def _curve_at(curve: np.ndarray, moment: float) -> float:
 def synthetic_ratings(truth: Mapping[int, np.ndarray],
                       table: AlignmentTable | None = None,
                       n_participants: int = DEFAULT_PARTICIPANTS,
-                      seed: int = 0) -> list:
-    """Integer clip ratings for every event in ``truth``.
+                      seed: int = 0) -> dict:
+    """Integer clip ratings for every event in ``truth``, as ``RATINGS_COLUMNS`` arrays.
 
     Each slot's rating reads the truth at the slot's canonical moment
     (duplicate placements re-pin the same rating elsewhere and are left
-    to the reconstruction stage).
+    to the reconstruction stage).  Rows run by event, participant, clip.
     """
     if n_participants < 1:
         raise ValueError("need at least one participant")
@@ -111,18 +112,16 @@ def synthetic_ratings(truth: Mapping[int, np.ndarray],
         table = load_alignment_table()
     rng = np.random.default_rng(seed)
 
-    records = []
+    blocks = []
     for eid in sorted(truth):
-        moments = table.moments(eid)
-        slot_moment = {}
-        for t, slot, dup in moments:
-            if dup == 0:
-                slot_moment[slot] = t
-        slot_values = {slot: _curve_at(truth[eid], t) for slot, t in slot_moment.items()}
-        for pid in range(1, n_participants + 1):
-            offset = rng.normal(0.0, PARTICIPANT_SIGMA)
-            for slot in sorted(slot_values):
-                noisy = slot_values[slot] + offset + rng.normal(0.0, RATER_SIGMA)
-                rating = int(np.clip(round(noisy), 0, 10))
-                records.append(RatingRecord(pid, eid, slot, rating))
-    return records
+        slot_moment = {slot: t for t, slot, dup in table.moments(eid) if dup == 0}
+        slots = sorted(slot_moment)
+        values = np.array([_curve_at(truth[eid], slot_moment[slot]) for slot in slots])
+        # stream order: per participant its offset, then one noise per slot;
+        # normal(0, s) draws s * standard_normal(), so the ratings match a per-draw loop
+        z = rng.standard_normal((n_participants, 1 + len(slots)))
+        noisy = values + PARTICIPANT_SIGMA * z[:, :1] + RATER_SIGMA * z[:, 1:]
+        blocks.append((np.repeat(np.arange(1, n_participants + 1), len(slots)),
+                       np.full(noisy.size, eid), np.tile(slots, n_participants),
+                       np.clip(np.rint(noisy), 0, 10).astype(np.int64).ravel()))
+    return {name: np.concatenate(parts) for name, parts in zip(RATINGS_COLUMNS, zip(*blocks))}

@@ -242,6 +242,24 @@ def test_ingest_drops_incomplete_pairs(defect, fault, invalid, tmp_path):
         d["line"] for d in index["invalid_detail"])
 
 
+@pytest.mark.parametrize("row,reason", [
+    ("2,1,3,-1", "rating must be an integer in 0..10, got -1"),
+    ("2,1,3,5.5", "invalid literal for int() with base 10: '5.5'"),
+    ("2,1,0,5", "clip_index 0 outside event 1's slots"),
+    ("2,1,3", "list index out of range"),
+    # the columns are int64; a wider id is a reject, not an overflow
+    ("99999999999999999999,1,3,5", "participant_id 99999999999999999999 does not fit in 64 bits"),
+])
+def test_ingest_names_each_row_reject(row, reason, tmp_path):
+    ratings = _pair_ratings(tmp_path / "ratings.csv", "drop_row")
+    lines = ratings.read_text().splitlines()
+    ratings.write_text("\n".join(lines + [row]) + "\n", encoding="utf-8")
+    assert main(["ingest", str(ratings), "--out", str(tmp_path)]) == 0
+    index = json.loads((tmp_path / "dataset_index.json").read_text())
+    assert index["invalid_detail"][-1] == {"line": len(lines) + 1, "reason": reason}
+    assert index["invalid_rows"] == 5
+
+
 def test_ingest_reject_names_its_line_after_a_blank_line(tmp_path):
     ratings = _pair_ratings(tmp_path / "ratings.csv", "drop_row")
     ratings.write_text(ratings.read_text() + "\n7,999,1,5\n", encoding="utf-8")
@@ -275,13 +293,13 @@ def test_all_runs_the_stage_commands(tmp_path):
                        bounds={"PCAD": {"alpha": [3.9, 4.0]}},
                        manifests={"HB": ["dx", "dv_x"]},
                        participants=4, draws=2, n_permutations=4)
-    common = ["--seed", "1", "--epochs", "2", "--config", cfg]
+    common = ["--seed", "1", "--config", cfg]
     together, staged = tmp_path / "all", tmp_path / "staged"
-    assert main(["all", "--synthetic", "--out", str(together), *common]) == 0
+    assert main(["all", "--synthetic", "--epochs", "2", "--out", str(together), *common]) == 0
+    flags = {"ingest": ["--synthetic"], "train": ["--epochs", "2"]}  # each to its stage only
     for stage in ("generate", "ingest", "reconstruct", "features", "calibrate",
                   "train", "predict", "explain", "report"):
-        synthetic = ["--synthetic"] if stage == "ingest" else []
-        assert main([stage, *synthetic, "--out", str(staged), *common]) == 0
+        assert main([stage, *flags.get(stage, []), "--out", str(staged), *common]) == 0
     digests = _digests(together)
     assert len(digests) == 34 and "manifest_outputs.json" in digests
     assert digests == _digests(staged)
@@ -310,6 +328,25 @@ def test_all_rejects_a_scenario(tmp_path):
     with pytest.raises(SystemExit, match="--scenario"):
         main(["all", "--synthetic", "--scenario", "MB", "--out", str(tmp_path)])
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("stage,argv,flag", [
+    ("generate", ["--epochs", "3"], "--epochs"),
+    ("generate", ["--draws", "9"], "--draws"),
+    ("generate", ["--events", "5"], "--events"),
+    ("generate", ["--synthetic"], "--synthetic"),
+    ("explain", ["--scenario", "MB"], "--scenario"),
+    ("train", ["--draws", "2"], "--draws"),
+    ("calibrate", ["--lr", "0.1"], "--lr"),
+    ("reconstruct", ["ratings.csv"], "the ratings path ratings.csv"),
+])
+def test_a_stage_rejects_a_flag_it_does_not_take(stage, argv, flag, tmp_path):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as stop:
+        main([stage, *argv, "--out", str(out)])
+    assert stop.value.code not in (0, None)
+    assert str(stop.value) == f"{stage} does not take {flag}"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("stage", ["ingest", "all"])
@@ -422,13 +459,23 @@ def test_bad_selector_and_config(tmp_path, caplog):
     assert "matches no events" in caplog.text
     bad = tmp_path / "cfg.json"
     bad.write_text("[1, 2]", encoding="utf-8")
-    with pytest.raises(ValueError, match="JSON object"):
-        main(["generate", "--out", str(tmp_path), "--config", str(bad)])
-    # a misspelt key is named, with its file and the keys that exist
+    # a malformed config is one error line naming the file, not a traceback
     typo = write_config(tmp_path / "typo.json", n_permutation=8)
-    with pytest.raises(ValueError, match=rf"config {re.escape(typo)} has unknown keys "
-                                         r"\['n_permutation'\]; known keys: .*'n_permutations'"):
-        main(["explain", "--out", str(tmp_path), "--config", typo])
+    not_json = tmp_path / "broken.json"
+    not_json.write_text("{draws: 2", encoding="utf-8")
+    for stage, config, message in [
+        ("generate", bad, "JSON object"),
+        # a misspelt key is named, with its file and the keys that exist
+        ("explain", typo, rf"config {re.escape(typo)} has unknown keys "
+                          r"\['n_permutation'\]; known keys: .*'n_permutations'"),
+        ("generate", not_json, rf"config {re.escape(str(not_json))} is not JSON: "),
+        ("generate", tmp_path / "missing.json", r"No such file or directory: .*missing\.json"),
+    ]:
+        caplog.clear()
+        with caplog.at_level(logging.ERROR):
+            assert main([stage, "--out", str(tmp_path), "--config", str(config)]) == 1
+        assert [r.levelno for r in caplog.records] == [logging.ERROR]
+        assert re.search(message, caplog.records[0].getMessage())
     for option in ("n_permutation", "scenario"):
         with pytest.raises(TypeError, match=rf"run_all takes no options \['{option}'\]"):
             run_all(tmp_path, **{option: 8})

@@ -70,21 +70,16 @@ def test_init_is_seeded_and_scaled():
     assert variance[0] == pytest.approx(1.0, abs=1e-3)
 
 
-def test_forward_shapes_and_dropout():
+def test_forward_shapes_and_determinism():
     cfg = MlpConfig(input_dim=4, hidden=16, seed=1)
     weights = mlp_init(cfg)
     x = np.random.default_rng(0).normal(size=(10, 4))
     mean, variance = mlp_forward(weights, x)
     assert mean.shape == variance.shape == (10,)
     assert np.all(variance > VAR_FLOOR / 2)
-    # eval mode is deterministic; train mode jitters through dropout
+    # the forward pass draws no dropout, so it repeats exactly
     again, _ = mlp_forward(weights, x)
     assert np.array_equal(mean, again)
-    t1, _ = mlp_forward(weights, x, train_mode=True, dropout_rate=0.5,
-                        rng=np.random.default_rng(1))
-    t2, _ = mlp_forward(weights, x, train_mode=True, dropout_rate=0.5,
-                        rng=np.random.default_rng(2))
-    assert not np.array_equal(t1, t2)
     with pytest.raises(ValueError):
         mlp_forward(weights, np.zeros((3, 5)))
 

@@ -4,24 +4,13 @@ import numpy as np
 import pytest
 
 from riskdecode.reconstruction import (CROSSVAL_KNOTS, AggregateCurve,
-                                       RatingRecord, RiskCurve, align_ratings,
+                                       RiskCurve, align_ratings,
                                        aggregate_curves, crossval_interp,
                                        curve_from_anchors, filter_ratings,
                                        interp_linear, interp_pchip,
                                        interp_quadratic_monotone,
                                        reconstruct_participant)
 from riskdecode.scenarios import DT, enumerate_events
-
-
-def test_rating_record_validation():
-    RatingRecord(1, 1, 1, 0)
-    RatingRecord(1, 1, 1, 10)
-    with pytest.raises(ValueError):
-        RatingRecord(1, 1, 1, 11)
-    with pytest.raises(ValueError):
-        RatingRecord(1, 1, 1, -1)
-    with pytest.raises(ValueError):
-        RatingRecord(1, 1, 0, 5)
 
 
 def test_alignment_table_covers_catalog(table, catalog):
@@ -56,38 +45,34 @@ def test_align_ratings_places_duplicates(table):
 def test_filter_keeps_agreement_drops_contrarian(table):
     n = table.n_slots(1)
     shape = np.linspace(1, 9, n).round()
-    records = []
-    for pid in range(1, 7):
-        for clip in range(1, n + 1):
-            noisy = int(np.clip(shape[clip - 1] + (pid % 3) - 1, 0, 10))
-            records.append(RatingRecord(pid, 1, clip, noisy))
-    for clip in range(1, n + 1):  # participant 7 rates the mirror image
-        records.append(RatingRecord(7, 1, clip, int(10 - shape[clip - 1])))
-    kept = filter_ratings(records)
-    kept_pids = {r.participant_id for r in kept}
+    # row k holds participant k + 1; participant 7 rates the mirror image
+    records = np.array([np.clip(shape + (pid % 3) - 1, 0, 10) for pid in range(1, 7)]
+                       + [10 - shape], dtype=np.int64)
+    kept = filter_ratings(records, 1)
+    kept_pids = set((kept + 1).tolist())
     assert kept_pids == {1, 2, 3, 4, 5, 6}
     # screening is idempotent on the kept set
-    assert {r.participant_id for r in filter_ratings(kept)} == kept_pids
+    assert set((kept[filter_ratings(records[kept], 1)] + 1).tolist()) == kept_pids
 
 
 def test_filter_requires_consistent_input(table):
-    records = [RatingRecord(1, 1, 1, 5), RatingRecord(1, 2, 1, 5)]
     with pytest.raises(ValueError):
-        filter_ratings(records)
-    lonely = [RatingRecord(1, 1, clip, 5) for clip in range(1, 6)]
-    assert filter_ratings(lonely) == lonely
+        filter_ratings(np.array([5, 5]), 1)  # one sequence, not a participants × clips matrix
+    with pytest.raises(ValueError):
+        filter_ratings([[5, 5, 5], [5, 5]], 1)  # participants disagree on the number of clips
+    lonely = np.full((1, 5), 5)
+    assert filter_ratings(lonely, 1).tolist() == [0]
 
 
 def test_filter_keeps_raters_of_a_flat_event(caplog):
     # everyone agrees on one constant score: nothing to correlate against
-    flat = [RatingRecord(pid, 1, clip, 4) for pid in (1, 2, 3) for clip in range(1, 6)]
+    flat = np.full((3, 5), 4)
     with caplog.at_level("WARNING"):
-        assert filter_ratings(flat) == flat
+        assert filter_ratings(flat, 1).tolist() == [0, 1, 2]
     assert "no screening applied" in caplog.text
     # raters that differ but average out flat are not screened either
-    mirrored = ([RatingRecord(1, 1, clip, r) for clip, r in enumerate((2, 5, 8, 6, 3), 1)]
-                + [RatingRecord(2, 1, clip, r) for clip, r in enumerate((8, 5, 2, 4, 7), 1)])
-    assert filter_ratings(mirrored) == mirrored
+    mirrored = np.array([(2, 5, 8, 6, 3), (8, 5, 2, 4, 7)])
+    assert filter_ratings(mirrored, 1).tolist() == [0, 1]
 
 
 # ---------------------------------------------------------------------------
