@@ -12,7 +12,7 @@ past the rated scores, while the quadratic visibly overshoots.  The figure
 
 import numpy as np
 
-from riskdecode.reconstruction import load_alignment_table, reconstruct_participant
+from riskdecode.reconstruction import load_alignment_table, reconstruct_event
 from riskdecode.scenarios import event_by_id
 from riskdecode.synthetic import planted_truth, synthetic_ratings
 
@@ -31,9 +31,11 @@ def main():
     curves = {}
     lo, hi = min(ratings), max(ratings)
     for method in ("pchip", "linear", "quadratic"):
-        curve = reconstruct_participant(EVENT_ID, ratings, table, method)
-        rmse = float(np.sqrt(np.mean((curve.value - truth) ** 2)))
-        overshoot = float(np.maximum(curve.value - hi, lo - curve.value).max())
+        # the event's ratings as a participants × clips matrix: here one row
+        curve = reconstruct_event(EVENT_ID, [ratings], table, method)
+        value = curve.value[0]
+        rmse = float(np.sqrt(np.mean((value - truth) ** 2)))
+        overshoot = float(np.maximum(value - hi, lo - value).max())
         curves[method] = curve
         print(f"  {method:10s} RMSE vs truth: {rmse:.3f}   "
               f"worst excursion past the ratings: {max(overshoot, 0.0):.3f}")
@@ -47,7 +49,7 @@ def main():
     fig, ax = plt.subplots(figsize=(9, 4))
     ax.plot(grid, truth, "k--", lw=1.2, label="planted truth")
     for method, curve in curves.items():
-        ax.plot(curve.t, curve.value, lw=1.4, label=method)
+        ax.plot(curve.t, curve.value[0], lw=1.4, label=method)
     moments = [t for t, _, dup in table.moments(EVENT_ID) if dup == 0]
     ax.plot(moments, ratings, "o", ms=5, color="tab:red", label="clip ratings")
     ax.set_xlabel("t [s]")

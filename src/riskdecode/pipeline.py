@@ -35,7 +35,7 @@ from .features import (DEFAULT_MANIFESTS, FeatureManifest, NormStats, build_feat
 from .mlp import MlpConfig, MlpWeights, TrainingDiverged, mlp_predict, mlp_train
 from .reconstruction import (RATING_MAX, RATING_MIN, RATINGS_COLUMNS, AlignmentTable,
                              aggregate_curves, filter_ratings, load_alignment_table,
-                             reconstruct_participant)
+                             reconstruct_event)
 from .risk_models import PairTable
 from .scenarios import DT, catalog_trajectory, enumerate_events, event_by_id
 from .synthetic import DEFAULT_PARTICIPANTS, planted_truth, synthetic_ratings
@@ -366,8 +366,7 @@ def run_reconstruct(out: Path, seed: int = 0, method: str = "pchip") -> Path:
                          f"{incomplete[0][1]}")
     blocks = []
     for eid, (_, sequences) in matrices.items():
-        agg = aggregate_curves([reconstruct_participant(eid, seq, alignment, method)
-                                for seq in sequences])
+        agg = aggregate_curves(reconstruct_event(eid, sequences, alignment, method))
         blocks.append((np.full(agg.t.size, eid), agg.t, agg.mean, agg.p25, agg.p75, agg.std,
                        np.full(agg.t.size, agg.n_participants)))
     return write_csv(out / "curves.csv",

@@ -3,15 +3,17 @@
 Participants rated the most dangerous moment of each 6 s clip on a 0-10
 integer scale. A ratings table is the four ``RATINGS_COLUMNS`` as int64
 arrays; the stages hand one event's ratings to this module as a
-participants × clips matrix. Reconstruction places those ratings at
-per-event rating moments (shipped alignment tables), screens out the rows
-whose rating sequence does not track the event's mean row, interpolates
-each participant's anchors to 10 Hz, and aggregates across participants.
+participants × clips matrix. Reconstruction places those ratings at the
+event's rating moments (shipped alignment tables, one strictly rising knot
+vector per event), screens out the rows whose rating sequence does not
+track the event's mean row, interpolates every remaining row of the
+matrix to 10 Hz in one call, and aggregates across participants.
 
-Three interpolators are provided. The shape-preserving cubic is the default
-used by the pipeline; the linear and quadratic ones exist for the
-cross-validation comparison: on held-out samples of smooth stimulus-decay
-curves the cubic wins, the quadratic loses (it overshoots after peaks).
+Three interpolators are provided, each one row-batched implementation over
+shared knot times. The shape-preserving cubic is the default used by the
+pipeline; the linear and quadratic ones exist for the cross-validation
+comparison: on held-out samples of smooth stimulus-decay curves the cubic
+wins, the quadratic loses (it overshoots after peaks).
 """
 
 from __future__ import annotations
@@ -35,12 +37,15 @@ RATINGS_COLUMNS = ("participant_id", "event_id", "clip_index", "rating")
 
 @dataclass(frozen=True)
 class RiskCurve:
+    """One curve, or a participants × frames stack of curves, on grid ``t``."""
+
     t: np.ndarray
     value: np.ndarray
 
     def __post_init__(self):
-        if self.t.shape != self.value.shape:
-            raise ValueError("t and value must have the same shape")
+        if self.value.shape[-1:] != self.t.shape:
+            raise ValueError(f"value of shape {self.value.shape} does not run along "
+                             f"t of shape {self.t.shape}")
 
 
 @dataclass(frozen=True)
@@ -58,15 +63,31 @@ class AggregateCurve:
 
 
 class AlignmentTable:
-    """Per-event rating moments: ordered (time, slot, duplicate) triples."""
+    """Per-event rating moments: (time, slot, duplicate) triples at strictly rising times.
+
+    Every rater of an event shares its moment times as one knot vector, so
+    two placements at one time are an error rather than a per-rater tie.
+    """
 
     def __init__(self, rows: dict):
         # rows: {(family, event_rank): [(time_s, slot, dup), ...]}
-        self._rows = rows
+        for key, moments in rows.items():
+            if len(moments) < 2:
+                raise ValueError(f"alignment moments for {key} need at least two times")
+            for (before, _, _), (time, _, _) in zip(moments, moments[1:]):
+                if not time > before:
+                    raise ValueError(f"alignment moments for {key} are not strictly rising: "
+                                     f"time {time} follows {before}")
         keys = {spec.event_id: (spec.family, scenario_rank(spec)) for spec in CATALOG}
         self._by_event_id = {eid: rows[key] for eid, key in keys.items() if key in rows}
         self._n_slots = {eid: max(slot for _, slot, _ in moments)
                          for eid, moments in self._by_event_id.items()}
+        self._knots = {}
+        for eid, moments in self._by_event_id.items():
+            times = np.array([t for t, _, _ in moments])
+            slots = np.array([slot for _, slot, _ in moments]) - 1
+            times.flags.writeable = slots.flags.writeable = False
+            self._knots[eid] = (times, slots)
 
     def moments(self, event_id: int) -> list:
         try:
@@ -77,6 +98,13 @@ class AlignmentTable:
     def n_slots(self, event_id: int) -> int:
         try:
             return self._n_slots[event_id]
+        except KeyError:
+            raise KeyError(f"event_id {event_id} has no alignment row") from None
+
+    def knots(self, event_id: int) -> tuple:
+        """The event's moment times and the 0-based clip slot pinned at each."""
+        try:
+            return self._knots[event_id]
         except KeyError:
             raise KeyError(f"event_id {event_id} has no alignment row") from None
 
@@ -94,22 +122,7 @@ def load_alignment_table() -> AlignmentTable:
         for family, event, slot, time_s, dup in body:
             rows.setdefault((family, int(event)), []).append(
                 (float(time_s), int(slot), int(dup)))
-    for key, moments in rows.items():
-        times = [m[0] for m in moments]
-        if times != sorted(times):
-            raise ValueError(f"alignment moments not sorted for {key}")
     return AlignmentTable(rows)
-
-
-def align_ratings(event_id: int, clip_ratings, table: AlignmentTable):
-    """Map one participant's clip ratings onto (time, value) anchor pairs."""
-    moments = table.moments(event_id)
-    n_slots = table.n_slots(event_id)
-    ratings = list(clip_ratings)
-    if len(ratings) != n_slots:
-        raise ValueError(
-            f"event {event_id} expects {n_slots} clip ratings, got {len(ratings)}")
-    return [(t, float(ratings[slot - 1])) for t, slot, _ in moments]
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +137,20 @@ def _pearson(a, b) -> float:
     return float(np.corrcoef(a, b)[0, 1])
 
 
+# Batched correlations within this distance of the floor are recomputed with
+# ``_pearson``: the two formulas differ by a few ulp, which can flip a rater
+# sitting exactly on the floor.
+_TIE_BAND = 1e-9
+
+
 def filter_ratings(records, event_id: int) -> np.ndarray:
     """Row indices of the raters whose sequence correlates >= 0.3 with the event mean.
 
     ``records`` holds the ratings of event ``event_id`` as one participants ×
     clips matrix.  The reference is the mean sequence over every row (single
     pass).  A single participant, or a constant mean sequence, carries no
-    ordering to screen against, so every row is kept.
+    ordering to screen against, so every row is kept.  A constant row
+    correlates 0 and is dropped.
     """
     sequences = np.asarray(records, dtype=float)
     if sequences.ndim != 2:
@@ -141,11 +161,25 @@ def filter_ratings(records, event_id: int) -> np.ndarray:
         log.warning("event %s has a single participant or a constant mean rating "
                     "sequence; no screening applied", event_id)
         return np.arange(len(sequences))
-    return np.flatnonzero([_pearson(seq, mean_seq) >= CORRELATION_FLOOR for seq in sequences])
+    centred = sequences - sequences.mean(axis=1, keepdims=True)
+    reference = mean_seq - mean_seq.mean()
+    sum_sq = np.einsum("ij,ij->i", centred, centred)
+    varying = sum_sq > 0.0  # exactly the rows whose std is not 0
+    r = np.zeros(len(sequences))
+    r[varying] = (centred[varying] @ reference
+                  / np.sqrt(sum_sq[varying] * (reference @ reference)))
+    for row in np.flatnonzero(np.abs(r - CORRELATION_FLOOR) < _TIE_BAND).tolist():
+        r[row] = _pearson(sequences[row], mean_seq)
+    return np.flatnonzero(r >= CORRELATION_FLOOR)
 
 
 # ---------------------------------------------------------------------------
 # interpolators
+#
+# Each takes strictly rising knot times ``t``, a rows × knots value matrix
+# ``v`` and the evaluation grid, and returns the rows × grid matrix.  Every
+# row goes through the same elementwise arithmetic, so a row's curve does not
+# depend on the rows batched with it.
 
 
 def _prepare_anchors(anchors):
@@ -160,12 +194,11 @@ def _prepare_anchors(anchors):
     return t, v
 
 
-def interp_linear(anchors, grid) -> np.ndarray:
-    t, v = _prepare_anchors(anchors)
-    return np.interp(np.asarray(grid, dtype=float), t, v)
+def _linear_rows(t, v, grid) -> np.ndarray:
+    return np.array([np.interp(grid, t, row) for row in v])
 
 
-def interp_quadratic_monotone(anchors, grid) -> np.ndarray:
+def _quadratic_rows(t, v, grid) -> np.ndarray:
     """Piecewise-quadratic through the anchors, marched left to right.
 
     Each piece takes the previous piece's end slope as its start slope
@@ -175,35 +208,28 @@ def interp_quadratic_monotone(anchors, grid) -> np.ndarray:
     piece is emitted flat. Monotone anchor runs therefore produce monotone
     output, while genuine peaks keep the characteristic quadratic overshoot.
     """
-    t, v = _prepare_anchors(anchors)
-    grid = np.asarray(grid, dtype=float)
     n_seg = t.size - 1
-    coeffs = np.zeros((n_seg, 3))  # value, start slope, curvature per piece
-    m = 0.0
+    start = np.empty((len(v), n_seg))  # start slope per piece
+    curvature = np.empty((len(v), n_seg))
+    m = np.zeros(len(v))
     for i in range(n_seg):
         h = t[i + 1] - t[i]
-        s = (v[i + 1] - v[i]) / h
-        if s == 0.0:
-            coeffs[i] = (v[i], 0.0, 0.0)
-            m = 0.0
-            continue
+        s = (v[:, i + 1] - v[:, i]) / h
+        flat = s == 0.0
         end = 2.0 * s - m
-        if end * s < 0.0:
-            start = 2.0 * s  # re-solved from values and zero end slope
-            m = 0.0
-        else:
-            start = m
-            m = end
-        coeffs[i] = (v[i], start, (s - start) / h)
+        clamped = end * s < 0.0  # re-solved from values and zero end slope
+        start[:, i] = np.where(flat, 0.0, np.where(clamped, 2.0 * s, m))
+        curvature[:, i] = np.where(flat, 0.0, (s - start[:, i]) / h)
+        m = np.where(flat | clamped, 0.0, end)
     idx = np.clip(np.searchsorted(t, grid, side="right") - 1, 0, n_seg - 1)
     tau = grid - t[idx]
-    out = coeffs[idx, 0] + coeffs[idx, 1] * tau + coeffs[idx, 2] * tau * tau
-    out[grid <= t[0]] = v[0]
-    out[grid >= t[-1]] = v[-1]
+    out = v[:, idx] + start[:, idx] * tau + curvature[:, idx] * tau * tau
+    out[:, grid <= t[0]] = v[:, :1]
+    out[:, grid >= t[-1]] = v[:, -1:]
     return out
 
 
-def interp_pchip(anchors, grid) -> np.ndarray:
+def _pchip_rows(t, v, grid) -> np.ndarray:
     """Shape-preserving piecewise-cubic through the anchors.
 
     Knot slopes follow the Fritsch-Carlson rule (zero wherever adjacent
@@ -212,19 +238,15 @@ def interp_pchip(anchors, grid) -> np.ndarray:
     event boundaries and at every interior pole and never overshoots the
     anchor values on a segment.
     """
-    t, v = _prepare_anchors(anchors)
-    grid = np.asarray(grid, dtype=float)
     h = np.diff(t)
-    d = np.diff(v) / h
+    d = np.diff(v, axis=1) / h
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
     m = np.zeros_like(v)
-    for i in range(1, t.size - 1):
-        if d[i - 1] * d[i] <= 0.0:
-            m[i] = 0.0
-        else:
-            w1 = 2.0 * h[i] + h[i - 1]
-            w2 = h[i] + 2.0 * h[i - 1]
-            m[i] = (w1 + w2) / (w1 / d[i - 1] + w2 / d[i])
-    # m[0] and m[-1] stay zero: curves start and end at rest
+    with np.errstate(divide="ignore", invalid="ignore"):  # only where the rule gives 0
+        harmonic = (w1 + w2) / (w1 / d[:, :-1] + w2 / d[:, 1:])
+    m[:, 1:-1] = np.where(d[:, :-1] * d[:, 1:] <= 0.0, 0.0, harmonic)
+    # m[:, 0] and m[:, -1] stay zero: curves start and end at rest
 
     idx = np.clip(np.searchsorted(t, grid, side="right") - 1, 0, t.size - 2)
     tau = (grid - t[idx]) / h[idx]
@@ -232,33 +254,73 @@ def interp_pchip(anchors, grid) -> np.ndarray:
     h10 = tau**3 - 2 * tau**2 + tau
     h01 = -2 * tau**3 + 3 * tau**2
     h11 = tau**3 - tau**2
-    out = (h00 * v[idx] + h10 * h[idx] * m[idx]
-           + h01 * v[idx + 1] + h11 * h[idx] * m[idx + 1])
-    out[grid <= t[0]] = v[0]
-    out[grid >= t[-1]] = v[-1]
+    out = (h00 * v[:, idx] + h10 * h[idx] * m[:, idx]
+           + h01 * v[:, idx + 1] + h11 * h[idx] * m[:, idx + 1])
+    out[:, grid <= t[0]] = v[:, :1]
+    out[:, grid >= t[-1]] = v[:, -1:]
     return out
 
 
 INTERPOLATORS = {
-    "linear": interp_linear,
-    "quadratic": interp_quadratic_monotone,
-    "pchip": interp_pchip,
+    "linear": _linear_rows,
+    "quadratic": _quadratic_rows,
+    "pchip": _pchip_rows,
 }
+
+
+def _interpolator(method: str):
+    if method not in INTERPOLATORS:
+        raise ValueError(f"unknown interpolation method {method!r}")
+    return INTERPOLATORS[method]
+
+
+def _one_row(rows, anchors, grid) -> np.ndarray:
+    """One anchor list through a row-batched interpolator."""
+    t, v = _prepare_anchors(anchors)
+    return rows(t, v[None, :], np.asarray(grid, dtype=float))[0]
+
+
+def interp_linear(anchors, grid) -> np.ndarray:
+    """Piecewise-linear through an anchor list of (time, value) pairs."""
+    return _one_row(_linear_rows, anchors, grid)
+
+
+def interp_quadratic_monotone(anchors, grid) -> np.ndarray:
+    """``_quadratic_rows`` through an anchor list of (time, value) pairs."""
+    return _one_row(_quadratic_rows, anchors, grid)
+
+
+def interp_pchip(anchors, grid) -> np.ndarray:
+    """``_pchip_rows`` through an anchor list of (time, value) pairs."""
+    return _one_row(_pchip_rows, anchors, grid)
 
 
 def curve_from_anchors(anchors, n_frames: int, method: str = "pchip") -> RiskCurve:
     """Interpolate anchors onto the event's 10 Hz grid, clipped to the scale."""
-    if method not in INTERPOLATORS:
-        raise ValueError(f"unknown interpolation method {method!r}")
+    rows = _interpolator(method)
     grid = np.arange(n_frames) * DT
-    values = INTERPOLATORS[method](anchors, grid)
+    return RiskCurve(grid, np.clip(_one_row(rows, anchors, grid), RATING_MIN, RATING_MAX))
+
+
+def reconstruct_event(event_id: int, ratings, table: AlignmentTable,
+                      method: str = "pchip") -> RiskCurve:
+    """Every rater's curve of one event, as one participants × frames stack.
+
+    ``ratings`` is the event's participants × clips matrix.  Each clip's
+    rating is pinned at every moment of its slot, and all rows are
+    interpolated over the event's shared knot times onto its 10 Hz grid,
+    clipped to the scale.
+    """
+    rows = _interpolator(method)
+    ratings = np.asarray(ratings)
+    n_slots = table.n_slots(event_id)
+    if ratings.ndim != 2 or ratings.shape[1] != n_slots:
+        raise ValueError(f"event {event_id} expects a participants × {n_slots} clip "
+                         f"ratings matrix, got shape {ratings.shape}")
+    times, slots = table.knots(event_id)
+    grid = np.arange(event_by_id(event_id).n_frames) * DT
+    values = rows(times, ratings[:, slots].astype(float), grid)
     return RiskCurve(grid, np.clip(values, RATING_MIN, RATING_MAX))
-
-
-def reconstruct_participant(event_id: int, clip_ratings, table: AlignmentTable,
-                            method: str = "pchip") -> RiskCurve:
-    anchors = align_ratings(event_id, clip_ratings, table)
-    return curve_from_anchors(anchors, event_by_id(event_id).n_frames, method)
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +336,11 @@ def crossval_interp(method: str, truth) -> float:
     truth = np.asarray(truth, dtype=float)
     if truth.shape != (CROSSVAL_SAMPLES,):
         raise ValueError(f"truth must have {CROSSVAL_SAMPLES} samples")
-    if method not in INTERPOLATORS:
-        raise ValueError(f"unknown interpolation method {method!r}")
+    rows = _interpolator(method)
     t = np.arange(CROSSVAL_SAMPLES, dtype=float)
     knots = list(CROSSVAL_KNOTS)
     anchors = list(zip(t[knots], truth[knots]))
-    pred = INTERPOLATORS[method](anchors, t)
+    pred = _one_row(rows, anchors, t)
     held_out = np.setdiff1d(t.astype(int), knots)
     return float(np.sqrt(np.mean((pred[held_out] - truth[held_out]) ** 2)))
 
@@ -288,28 +349,24 @@ def crossval_interp(method: str, truth) -> float:
 # aggregation
 
 
-def _nearest_rank(values: np.ndarray, q: float) -> np.ndarray:
-    """Pointwise nearest-rank quantile along axis 0."""
-    n = values.shape[0]
-    rank = max(int(np.ceil(q * n)), 1) - 1
-    return np.sort(values, axis=0)[rank].copy()  # a row view would pin the sorted copy
+def aggregate_curves(curves: RiskCurve) -> AggregateCurve:
+    """Cross-participant mean with nearest-rank quartile band and std.
 
-
-def aggregate_curves(curves) -> AggregateCurve:
-    """Cross-participant mean with nearest-rank quartile band and std."""
-    curves = list(curves)
-    if not curves:
-        raise ValueError("no curves to aggregate")
-    t = curves[0].t
-    for c in curves[1:]:
-        if c.t.shape != t.shape or not np.array_equal(c.t, t):
-            raise ValueError("curves are on different time grids")
-    values = np.stack([c.value for c in curves])
+    ``curves`` stacks one curve per participant (participants × frames).
+    """
+    # C order keeps the reductions over axis 0 a fixed row-by-row sum
+    values = np.ascontiguousarray(curves.value)
+    if values.ndim != 2 or not len(values):
+        raise ValueError(f"need a participants × frames stack, got shape {values.shape}")
+    n = len(values)
+    ranked = np.sort(values, axis=0)
+    # nearest rank; a row view would pin the sorted copy
+    p25, p75 = (ranked[max(int(np.ceil(q * n)), 1) - 1].copy() for q in (0.25, 0.75))
     return AggregateCurve(
-        t=t,
+        t=curves.t,
         mean=values.mean(axis=0),
-        p25=_nearest_rank(values, 0.25),
-        p75=_nearest_rank(values, 0.75),
+        p25=p25,
+        p75=p75,
         std=values.std(axis=0),
-        n_participants=len(curves),
+        n_participants=n,
     )

@@ -169,6 +169,9 @@ def _feasible_anchors(anchors: dict, v0: float, brake: float) -> dict:
 
 
 CATALOG = _build_catalog()
+# each scenario family's event ids in catalog order
+_FAMILY_IDS = {family: [e.event_id for e in CATALOG if e.family == family]
+               for family in {e.family for e in CATALOG}}
 
 
 def enumerate_events() -> list[EventSpec]:
@@ -184,8 +187,7 @@ def event_by_id(event_id: int) -> EventSpec:
 
 def scenario_rank(spec: EventSpec) -> int:
     """1-based row of the event inside its scenario family block."""
-    family_ids = [e.event_id for e in CATALOG if e.family == spec.family]
-    return family_ids.index(spec.event_id) + 1
+    return _FAMILY_IDS[spec.family].index(spec.event_id) + 1
 
 
 # ---------------------------------------------------------------------------

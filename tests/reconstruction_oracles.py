@@ -1,0 +1,106 @@
+"""Per-rater reference implementation of curve reconstruction.
+
+These are the straightforward forms the per-event matrix path in
+``riskdecode.reconstruction`` replaced: one rater's clip ratings become an
+anchor list, the anchor list is deduplicated and sorted, each interpolator
+walks its knots in a Python loop, and the aggregate stacks a list of curves.
+Tests require the library to match them bit for bit.
+"""
+
+import numpy as np
+
+from riskdecode.reconstruction import (RATING_MAX, RATING_MIN, AggregateCurve, RiskCurve,
+                                       _prepare_anchors)
+from riskdecode.scenarios import DT, event_by_id
+
+
+def interp_linear(anchors, grid):
+    t, v = _prepare_anchors(anchors)
+    return np.interp(np.asarray(grid, dtype=float), t, v)
+
+
+def interp_quadratic_monotone(anchors, grid):
+    t, v = _prepare_anchors(anchors)
+    grid = np.asarray(grid, dtype=float)
+    n_seg = t.size - 1
+    coeffs = np.zeros((n_seg, 3))  # value, start slope, curvature per piece
+    m = 0.0
+    for i in range(n_seg):
+        h = t[i + 1] - t[i]
+        s = (v[i + 1] - v[i]) / h
+        if s == 0.0:
+            coeffs[i] = (v[i], 0.0, 0.0)
+            m = 0.0
+            continue
+        end = 2.0 * s - m
+        if end * s < 0.0:
+            start = 2.0 * s  # re-solved from values and zero end slope
+            m = 0.0
+        else:
+            start = m
+            m = end
+        coeffs[i] = (v[i], start, (s - start) / h)
+    idx = np.clip(np.searchsorted(t, grid, side="right") - 1, 0, n_seg - 1)
+    tau = grid - t[idx]
+    out = coeffs[idx, 0] + coeffs[idx, 1] * tau + coeffs[idx, 2] * tau * tau
+    out[grid <= t[0]] = v[0]
+    out[grid >= t[-1]] = v[-1]
+    return out
+
+
+def interp_pchip(anchors, grid):
+    t, v = _prepare_anchors(anchors)
+    grid = np.asarray(grid, dtype=float)
+    h = np.diff(t)
+    d = np.diff(v) / h
+    m = np.zeros_like(v)
+    for i in range(1, t.size - 1):
+        if d[i - 1] * d[i] <= 0.0:
+            m[i] = 0.0
+        else:
+            w1 = 2.0 * h[i] + h[i - 1]
+            w2 = h[i] + 2.0 * h[i - 1]
+            m[i] = (w1 + w2) / (w1 / d[i - 1] + w2 / d[i])
+    idx = np.clip(np.searchsorted(t, grid, side="right") - 1, 0, t.size - 2)
+    tau = (grid - t[idx]) / h[idx]
+    h00 = 2 * tau**3 - 3 * tau**2 + 1
+    h10 = tau**3 - 2 * tau**2 + tau
+    h01 = -2 * tau**3 + 3 * tau**2
+    h11 = tau**3 - tau**2
+    out = (h00 * v[idx] + h10 * h[idx] * m[idx]
+           + h01 * v[idx + 1] + h11 * h[idx] * m[idx + 1])
+    out[grid <= t[0]] = v[0]
+    out[grid >= t[-1]] = v[-1]
+    return out
+
+
+INTERPOLATORS = {"linear": interp_linear, "quadratic": interp_quadratic_monotone,
+                 "pchip": interp_pchip}
+
+
+def align_ratings(event_id, clip_ratings, table):
+    """Map one participant's clip ratings onto (time, value) anchor pairs."""
+    ratings = list(clip_ratings)
+    if len(ratings) != table.n_slots(event_id):
+        raise ValueError(f"event {event_id} expects {table.n_slots(event_id)} clip ratings, "
+                         f"got {len(ratings)}")
+    return [(t, float(ratings[slot - 1])) for t, slot, _ in table.moments(event_id)]
+
+
+def reconstruct_participant(event_id, clip_ratings, table, method="pchip"):
+    grid = np.arange(event_by_id(event_id).n_frames) * DT
+    values = INTERPOLATORS[method](align_ratings(event_id, clip_ratings, table), grid)
+    return RiskCurve(grid, np.clip(values, RATING_MIN, RATING_MAX))
+
+
+def _nearest_rank(values, q):
+    rank = max(int(np.ceil(q * values.shape[0])), 1) - 1
+    return np.sort(values, axis=0)[rank].copy()
+
+
+def aggregate_curve_list(curves):
+    """Cross-participant aggregate of a list of one-row curves."""
+    values = np.stack([c.value for c in curves])
+    return AggregateCurve(t=curves[0].t, mean=values.mean(axis=0),
+                          p25=_nearest_rank(values, 0.25), p75=_nearest_rank(values, 0.75),
+                          std=values.std(axis=0), n_participants=len(curves))

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from riskdecode.reconstruction import (CROSSVAL_KNOTS, AggregateCurve,
-                                       RiskCurve, align_ratings,
+import reconstruction_oracles as oracle
+from riskdecode.reconstruction import (CROSSVAL_KNOTS, AlignmentTable, RiskCurve, _pearson,
                                        aggregate_curves, crossval_interp,
                                        curve_from_anchors, filter_ratings,
                                        interp_linear, interp_pchip,
-                                       interp_quadratic_monotone,
-                                       reconstruct_participant)
+                                       interp_quadratic_monotone, reconstruct_event)
 from riskdecode.scenarios import DT, enumerate_events
+from riskdecode.synthetic import planted_truth, synthetic_ratings
 
 
 def test_alignment_table_covers_catalog(table, catalog):
@@ -27,10 +27,24 @@ def test_alignment_table_covers_catalog(table, catalog):
         assert sorted(canonical) == sorted(slots)
 
 
+def test_alignment_table_requires_strictly_rising_times():
+    moments = [(0.0, 1, 0), (5.9, 1, 1), (9.0, 2, 0), (15.25, 3, 0)]
+    AlignmentTable({("HB", 1): moments})
+    repeated = moments[:2] + [(5.9, 2, 0), (15.25, 3, 0)]
+    with pytest.raises(ValueError, match=r"\('HB', 1\).*time 5\.9 follows 5\.9"):
+        AlignmentTable({("HB", 1): repeated})
+    falling = moments[:2] + [(4.0, 2, 0), (15.25, 3, 0)]
+    with pytest.raises(ValueError, match=r"\('HB', 1\).*time 4\.0 follows 5\.9"):
+        AlignmentTable({("HB", 1): falling})
+    with pytest.raises(ValueError, match="at least two"):
+        AlignmentTable({("HB", 1): moments[:1]})
+
+
 def test_align_ratings_places_duplicates(table):
     n = table.n_slots(1)
-    ratings = list(range(1, n + 1))
-    anchors = align_ratings(1, ratings, table)
+    ratings = np.arange(1, n + 1)
+    times, slots = table.knots(1)
+    anchors = list(zip(times.tolist(), ratings[slots].tolist()))
     assert len(anchors) == len(table.moments(1))
     by_slot = {}
     for (t, slot, dup), (at, av) in zip(table.moments(1), anchors):
@@ -39,7 +53,7 @@ def test_align_ratings_places_duplicates(table):
     # every placement of a slot pins the same rating value
     assert all(len(v) == 1 for v in by_slot.values())
     with pytest.raises(ValueError):
-        align_ratings(1, ratings + [5], table)
+        reconstruct_event(1, [ratings.tolist() + [5]], table)
 
 
 def test_filter_keeps_agreement_drops_contrarian(table):
@@ -62,6 +76,47 @@ def test_filter_requires_consistent_input(table):
         filter_ratings([[5, 5, 5], [5, 5]], 1)  # participants disagree on the number of clips
     lonely = np.full((1, 5), 5)
     assert filter_ratings(lonely, 1).tolist() == [0]
+
+
+def _scalar_filter(m):
+    """The per-rater screen: ``_pearson`` of each row against the mean row."""
+    m = np.asarray(m, dtype=float)
+    mean = m.mean(axis=0)
+    if len(m) < 2 or mean.std() == 0.0:
+        return list(range(len(m)))
+    return [i for i, row in enumerate(m) if _pearson(row, mean) >= 0.3]
+
+
+# (matrix, row, kept): a row whose correlation with the mean row is 0.3 in
+# exact arithmetic.  np.corrcoef decides which side of the floor it lands on.
+# Without the tie band the last three would land on the other side under the
+# batched formula of ``filter_ratings``, and the first under
+# ``c @ r / (sqrt(c @ c) * sqrt(r @ r))`` with c, r the centred row and mean.
+EXACT_TIES = [
+    ([[7, 5, 0, 10], [9, 10, 9, 6], [0, 8, 7, 5], [7, 3, 9, 1]], 3, True),
+    ([[10, 2, 0, 0], [2, 3, 4, 7], [6, 5, 8, 9]], 2, False),
+    ([[3, 3, 3, 4], [2, 6, 5, 3], [3, 5, 2, 9]], 1, True),
+    ([[3, 9, 7, 1], [3, 4, 1, 2], [10, 1, 2, 5]], 0, True),
+    ([[5, 8, 1, 0], [3, 4, 1, 10], [1, 3, 9, 7]], 2, True),
+    ([[1, 7, 3, 9], [4, 0, 3, 1], [4, 10, 9, 1]], 0, True),
+    ([[7, 0, 0, 3], [4, 0, 0, 2], [3, 5, 2, 6]], 2, True),
+]
+
+
+@pytest.mark.parametrize("matrix,row,kept", EXACT_TIES)
+def test_filter_matches_scalar_screen_on_exact_ties(matrix, row, kept):
+    assert (row in _scalar_filter(matrix)) is kept
+    assert filter_ratings(matrix, 1).tolist() == _scalar_filter(matrix)
+
+
+def test_filter_matches_scalar_screen_on_random_matrices():
+    rng = np.random.default_rng(20)
+    for _ in range(3000):
+        n_raters, n_clips = int(rng.integers(2, 41)), int(rng.integers(3, 11))
+        m = rng.integers(0, 11, size=(n_raters, n_clips))
+        constant = rng.random(n_raters) < 0.1
+        m[constant] = rng.integers(0, 11, size=(int(constant.sum()), 1))
+        assert filter_ratings(m, 1).tolist() == _scalar_filter(m), m.tolist()
 
 
 def test_filter_keeps_raters_of_a_flat_event(caplog):
@@ -184,8 +239,9 @@ def test_crossval_validates_input():
 
 
 def test_curve_from_anchors_grid(table):
-    curve = curve_from_anchors(align_ratings(1, [2, 5, 7, 4, 3][:table.n_slots(1)],
-                                             table), 301)
+    times, slots = table.knots(1)
+    ratings = np.array([2, 5, 7, 4, 3][:table.n_slots(1)])
+    curve = curve_from_anchors(list(zip(times.tolist(), ratings[slots].tolist())), 301)
     assert curve.t.shape == (301,)
     assert curve.t[1] - curve.t[0] == pytest.approx(DT)
     assert np.all((curve.value >= 0.0) & (curve.value <= 10.0))
@@ -193,14 +249,56 @@ def test_curve_from_anchors_grid(table):
 
 def test_reconstruct_participant_end_to_end(table):
     n = table.n_slots(28)
-    curve = reconstruct_participant(28, [1] * (n - 1) + [9], table)
+    curve = reconstruct_event(28, [[1] * (n - 1) + [9]], table)
     assert curve.t.shape == (301,)
-    assert curve.value[0] == pytest.approx(1.0, abs=1e-9)
+    assert curve.value[0, 0] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def rated_events():
+    """Each event's participants × clips matrix of a seed-7 file with 32 raters."""
+    columns = synthetic_ratings(planted_truth(), n_participants=32, seed=7)
+    eid, rating = columns["event_id"], columns["rating"]
+    return {int(e): rating[eid == e].reshape(32, -1) for e in np.unique(eid)}
+
+
+def assert_matches_oracle(event_id, ratings, table, method):
+    curves = reconstruct_event(event_id, ratings, table, method)
+    scalar = [oracle.reconstruct_participant(event_id, row, table, method) for row in ratings]
+    assert curves.t.tobytes() == scalar[0].t.tobytes()
+    assert curves.value.tobytes() == np.stack([c.value for c in scalar]).tobytes()
+    agg, expected = aggregate_curves(curves), oracle.aggregate_curve_list(scalar)
+    for field in ("t", "mean", "p25", "p75", "std"):
+        assert getattr(agg, field).tobytes() == getattr(expected, field).tobytes(), field
+    assert agg.n_participants == expected.n_participants == len(ratings)
+
+
+@pytest.mark.parametrize("method", ["pchip", "linear", "quadratic"])
+def test_event_matrix_matches_per_rater_oracle(method, table, rated_events):
+    for event_id, ratings in rated_events.items():
+        assert_matches_oracle(event_id, ratings, table, method)
+    # a single rater, and a flat event whose raters all give one score
+    for event_id in (1, 41, 105):
+        assert_matches_oracle(event_id, rated_events[event_id][3:4], table, method)
+        assert_matches_oracle(event_id, np.full_like(rated_events[event_id], 4), table, method)
+
+
+@pytest.mark.parametrize("method", ["pchip", "linear", "quadratic"])
+def test_anchor_lists_match_per_rater_oracle(method):
+    rng = np.random.default_rng(5)
+    fn = {"linear": interp_linear, "quadratic": interp_quadratic_monotone,
+          "pchip": interp_pchip}[method]
+    grid = np.linspace(-1.0, 31.0, 641)
+    for _ in range(200):
+        times = np.sort(rng.choice(np.arange(0.0, 30.5, 0.5), rng.integers(2, 9), replace=False))
+        anchors = list(zip(times, rng.integers(0, 11, times.size).astype(float)))
+        anchors += anchors[:int(rng.integers(0, 3))]  # exact duplicates collapse
+        assert fn(anchors, grid).tobytes() == oracle.INTERPOLATORS[method](anchors, grid).tobytes()
 
 
 def test_aggregate_quartiles_nearest_rank():
     t = np.arange(5, dtype=float)
-    curves = [RiskCurve(t, np.full(5, float(v))) for v in (1, 2, 3, 4, 5)]
+    curves = RiskCurve(t, np.array([np.full(5, float(v)) for v in (1, 2, 3, 4, 5)]))
     agg = aggregate_curves(curves)
     assert agg.n_participants == 5
     assert np.allclose(agg.mean, 3.0)
@@ -211,12 +309,12 @@ def test_aggregate_quartiles_nearest_rank():
 
 
 def test_aggregate_rejects_mismatched_grids():
-    a = RiskCurve(np.arange(5, dtype=float), np.ones(5))
-    b = RiskCurve(np.arange(6, dtype=float), np.ones(6))
     with pytest.raises(ValueError):
-        aggregate_curves([a, b])
+        aggregate_curves(RiskCurve(np.arange(5, dtype=float), np.ones((2, 6))))
     with pytest.raises(ValueError):
-        aggregate_curves([])
+        aggregate_curves(RiskCurve(np.arange(5, dtype=float), np.ones((0, 5))))
+    with pytest.raises(ValueError):
+        aggregate_curves(RiskCurve(np.arange(5, dtype=float), np.ones(5)))  # one curve, not a stack
 
 
 def test_risk_curve_validation():
