@@ -7,9 +7,15 @@ read (JSON artifacts carry it as ``meta.inputs``), then the header and
 rows.  Floats are written at 6 decimals; model state that later stages
 read back (feature matrices, normalization stats, network weights) is
 written at ``repr``, because some catalog features vary only at the 1e-7
-level.  A missing float (NaN) is an empty cell.  ``read_csv`` returns
-columns keyed by header name, each cast once to int64, else float64,
-else left as strings.  Re-running a stage with unchanged inputs
+level.  A missing float (NaN) is an empty cell, and cells are quoted as
+``csv.writer`` quotes them.  ``read_csv`` returns columns keyed by header
+name: int64 if every cell of the column parses as ``int``, else float64 if
+every cell parses as ``float``, else strings.  It guesses each column's
+kind from the first data row and parses the table in one ``np.loadtxt``
+pass with those kinds; a table that pass rejects (a later cell off its
+column's kind, such as an empty cell in a float column, or a ragged row)
+is read cell by cell, as is one holding a quote, a blank line or a ``#``
+line below the stamp.  Re-running a stage with unchanged inputs
 reproduces its outputs byte for byte; no artifact embeds timestamps or
 machine state.
 """
@@ -18,9 +24,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -87,18 +95,50 @@ def _cells(values: np.ndarray, precise: bool) -> list:
     return cells
 
 
+def _field(cell: str, lone: bool) -> str:
+    """``cell`` as ``csv.writer`` writes it: quoted, inner quotes doubled, when it
+    holds a comma, a quote or a line break, or when it is the only cell of its row
+    and empty."""
+    if (lone and not cell) or any(ch in cell for ch in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _column(values: np.ndarray, precise: bool, lone: bool) -> tuple:
+    """One block of a column as a ``%`` conversion and the values it converts:
+    integers and bools go to ``str``, finite floats to ``repr`` or 6 decimals,
+    and any other column (strings, floats with NaN) is formatted by ``_cells``."""
+    kind = values.dtype.kind
+    if kind in "iub" or (kind == "f" and not np.isnan(values).any()):
+        return ("%s" if kind != "f" else "%r" if precise else "%.6f"), values.tolist()
+    cells = _cells(values, precise)
+    if lone or any(ch in "".join(cells) for ch in ',"\r\n'):
+        cells = [_field(cell, lone) for cell in cells]
+    return "%s", cells
+
+
 def write_csv(path: Path, table: Mapping[str, Sequence], seed: int,
               inputs: Sequence[Path] = (), precise: bool = False) -> Path:
-    """Stamped CSV of ``table``'s columns; ``precise`` writes floats at ``repr``."""
+    """Stamped CSV of ``table``'s columns; ``precise`` writes floats at ``repr``.
+
+    Rows end in ``\\r\\n`` and cells are quoted as ``csv.writer`` quotes them;
+    each block of rows is formatted by one ``%`` over a repeated row format."""
     path.parent.mkdir(parents=True, exist_ok=True)
     columns = [np.asarray(column) for column in table.values()]
+    n_rows = len(columns[0])
+    for name, column in zip(table, columns):
+        if len(column) != n_rows:
+            raise ValueError(f"{path}: column {name!r} has {len(column)} rows, "
+                             f"not the {n_rows} of column {next(iter(table))!r}")
+    lone = len(columns) == 1
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# riskdecode {__version__} seed={seed} inputs={_tags(inputs)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(table)
-        for start in range(0, len(columns[0]), _ROWS_PER_WRITE):  # bounds the formatted cells held
-            writer.writerows(zip(*(_cells(c[start:start + _ROWS_PER_WRITE], precise)
-                                   for c in columns)))
+        fh.write(",".join(_field(str(name), lone) for name in table) + "\r\n")
+        for start in range(0, n_rows, _ROWS_PER_WRITE):  # bounds the formatted cells held
+            specs, blocks = zip(*(_column(c[start:start + _ROWS_PER_WRITE], precise, lone)
+                                  for c in columns))
+            rows = (",".join(specs) + "\r\n") * len(blocks[0])
+            fh.write(rows % tuple(chain.from_iterable(zip(*blocks))))
     return path
 
 
@@ -108,6 +148,8 @@ def _jsonify(obj, precise: bool):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, np.ndarray):
+        if precise and obj.dtype.kind == "f":
+            return obj.tolist()  # already the Python floats the per-element path returns
         return _jsonify(obj.tolist(), precise)
     if isinstance(obj, dict):
         return {k: _jsonify(v, precise) for k, v in obj.items()}
@@ -136,10 +178,46 @@ def _cast(column: tuple) -> np.ndarray:
     return np.array(column, dtype=str)
 
 
+def _has_blank_line(raw: bytes) -> bool:
+    """Whether a line of ``raw`` is empty, lines ending at ``\\r\\n``, ``\\r`` or
+    ``\\n`` as ``csv.reader`` ends them."""
+    codes = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero(codes <= 13)
+    ends = ends[(codes[ends] == 10) | (codes[ends] == 13)]
+    follows = ends[1:][np.diff(ends) == 1]  # a line end right after another
+    return raw[:1] in (b"\n", b"\r") or bool(
+        ((codes[follows - 1] != 13) | (codes[follows] != 10)).any())
+
+
 def read_csv(path: Path) -> dict:
-    """Columns of a stamped CSV keyed by header name, skipping the stamp line."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        header, *rows = csv.reader(ln for ln in fh if not ln.startswith("#"))
+    """Columns of a stamped CSV keyed by header name, skipping the stamp line.
+
+    One ``np.loadtxt`` pass with the kinds of the first data row; the tables it
+    must not or cannot parse as ``csv.reader`` and ``_cast`` would (see the
+    module docstring) are read cell by cell."""
+    raw = Path(path).read_bytes()
+    text = raw.decode("utf-8")
+    lines = io.StringIO(text, newline="")
+    if text.startswith("#"):
+        lines.readline()
+    header = lines.readline().rstrip("\r\n").split(",")
+    start = lines.tell()
+    first = lines.readline().rstrip("\r\n").split(",")
+    # quotes, "#" rows and blank lines mean what csv.reader makes of them, not loadtxt
+    if (len(first) == len(header) and lines.tell() > start and b'"' not in raw
+            and raw.find(b"#", 1) < 0 and not _has_blank_line(raw)):
+        lines.seek(start)
+        kinds = [(f"f{i}", object if d.kind == "U" else d)  # strings parse as objects
+                 for i, d in enumerate(_cast((cell,)).dtype for cell in first)]
+        try:
+            data = np.loadtxt(lines, dtype=kinds, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            pass
+        else:
+            return {name: data[f].astype(str) if data.dtype[f] == object else data[f].copy()
+                    for name, f in zip(header, data.dtype.names)}
+    header, *rows = csv.reader(ln for ln in io.StringIO(text, newline="")
+                               if not ln.startswith("#"))
     for i, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise ValueError(f"{path}: data row {i} has {len(row)} cells, not {len(header)}")

@@ -14,11 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import table_oracles
 
 import riskdecode
 from riskdecode import __version__, scenarios
 from riskdecode.cli import main
-from riskdecode.pipeline import NETWORK_GROUPS, read_csv, run_all, write_synthetic_ratings
+from riskdecode.pipeline import (NETWORK_GROUPS, read_csv, run_all, write_csv,
+                                 write_synthetic_ratings)
 from riskdecode.reconstruction import load_alignment_table
 from riskdecode.scenarios import enumerate_events
 
@@ -109,6 +111,20 @@ def test_artifact_headers_are_stamped(mini_tree):
         tags = ",".join(f"{n}:{hashlib.sha256((mini_tree / n).read_bytes()).hexdigest()[:12]}"
                         for n in inputs)
         assert header == f"# riskdecode {__version__} seed=1 inputs={tags}", name
+
+
+def test_artifacts_read_and_write_as_per_cell_codec(mini_tree, tmp_path):
+    tables = sorted(mini_tree.glob("*.csv"))
+    assert len(tables) == 20
+    for path in tables:
+        got = read_csv(path)
+        table_oracles.assert_same_columns(got, table_oracles.read_csv(path))
+        # stages write feature tables at repr and every other table at 6 decimals
+        precise = path.name.startswith("features_")
+        again = write_csv(tmp_path / path.name, got, seed=1, precise=precise)
+        assert again.read_bytes().partition(b"\n")[2] == path.read_bytes().partition(b"\n")[2]
+        want = table_oracles.write_csv(tmp_path / "oracle.csv", got, seed=1, precise=precise)
+        assert again.read_bytes() == want.read_bytes(), path.name
 
 
 def test_stage_reruns_are_byte_identical(mini_tree):

@@ -1,9 +1,12 @@
 """Stamped CSV tables: what write_csv writes, read_csv returns bit for bit."""
 
+import json
+
 import numpy as np
 import pytest
+import table_oracles as oracle
 
-from riskdecode.pipeline import read_csv, write_csv
+from riskdecode.pipeline import read_csv, write_csv, write_json
 from riskdecode.scenarios import DT
 
 
@@ -62,3 +65,100 @@ def test_ragged_row_is_named(tmp_path):
     path.write_text("# stamp\nevent_id,t,phi\n1,0.0,0.5\n1,0.1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="data row 2 has 2 cells, not 3"):
         read_csv(path)
+
+
+def test_columns_of_unequal_length_are_an_error(tmp_path):
+    with pytest.raises(ValueError, match=r"short\.csv: column 'b' has 1 rows, "
+                                         r"not the 3 of column 'a'"):
+        write_csv(tmp_path / "short.csv", {"a": [1, 2, 3], "b": [0.5]}, 0)
+    assert not (tmp_path / "short.csv").exists()
+
+
+LIMIT = 2 ** 63 - 1
+TABLES = {
+    "int64_limits": {"n": np.array([LIMIT, -LIMIT, 0, 7]), "x": [0.5, 1.0, 2.0, 3.0]},
+    "signed_zero_and_1e-7": {"event_id": [1, 1, 2, 2],
+                             "value": [-0.0, 1e-7, -4e-7, 0.0]},
+    "empty_cells_mid_column": {"phi": [0.5, 1.0, 2.0, 3.0],
+                               "std_err": [0.25, np.nan, np.nan, 0.5]},
+    "empty_cells_first": {"phi": [0.5, 1.0, 2.0], "std_err": [np.nan, 0.25, np.nan]},
+    "comma_and_quote_cells": {"scenario": ["HB", "a,b", 'say "hi"', '"'],
+                              "line": ["x\ny", "x\r\ny", "", "plain"],
+                              "rank": [1, 2, 3, 4]},
+    "one_column_empty_string": {"name": ["", "MB", ""]},
+    "one_column_nan": {"std_err": [0.5, np.nan]},
+    "header_only": dict.fromkeys(("event_id", "phi"), ()),
+    "bools": {"kept": np.array([True, False]), "t": [0.0, 0.1]},
+    "quoted_header": {"a,b": [1], 'say "x"': ["z"]},
+}
+
+
+@pytest.mark.parametrize("precise", [True, False])
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_codec_matches_per_cell_oracle(tmp_path, name, precise):
+    table = {k: np.asarray(v) for k, v in TABLES[name].items()}
+    path = write_csv(tmp_path / "new.csv", table, seed=3, precise=precise)
+    want = oracle.write_csv(tmp_path / "old.csv", table, seed=3, precise=precise)
+    assert path.read_bytes() == want.read_bytes()
+    back = read_csv(path)
+    oracle.assert_same_columns(back, oracle.read_csv(path))
+    again = write_csv(tmp_path / "again.csv", back, seed=3, precise=precise)
+    assert again.read_bytes() == oracle.write_csv(tmp_path / "again_old.csv", back, seed=3,
+                                                  precise=precise).read_bytes()
+
+
+# hand-made tables around the one-pass parse: what it accepts, and what it hands to
+# the per-cell reader (quotes, a "#" row, a cell off its column's kind)
+TEXTS = {
+    "lf_rows": "# s\nid,x\n1,0.5\n2,1.5\n",
+    "cr_rows": "# s\rid,x\r1,0.5\r2,1.5\r",
+    "no_stamp": "id,x\r\n1,2\r\n",
+    "no_final_line_end": "# s\r\nid,x\r\n1,2\r\n3,4",
+    "padded_cells": "# s\r\nid,s\r\n 7 , a \r\n+8,b\t\r\n",
+    "late_float": "# s\r\nid\r\n1\r\n2.5\r\n",
+    "int64_overflow": "# s\r\nid\r\n1\r\n9223372036854775808\r\n",
+    "underscores": "# s\r\nid,x\r\n1_000,2.5\r\n2,1_0.5\r\n",
+    "special_floats": "# s\r\nx\r\nnan\r\n-inf\r\n1e500\r\n-nan\r\n",
+    "late_empty_cell": "# s\r\nid,err\r\n1,0.5\r\n2,\r\n",
+    "first_empty_cell": "# s\r\nid,err\r\n1,\r\n2,0.5\r\n",
+    "comment_row": "# s\r\nid,x\r\n1,2\r\n# note\r\n3,4\r\n",
+    "comment_row_of_strings": "# s\r\nname\r\na\r\n# note\r\nb\r\n",
+    "quoted_number": '# s\r\nid,x\r\n"1",2\r\n3,4\r\n',
+    "whitespace_cell": "# s\r\nname\r\na\r\n  \r\nb\r\n",
+    "only_delimiters": "# s\r\na,b\r\n,\r\n,\r\n",
+    "non_ascii": "# s\r\nname,x\r\nÄ b,1\r\nz,١\r\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXTS))
+def test_hand_made_tables_read_as_per_cell_oracle(tmp_path, name):
+    path = tmp_path / "hand.csv"
+    path.write_bytes(TEXTS[name].encode("utf-8"))
+    oracle.assert_same_columns(read_csv(path), oracle.read_csv(path))
+
+
+@pytest.mark.parametrize("text", ["# s\r\nid,x\r\n1,2\r\n\r\n3,4\r\n",
+                                  "# s\r\nid,x\r\n1,2\r\n\r\n",
+                                  "# s\nid,x\n1,2\n\n",
+                                  "# s\r\nid,x\r\n1,2\r\r\n",
+                                  "# s\r\nid,x\r\n1,2,3\r\n",
+                                  "# s\r\nid,x\r\n1,2\r\n3\r\n"])
+def test_blank_and_ragged_rows_fail_as_per_cell_oracle(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ValueError, match="data row") as want:
+        oracle.read_csv(path)
+    with pytest.raises(ValueError) as got:
+        read_csv(path)
+    assert str(got.value) == str(want.value)
+
+
+def test_precise_json_arrays_keep_their_per_element_form(tmp_path):
+    payload = {"w": np.array([[0.1, -0.0], [1e-7, 2.0 / 3.0]]), "mask": np.array([True, False]),
+               "n": np.array([3, 4]), "x": np.float64(0.1234567891)}
+    text = write_json(tmp_path / "w.json", payload, 0, precise=True).read_text()
+    body = json.loads(text)
+    assert body["w"] == [[0.1, -0.0], [1e-7, 2.0 / 3.0]] and "-0.0" in text
+    assert body["mask"] == [1, 0] and body["n"] == [3, 4] and body["x"] == 0.1234567891
+    rounded = json.loads(write_json(tmp_path / "r.json", payload, 0).read_text())
+    assert rounded["w"] == [[0.1, -0.0], [0.0, 0.666667]] and rounded["x"] == 0.123457
