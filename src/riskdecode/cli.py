@@ -104,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ratings CSV (ingest and all)")
     parser.add_argument("--out", default="runs", help="output directory")
     parser.add_argument("--seed", type=int, help="run seed")
-    parser.add_argument("--scenario", help="restrict generate/train to one scenario or group")
+    parser.add_argument("--scenario", help="restrict generate/train to the events of one "
+                        "family, scenario or network group")
     parser.add_argument("--config", help="JSON config overrides")
     parser.add_argument("--synthetic", action="store_true",
                         help="generate rehearsal ratings before ingesting")

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import (MODEL_DEFAULTS, MODEL_SERIES, CalibrationJob, calibrate,
-                          compare_models, joint_rescale)
+                          compare_models, minmax_rescale)
 from .explain import MAX_EXACT_DIM, Baseline, explain_frames, global_importance, mean_head
 from .features import (DEFAULT_MANIFESTS, FeatureManifest, NormStats, build_features,
                        zscore_apply, zscore_fit)
@@ -60,6 +60,7 @@ NETWORK_GROUPS = {
     "LC_fragmented": ("LC_fragmented",),
     "LC_aborted": ("LC_aborted",),
 }
+_GROUP_OF = {scenario: group for group, labels in NETWORK_GROUPS.items() for scenario in labels}
 
 _ROWS_PER_WRITE = 1024
 
@@ -249,23 +250,20 @@ def require(out: Path, name: str, stage: str) -> Path:
 # catalog helpers
 
 
-def _selected_events(scenario: str | None):
+def _events(selector: str | None) -> list:
+    """The catalog events whose family, scenario or network group is ``selector``
+    (every event when it is None), in catalog order."""
     specs = enumerate_events()
-    if scenario is None:
+    if selector is None:
         return specs
-    chosen = [s for s in specs if scenario in (s.family, s.scenario)]
+    chosen = [s for s in specs if selector in (s.family, s.scenario, _GROUP_OF[s.scenario])]
     if not chosen:
-        raise ValueError(f"scenario selector {scenario!r} matches no events")
+        raise ValueError(f"scenario selector {selector!r} matches no events")
     return chosen
 
 
-def _group_events(group: str):
-    labels = NETWORK_GROUPS[group]
-    return [s for s in enumerate_events() if s.scenario in labels or s.family in labels]
-
-
 def _group_manifest(group: str, overrides=None) -> FeatureManifest:
-    family = _group_events(group)[0].family
+    family = _events(group)[0].family
     if overrides and group in overrides:
         return FeatureManifest(family, tuple(overrides[group]))
     return DEFAULT_MANIFESTS[family]
@@ -277,9 +275,8 @@ def _group_manifest(group: str, overrides=None) -> FeatureManifest:
 
 def run_generate(out: Path, seed: int = 0, scenario: str | None = None) -> Path:
     out = Path(out)
-    specs = _selected_events(scenario)
     events = []
-    for spec in specs:
+    for spec in _events(scenario):
         events.append({
             "event_id": spec.event_id,
             "scenario": spec.scenario,
@@ -466,7 +463,7 @@ def run_features(out: Path, seed: int = 0,
 
     manifest_meta, norm_meta, paths = {}, {}, {}
     for group in NETWORK_GROUPS:
-        specs = [s for s in _group_events(group) if s.event_id in listed]
+        specs = [s for s in _events(group) if s.event_id in listed]
         if not specs:
             # a matrix left by an earlier, wider run would outlive its normstats
             (out / f"features_{group}.csv").unlink(missing_ok=True)
@@ -490,21 +487,38 @@ def run_features(out: Path, seed: int = 0,
     return paths
 
 
-def _load_normstats(out: Path) -> dict:
-    payload = json.loads((out / "normstats.json").read_text(encoding="utf-8"))
-    stats = {}
-    for group, entry in payload["groups"].items():
-        stats[group] = NormStats(tuple(entry["names"]),
-                                 np.array(entry["mean"], dtype=float),
-                                 np.array(entry["std"], dtype=float))
-    return stats
+def _load_normstats(out: Path):
+    """``normstats.json``'s path and its ``NormStats`` by group."""
+    path = require(out, "normstats.json", "features")
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    return path, {group: NormStats(tuple(entry["names"]), np.array(entry["mean"], dtype=float),
+                                   np.array(entry["std"], dtype=float))
+                  for group, entry in payload["groups"].items()}
 
 
-def _load_features(out: Path, group: str):
-    """(event_ids, frame times, raw matrix) from one features CSV."""
-    table = read_csv(out / f"features_{group}.csv")
+def _load_features(out: Path, group: str, stats: Mapping[str, NormStats]):
+    """(path, event ids, frame times, raw matrix, z-scored matrix) of one features CSV."""
+    path = require(out, f"features_{group}.csv", "features")
+    table = read_csv(path)
     eids, times = table.pop("event_id"), table.pop("t")
-    return eids, times, np.column_stack(list(table.values()))
+    matrix = np.column_stack(list(table.values()))
+    return path, eids, times, matrix, zscore_apply(matrix, stats[group])
+
+
+def _network(out: Path, group: str, stats: Mapping[str, NormStats]):
+    """(weights path, weights) of one group's network, then what ``_load_features``
+    returns for its features, which must be as wide as the network's input."""
+    path = require(out, f"weights_{group}.json", "train")
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    w = payload["weights"]
+    weights = MlpWeights(np.array(w["w1"]), np.array(w["b1"]),
+                         np.array(w["w2"]), np.array(w["b2"]), seed=payload["config"]["seed"])
+    features = _load_features(out, group, stats)
+    width = features[-1].shape[1]
+    if width != weights.input_dim:
+        raise ValueError(f"{features[0].name} holds {width} features, but {path.name} "
+                         f"takes {weights.input_dim}; run the train stage again")
+    return path, weights, *features
 
 
 # ---------------------------------------------------------------------------
@@ -516,29 +530,22 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
               learning_rate: float | None = None) -> dict:
     out = Path(out)
     curves_path = require(out, "curves.csv", "reconstruct")
-    normstats_path = require(out, "normstats.json", "features")
-    stats = _load_normstats(out)
+    normstats_path, stats = _load_normstats(out)
     curves = read_csv(curves_path)
     mean_curves = _by_event(curves["event_id"], curves["mean"])
     read_paths = [normstats_path, curves_path]
 
-    groups = [g for g in NETWORK_GROUPS
-              if scenario is None or scenario == g or scenario in NETWORK_GROUPS[g]]
-    if not groups:
-        raise ValueError(f"scenario selector {scenario!r} matches no network group")
-
+    chosen = {_GROUP_OF[s.scenario] for s in _events(scenario)}
     summary, log_blocks = {}, []
-    for group in groups:
-        feats_path = require(out, f"features_{group}.csv", "features")
+    for group in (g for g in NETWORK_GROUPS if g in chosen):
+        feats_path, eids, _, _, x = _load_features(out, group, stats)
         read_paths.append(feats_path)
-        eids, _, matrix = _load_features(out, group)
         targets = []
         for eid in np.unique(eids):
             if eid not in mean_curves:
                 raise ValueError(f"curves.csv lacks event {eid} needed by {group}")
             targets.append(mean_curves[eid])
         y = np.concatenate(targets)
-        x = zscore_apply(matrix, stats[group])
 
         config = MlpConfig(input_dim=x.shape[1],
                            seed=seed + sorted(NETWORK_GROUPS).index(group))
@@ -559,11 +566,7 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
                            report.train_rmse, report.val_rmse))
         write_json(out / f"weights_{group}.json", {
             "group": group,
-            "config": {"input_dim": config.input_dim, "hidden": config.hidden,
-                       "dropout_rate": config.dropout_rate, "epochs": config.epochs,
-                       "learning_rate": config.learning_rate,
-                       "train_fraction": config.train_fraction, "seed": config.seed,
-                       "loss_mode": config.loss_mode},
+            "config": asdict(config),
             "weights": {"w1": weights.w1, "b1": weights.b1,
                         "w2": weights.w2, "b2": weights.b2},
             "report": summary[group],
@@ -576,25 +579,14 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
     return summary
 
 
-def _load_weights(out: Path, group: str) -> MlpWeights:
-    path = require(out, f"weights_{group}.json", "train")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    w = payload["weights"]
-    return MlpWeights(np.array(w["w1"]), np.array(w["b1"]),
-                      np.array(w["w2"]), np.array(w["b2"]),
-                      seed=payload["config"]["seed"])
-
-
 def run_predict(out: Path, seed: int = 0) -> Path:
     out = Path(out)
-    normstats_path = require(out, "normstats.json", "features")
-    stats = _load_normstats(out)
+    normstats_path, stats = _load_normstats(out)
     blocks, input_paths = [], [normstats_path]
     for group in sorted(NETWORK_GROUPS):
-        weights = _load_weights(out, group)
-        input_paths += [out / f"weights_{group}.json", out / f"features_{group}.csv"]
-        eids, times, matrix = _load_features(out, group)
-        pred = mlp_predict(weights, zscore_apply(matrix, stats[group]))
+        weights_path, weights, feats_path, eids, times, _, x = _network(out, group, stats)
+        input_paths += [weights_path, feats_path]
+        pred = mlp_predict(weights, x)
         blocks.append((np.full(eids.size, group), eids, times, pred.mean, pred.variance))
     table = _stack(("group", "event_id", "t", "mean", "variance"), blocks)
     order = np.lexsort((table["group"], table["t"], table["event_id"]))
@@ -614,7 +606,7 @@ def run_calibrate(out: Path, seed: int = 0, draws: int = 500,
     targets = _by_event(curves["event_id"], curves["mean"])
 
     results = {}
-    for offset, model in enumerate(("PCAD", "DRF")):
+    for offset, model in enumerate(MODEL_DEFAULTS):
         job = CalibrationJob(model, targets, draws=draws, seed=seed + offset,
                              bounds=(bounds or {}).get(model))
         res = calibrate(job)
@@ -638,18 +630,16 @@ def run_calibrate(out: Path, seed: int = 0, draws: int = 500,
 def run_explain(out: Path, seed: int = 0, events: Sequence[int] | None = None,
                 n_permutations: int = 200) -> Path:
     out = Path(out)
-    normstats_path = require(out, "normstats.json", "features")
-    stats = _load_normstats(out)
+    normstats_path, stats = _load_normstats(out)
 
     chosen = set(events) if events else None
     shap_blocks, globals_blocks = [], []
     input_paths = [normstats_path]
     for group in sorted(NETWORK_GROUPS):
-        if chosen is not None and chosen.isdisjoint(s.event_id for s in _group_events(group)):
+        if chosen is not None and chosen.isdisjoint(s.event_id for s in _events(group)):
             continue  # the selection names none of this network's events
-        weights = _load_weights(out, group)
-        input_paths += [out / f"weights_{group}.json", out / f"features_{group}.csv"]
-        eids, times, matrix = _load_features(out, group)
+        weights_path, weights, feats_path, eids, times, matrix, x = _network(out, group, stats)
+        input_paths += [weights_path, feats_path]
         targets = [e for e in np.unique(eids).tolist() if chosen is None or e in chosen]
         if chosen is None:
             targets = targets[:1]  # default: one representative event per network
@@ -657,14 +647,14 @@ def run_explain(out: Path, seed: int = 0, events: Sequence[int] | None = None,
             continue
         names = stats[group].names
         model = mean_head(weights)
-        baseline = Baseline.from_training(zscore_apply(matrix, stats[group]))
+        baseline = Baseline.from_training(x)
         mode = "exact" if len(names) <= MAX_EXACT_DIM else "sampled"
         collected = []
         for eid in targets:
             sel = eids == eid
             raw = matrix[sel]
-            result = explain_frames(model, zscore_apply(raw, stats[group]), baseline,
-                                    mode=mode, n_permutations=n_permutations, seed=seed)
+            result = explain_frames(model, x[sel], baseline, mode=mode,
+                                    n_permutations=n_permutations, seed=seed)
             collected.append(result.attributions)
             n, d = raw.shape
             err = np.full((n, d), np.nan) if result.std_errors is None else result.std_errors
@@ -698,7 +688,7 @@ def _model_curves(calibrations: Mapping[str, Path], targets: dict) -> dict:
         payload = json.loads(path.read_text(encoding="utf-8"))
         params = replace(MODEL_DEFAULTS[model](), **payload["best_params"])
         raw = MODEL_SERIES[model](table, params)
-        outputs[model] = joint_rescale(dict(zip(event_ids, table.split(raw))))
+        outputs[model] = dict(zip(event_ids, table.split(minmax_rescale(raw))))
     return outputs
 
 
@@ -709,7 +699,7 @@ def run_report(out: Path, seed: int = 0) -> dict:
     shap_path = require(out, "shap.csv", "explain")
     globals_path = require(out, "globals.csv", "explain")
     calibrations = {model: require(out, f"calibration_{model.lower()}.json", "calibrate")
-                    for model in ("PCAD", "DRF")}
+                    for model in MODEL_DEFAULTS}
 
     curves = read_csv(curves_path)
     write_csv(out / "report_curves.csv",

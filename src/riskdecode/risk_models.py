@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import DEFAULT_SIGMAS, UncertaintySigmas
+from .features import DEFAULT_SIGMAS
 from .scenarios import KMH, FrameState
 
 
@@ -63,11 +63,6 @@ class PcadParams:
             raise ValueError("accumulation times must be nonnegative")
         if self.alpha <= 0 or self.v_lim <= 0 or self.t_h <= 0:
             raise ValueError("alpha, v_lim and t_h must be positive")
-
-    @property
-    def sigmas(self) -> UncertaintySigmas:
-        return UncertaintySigmas(self.sigma_s_x, self.sigma_s_y,
-                                 self.sigma_n_x, self.sigma_n_y)
 
 
 @dataclass(frozen=True)

@@ -260,20 +260,21 @@ def _integrate_piecewise_linear(knot_t, knot_v, t):
     return np.where(t > knot_t[-1], knot_x[-1] + knot_v[-1] * (t - knot_t[-1]), x)
 
 
-def _speed_knots(cruise, brake, brake_onset, recovery_onset, floor=BRAKE_FLOOR,
-                 recovery_accel=RECOVERY_ACCEL, initial=None):
+def _speed_knots(cruise, brake, brake_onset, recovery_onset, initial=None):
     v0 = cruise if initial is None else initial
-    brake_end = brake_onset + (v0 - floor) / abs(brake)
+    brake_end = brake_onset + (v0 - BRAKE_FLOOR) / abs(brake)
     if brake_end > recovery_onset:
         raise ValueError("anchors leave no room for the braking phase")
-    recovery_end = recovery_onset + (cruise - floor) / recovery_accel
+    recovery_end = recovery_onset + (cruise - BRAKE_FLOOR) / RECOVERY_ACCEL
     return ([0.0, brake_onset, brake_end, recovery_onset, recovery_end],
-            [v0, v0, floor, floor, cruise])
+            [v0, v0, BRAKE_FLOOR, BRAKE_FLOOR, cruise])
 
 
-def _lane_change_y(t, category, onset, speed, lane_width, y_start, direction):
-    half = 0.5 * lane_width / speed  # time to the lane line
-    full = lane_width / speed
+def _lane_change_y(t, category, onset):
+    """The changer's lateral path from the left lane centre (y = LANE_WIDTH) towards y = 0."""
+    speed = LC_LATERAL_SPEED[category]
+    half = 0.5 * LANE_WIDTH / speed  # time to the lane line
+    full = LANE_WIDTH / speed
     tau = np.asarray(t, dtype=float) - onset
     if category in ("LC_normal_slow", "LC_normal_fast"):
         disp = speed * np.clip(tau, 0.0, full)
@@ -285,14 +286,13 @@ def _lane_change_y(t, category, onset, speed, lane_width, y_start, direction):
         out = speed * np.clip(tau, 0.0, half)
         back = speed * np.clip(tau - half - LC_PAUSE, 0.0, half)
         disp = out - back
-    return y_start + direction * disp
+    return LANE_WIDTH - disp
 
 
-def _ramp_y(t, onset, lane_width=LANE_WIDTH, speed=MERGE_LATERAL_SPEED,
-            y_start=-LANE_WIDTH):
-    """Merge from the on-ramp (y_start) up into the main lane at y = 0."""
+def _ramp_y(t, onset):
+    """Merge from the on-ramp (y = -LANE_WIDTH) up into the main lane at y = 0."""
     tau = np.asarray(t, dtype=float) - onset
-    return y_start + speed * np.clip(tau, 0.0, lane_width / speed)
+    return -LANE_WIDTH + MERGE_LATERAL_SPEED * np.clip(tau, 0.0, LANE_WIDTH / MERGE_LATERAL_SPEED)
 
 
 def _lane_ripple(t, event_id: int, vehicle_index: int) -> np.ndarray:
@@ -353,13 +353,13 @@ def _acc_command(v_s, v_des, gap, dv, p: ControllerParams) -> float:
     return float(np.clip(a, p.a_min, p.a_max))
 
 
-def _lead_of(x, y, others, length=VEHICLE_LENGTH, width=VEHICLE_WIDTH):
+def _lead_of(x, y, others):
     """Nearest vehicle ahead with lateral footprint overlap, as (gap, dv)."""
     best = None
     for ox, oy, ovx in others:
-        if ox <= x or abs(oy - y) >= width:
+        if ox <= x or abs(oy - y) >= VEHICLE_WIDTH:
             continue
-        gap = ox - x - length
+        gap = ox - x - VEHICLE_LENGTH
         if best is None or gap < best[0]:
             best = (gap, ovx)
     return best
@@ -395,9 +395,9 @@ def catalog_trajectory(event_id: int) -> EventTrajectory:
     return _TRAJECTORIES[spec.event_id]
 
 
-def _simulate_subject(t, v0, v_des, neighbour_tracks, params, y_track=None,
-                      x0=0.0):
-    """Integrate an ACC vehicle from (x0, v0); lateral motion (if any) is scripted."""
+def _simulate_subject(t, v0, neighbour_tracks, params, y_track, x0=0.0):
+    """Integrate an ACC vehicle from (x0, v0) that also holds v0 as its desired
+    speed; its lateral motion is scripted by ``y_track``."""
     n = t.size
     x = np.zeros(n)
     vx = np.zeros(n)
@@ -406,21 +406,14 @@ def _simulate_subject(t, v0, v_des, neighbour_tracks, params, y_track=None,
     vx[0] = v0
     for k in range(n - 1):
         others = [(trk.x[k], trk.y[k], trk.vx[k]) for trk in neighbour_tracks]
-        y_k = 0.0 if y_track is None else y_track[k]
-        lead = _lead_of(x[k], y_k, others)
+        lead = _lead_of(x[k], y_track[k], others)
         gap, dv = (lead if lead is not None else (None, 0.0))
-        a = _acc_command(vx[k], v_des, gap, dv - vx[k] if lead else 0.0, params)
+        a = _acc_command(vx[k], v0, gap, dv - vx[k] if lead else 0.0, params)
         ax[k] = a
         x[k + 1] = x[k] + vx[k] * DT + 0.5 * a * DT * DT
         vx[k + 1] = vx[k] + a * DT
-    if y_track is None:
-        y = np.zeros(n)
-        vy = np.zeros(n)
-        ay = np.zeros(n)
-    else:
-        lat = _scripted_track(t, np.zeros(n), y_track)
-        y, vy, ay = lat.y, lat.vy, lat.ay
-    return VehicleTrack(x, y, vx, vy, ax, ay)
+    lat = _scripted_track(t, np.zeros(n), y_track)
+    return VehicleTrack(x, lat.y, vx, lat.vy, ax, lat.ay)
 
 
 def _simulate_mb(spec, t):
@@ -439,7 +432,7 @@ def _simulate_mb(spec, t):
                                                     np.array([t_merge]))[0]) + x_at_merge
     y_m = _ramp_y(t, t_merge) + _lane_ripple(t, spec.event_id, 1)
     merger = _scripted_track(t, x_m, y_m)
-    subject = _simulate_subject(t, v_c, v_c, [merger], ControllerParams(),
+    subject = _simulate_subject(t, v_c, [merger], ControllerParams(),
                                 y_track=_lane_ripple(t, spec.event_id, 0))
     return subject, [merger]
 
@@ -458,7 +451,7 @@ def _simulate_hb(spec, t):
     v_c = spec.cruise_speed * KMH
     lead = _braking_lead(spec, t)
     params = replace(ControllerParams(), desired_gap=spec.initial_distance)
-    subject = _simulate_subject(t, v_c, v_c, [lead], params,
+    subject = _simulate_subject(t, v_c, [lead], params,
                                 y_track=_lane_ripple(t, spec.event_id, 0))
     return subject, [lead]
 
@@ -475,10 +468,9 @@ def _simulate_lc(spec, t):
     x_at_merge = v_c * t_merge + spec.initial_distance + VEHICLE_LENGTH
     x_n = x_rel - float(_integrate_piecewise_linear(knot_t, knot_v,
                                                     np.array([t_merge]))[0]) + x_at_merge
-    y_n = _lane_change_y(t, spec.scenario, t_merge, LC_LATERAL_SPEED[spec.scenario],
-                         LANE_WIDTH, LANE_WIDTH, -1.0) + _lane_ripple(t, spec.event_id, 1)
+    y_n = _lane_change_y(t, spec.scenario, t_merge) + _lane_ripple(t, spec.event_id, 1)
     changer = _scripted_track(t, x_n, y_n)
-    subject = _simulate_subject(t, v_c, v_c, [changer], ACC_STYLES[spec.acc_category],
+    subject = _simulate_subject(t, v_c, [changer], ACC_STYLES[spec.acc_category],
                                 y_track=_lane_ripple(t, spec.event_id, 0))
     return subject, [changer]
 
@@ -489,10 +481,10 @@ def _simulate_svm(spec, t):
     lead = _braking_lead(spec, t)
     y_s = _ramp_y(t, t_merge) + _lane_ripple(t, spec.event_id, 0)
     params = replace(ControllerParams(), desired_gap=spec.initial_distance)
-    subject = _simulate_subject(t, v_c, v_c, [lead], params, y_track=y_s)
+    subject = _simulate_subject(t, v_c, [lead], params, y_track=y_s)
 
     # follower on the main road, controller-driven once the subject is in lane
     follower = _simulate_subject(
-        t, v_c, v_c, [subject], replace(ControllerParams(), desired_gap=SVM_FOLLOWER_GAP),
+        t, v_c, [subject], replace(ControllerParams(), desired_gap=SVM_FOLLOWER_GAP),
         y_track=_lane_ripple(t, spec.event_id, 2), x0=-(SVM_FOLLOWER_GAP + VEHICLE_LENGTH))
     return subject, [lead, follower]

@@ -416,6 +416,51 @@ def test_mb_flow_and_missing_group_weights(mb_ratings, tmp_path, caplog):
     assert "run the train stage first" in caplog.text
 
 
+def test_generate_scenario_takes_a_network_group(tmp_path):
+    assert main(["generate", "--out", str(tmp_path), "--scenario", "LC_normal"]) == 0
+    events = json.loads((tmp_path / "events.json").read_text())["events"]
+    assert [e["event_id"] for e in events] == [
+        s.event_id for s in enumerate_events()
+        if s.scenario in ("LC_normal_slow", "LC_normal_fast")]
+    assert len(events) == 12
+
+
+def test_train_scenario_takes_a_family(mini_tree, tmp_path):
+    scratch = tmp_path / "tree"
+    shutil.copytree(mini_tree, scratch)
+    assert main(["train", "--out", str(scratch), "--seed", "1", "--scenario", "LC",
+                 "--epochs", "1"]) == 0
+    lc_groups = ["LC_aborted", "LC_fragmented", "LC_normal"]
+    summary = json.loads((scratch / "train_summary.json").read_text())
+    assert sorted(summary["groups"]) == lc_groups
+    assert sorted(set(read_csv(scratch / "training_log.csv")["group"].tolist())) == lc_groups
+    for group in NETWORK_GROUPS:  # the other networks are left as they were
+        name = f"weights_{group}.json"
+        changed = (scratch / name).read_bytes() != (mini_tree / name).read_bytes()
+        assert changed == (group in lc_groups), name
+
+
+@pytest.mark.parametrize("stage", ["predict", "explain"])
+@pytest.mark.parametrize("damage", ["missing", "narrowed"])
+def test_network_stages_name_a_faulty_feature_table(stage, damage, mini_tree, tmp_path, caplog):
+    scratch = tmp_path / "tree"
+    shutil.copytree(mini_tree, scratch)
+    if damage == "missing":
+        (scratch / "features_MB.csv").unlink()
+        message = r"features_MB\.csv is missing under .*; run the features stage first"
+    else:  # a narrowed features rerun leaves MB's network trained on the wider table
+        narrow = write_config(tmp_path / "narrow.json", manifests={"MB": ["dx", "dv_x"]})
+        assert main(["features", "--out", str(scratch), "--seed", "1", "--config", narrow]) == 0
+        message = (r"features_MB\.csv holds 2 features, but weights_MB\.json takes 21; "
+                   r"run the train stage again")
+    cfg = write_config(tmp_path / "cfg.json", n_permutations=8)
+    caplog.clear()
+    with caplog.at_level(logging.ERROR):
+        assert main([stage, "--out", str(scratch), "--seed", "1", "--config", cfg]) == 1
+    assert [r.levelno for r in caplog.records] == [logging.ERROR]
+    assert re.fullmatch(message, caplog.records[0].getMessage())
+
+
 def test_narrowed_features_drop_stale_group_matrices(tmp_path):
     out = str(tmp_path)
     assert main(["generate", "--out", out]) == 0
