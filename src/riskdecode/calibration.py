@@ -215,14 +215,13 @@ def calibrate(job: CalibrationJob, trajectories: Mapping[int, object] | None = N
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Per-frame absolute errors plus scenario-level summaries.
+    """Scenario-level summaries of the per-frame absolute errors.
 
     ``scenario_stats`` maps (family, model) to (median, q1, q3) of the
     pooled absolute error.  ``histograms`` maps model to (bin_lo, counts)
     with a fixed 0.25 bin width spanning [0, 10].
     """
 
-    abs_errors: dict
     scenario_stats: dict
     histograms: dict
     bin_width: float = HISTOGRAM_BIN_WIDTH
@@ -286,4 +285,4 @@ def compare_models(truth: Mapping[int, np.ndarray],
         counts, _ = np.histogram(pooled, bins=edges)
         histograms[model] = (edges[:-1].copy(), counts)
 
-    return ComparisonReport(abs_errors, scenario_stats, histograms)
+    return ComparisonReport(scenario_stats, histograms)

@@ -143,14 +143,17 @@ def shap_sampled(model: ModelFn, x, baseline: Baseline, n_permutations: int, see
     return phi, std_err
 
 
-def explain_frames(model: ModelFn, features, baseline: Baseline, mode: str = "exact",
+def explain_frames(model: ModelFn, features, baseline: Baseline,
                    n_permutations: int = 200, seed: int = 0) -> ShapResult:
-    """Attribute every row of a (T, D) feature matrix independently."""
+    """Attribute every row of a (T, D) feature matrix independently.
+
+    Frames are attributed exactly when D <= ``MAX_EXACT_DIM``; wider ones are
+    sampled with ``n_permutations`` antithetic pairs, frame k seeded by the
+    k-th child of ``seed``, and carry standard errors.
+    """
     features = np.asarray(features, dtype=float)
     if features.ndim != 2 or features.shape[1] != baseline.dim:
         raise ValueError(f"feature matrix must be (T, {baseline.dim})")
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown attribution mode {mode!r}")
 
     n_frames = features.shape[0]
     base_value = float(model(baseline.values[None, :])[0])
@@ -158,7 +161,7 @@ def explain_frames(model: ModelFn, features, baseline: Baseline, mode: str = "ex
 
     attributions = np.empty((n_frames, baseline.dim))
     std_errors = None
-    if mode == "exact":
+    if baseline.dim <= MAX_EXACT_DIM:
         for k in range(n_frames):
             attributions[k] = shap_exact(model, features[k], baseline)
     else:

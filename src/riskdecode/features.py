@@ -83,10 +83,6 @@ class FeatureManifest:
                 raise ValueError(
                     f"follower features need a follower vehicle: {bad}")
 
-    @property
-    def dimension(self) -> int:
-        return len(self.names)
-
 
 def _drop(names, *excluded):
     return tuple(n for n in names if n not in excluded)
@@ -175,8 +171,7 @@ def _axis_gaps(frame: States, neighbour_index: int):
     return np.maximum(gap_x, 0.0), np.maximum(gap_y, 0.0)
 
 
-def drac_components(frame: States, neighbour_index: int = 0,
-                    sigmas: UncertaintySigmas = DEFAULT_SIGMAS):
+def drac_components(frame: States, neighbour_index: int = 0):
     """(DRAC_r_x, DRAC_r_y, DRAC_u_x, DRAC_u_y) for one neighbour.
 
     The r-variants use real per-axis velocities against bumper gaps; the
@@ -192,10 +187,9 @@ def drac_components(frame: States, neighbour_index: int = 0,
     r_x = drac(s.vx, n.vx, gap_x, -dv_x)
     r_y = drac(s.vy, n.vy, gap_y, -dv_y)
 
-    su = uncertain_velocity("subject", frame, sigmas.s_x, sigmas.s_y,
-                            neighbour_index)
-    nu = uncertain_velocity("neighbour", frame, sigmas.n_x, sigmas.n_y,
-                            neighbour_index)
+    sig = DEFAULT_SIGMAS
+    su = uncertain_velocity("subject", frame, sig.s_x, sig.s_y, neighbour_index)
+    nu = uncertain_velocity("neighbour", frame, sig.n_x, sig.n_y, neighbour_index)
     rel_u_x = su[0] - nu[0]  # opposite directions add up
     rel_u_y = su[1] - nu[1]
     u_x = drac(rel_u_x, 0.0, gap_x, -np.abs(rel_u_x))
@@ -203,14 +197,15 @@ def drac_components(frame: States, neighbour_index: int = 0,
     return r_x, r_y, u_x, u_y
 
 
-def frame_features(frame: States, sigmas: UncertaintySigmas = DEFAULT_SIGMAS) -> dict:
+def frame_features(frame: States) -> dict:
     """Every vocabulary feature available for this frame (or every frame), by name."""
     s = frame.subject
     n = _neighbour(frame, 0)
     dx, dy, dv_x, dv_y, da_x, da_y = relative_kinematics(frame, 0)
-    su = uncertain_velocity("subject", frame, sigmas.s_x, sigmas.s_y, 0)
-    nu = uncertain_velocity("neighbour", frame, sigmas.n_x, sigmas.n_y, 0)
-    r_x, r_y, u_x, u_y = drac_components(frame, 0, sigmas)
+    sig = DEFAULT_SIGMAS
+    su = uncertain_velocity("subject", frame, sig.s_x, sig.s_y, 0)
+    nu = uncertain_velocity("neighbour", frame, sig.n_x, sig.n_y, 0)
+    r_x, r_y, u_x, u_y = drac_components(frame, 0)
     out = {
         "v_s_x": s.vx, "v_s_y": s.vy, "a_s_x": s.ax, "a_s_y": s.ay,
         "v_n_x": n.vx, "v_n_y": n.vy, "a_n_x": n.ax, "a_n_y": n.ay,
@@ -224,8 +219,8 @@ def frame_features(frame: States, sigmas: UncertaintySigmas = DEFAULT_SIGMAS) ->
     if len(frame.neighbours) > 1:
         b = _neighbour(frame, 1)
         dx_b, dy_b, dv_x_b, dv_y_b, da_x_b, da_y_b = relative_kinematics(frame, 1)
-        bu = uncertain_velocity("neighbour", frame, sigmas.n_x, sigmas.n_y, 1)
-        rb_x, rb_y, ub_x, ub_y = drac_components(frame, 1, sigmas)
+        bu = uncertain_velocity("neighbour", frame, sig.n_x, sig.n_y, 1)
+        rb_x, rb_y, ub_x, ub_y = drac_components(frame, 1)
         out.update({
             "v_nb_x": b.vx, "v_nb_y": b.vy, "a_nb_x": b.ax, "a_nb_y": b.ay,
             "dx_b": dx_b, "dy_b": dy_b,
@@ -238,14 +233,13 @@ def frame_features(frame: States, sigmas: UncertaintySigmas = DEFAULT_SIGMAS) ->
     return out
 
 
-def build_features(trajectory: EventTrajectory, manifest: FeatureManifest,
-                   sigmas: UncertaintySigmas = DEFAULT_SIGMAS) -> np.ndarray:
+def build_features(trajectory: EventTrajectory, manifest: FeatureManifest) -> np.ndarray:
     """Assemble the (n_frames, D) feature matrix in manifest order."""
     if scenario_family(trajectory.scenario) != manifest.scenario:
         raise ValueError(
             f"manifest is for {manifest.scenario}, trajectory is "
             f"{trajectory.scenario}")
-    feats = frame_features(trajectory, sigmas)
+    feats = frame_features(trajectory)
     rows = np.column_stack([feats[name] for name in manifest.names])
     if not np.all(np.isfinite(rows)):
         raise ValueError("non-finite feature values")

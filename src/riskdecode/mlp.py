@@ -5,11 +5,11 @@ mapped through softplus so the variance stays positive, inverted dropout on
 the hidden activations during training only. Plain full-batch gradient
 descent; everything is seeded and deterministic.
 
-Two loss modes. The default trains the mean head on MSE against the average
-rating curve, then freezes everything except the variance column and fits it
-by Gaussian negative log-likelihood around the frozen mean (the two-step
-mean-variance scheme of Nix & Weigend, 1994). The joint mode trains both
-heads at once on the NLL.
+Training has two phases on one seeded point-wise 80/20 split. The mean
+phase trains every parameter on MSE against the average rating curve; the
+variance phase then freezes everything except the variance column and fits
+it by Gaussian negative log-likelihood around the frozen mean (the two-step
+mean-variance scheme of Nix & Weigend, 1994).
 
 Each epoch does its work once. The hidden layer after an update serves both
 that epoch's train RMSE and the next epoch's forward pass. The variance phase
@@ -21,13 +21,13 @@ loop that recomputes every pass (tests/test_mlp.py keeps that loop).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 VAR_FLOOR = 1e-6
 VAR_BIAS_INIT = 0.5413  # softplus(0.5413) ~ 1.0: unit initial variance
-LOSS_MODES = ("mse_mean", "gaussian_nll")
+TRAIN_FRACTION = 0.8
 
 
 @dataclass(frozen=True)
@@ -37,19 +37,13 @@ class MlpConfig:
     dropout_rate: float = 0.1
     epochs: int = 200
     learning_rate: float = 0.001
-    train_fraction: float = 0.8
     seed: int = 0
-    loss_mode: str = "mse_mean"
 
     def __post_init__(self):
         if self.input_dim < 1 or self.hidden < 1:
             raise ValueError("layer sizes must be positive")
         if not 0.0 < self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in (0, 1)")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie in (0, 1)")
-        if self.loss_mode not in LOSS_MODES:
-            raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.learning_rate <= 0:
@@ -62,7 +56,6 @@ class MlpWeights:
     b1: np.ndarray  # H
     w2: np.ndarray  # H x 2
     b2: np.ndarray  # 2
-    seed: int
 
     def __post_init__(self):
         for arr in (self.w1, self.b1, self.w2, self.b2):
@@ -74,10 +67,6 @@ class MlpWeights:
     @property
     def input_dim(self) -> int:
         return self.w1.shape[0]
-
-    def copy(self) -> "MlpWeights":
-        return MlpWeights(self.w1.copy(), self.b1.copy(),
-                          self.w2.copy(), self.b2.copy(), self.seed)
 
 
 @dataclass(frozen=True)
@@ -105,7 +94,7 @@ def mlp_init(config: MlpConfig) -> MlpWeights:
     w1 = rng.normal(0.0, np.sqrt(2.0 / d), size=(d, h))
     w2 = rng.normal(0.0, np.sqrt(2.0 / h), size=(h, 2))
     b2 = np.array([0.0, VAR_BIAS_INIT])
-    return MlpWeights(w1, np.zeros(h), w2, b2, config.seed)
+    return MlpWeights(w1, np.zeros(h), w2, b2)
 
 
 def _softplus(z):
@@ -200,9 +189,8 @@ def _check_loss(loss, phase, epoch):
             f"training loss became non-finite at epoch {epoch} of the {phase} phase")
 
 
-def _fit_phase(weights, x_train, y_train, x_val, y_val, epochs, lr, keep,
-               loss_mode, phase, rng):
-    """Full-batch descent on every parameter; returns the final hidden layer.
+def _fit_mean(weights, x_train, y_train, x_val, y_val, epochs, lr, keep, rng):
+    """Full-batch MSE descent on every parameter; returns the final hidden layer.
 
     The post-update hidden layer serves the epoch's train RMSE and the next
     epoch's forward pass.
@@ -213,8 +201,8 @@ def _fit_phase(weights, x_train, y_train, x_val, y_val, epochs, lr, keep,
     for epoch in range(epochs):
         mask = _dropout_mask(rng, h.shape, keep)
         loss, (dw1, db1, dw2, db2) = _loss_and_grads(
-            weights, x_train, h, y_train, loss_mode, mask)
-        _check_loss(loss, phase, epoch)
+            weights, x_train, h, y_train, "mse_mean", mask)
+        _check_loss(loss, "mean", epoch)
         weights.w1 -= lr * dw1
         weights.b1 -= lr * db1
         weights.w2 -= lr * dw2
@@ -255,7 +243,7 @@ def mlp_train(features, targets, config: MlpConfig):
 
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(x.shape[0])
-    n_train = int(round(config.train_fraction * x.shape[0]))
+    n_train = int(round(TRAIN_FRACTION * x.shape[0]))
     if n_train < 1 or n_train >= x.shape[0]:
         raise ValueError("split leaves an empty train or validation set")
     tr, va = order[:n_train], order[n_train:]
@@ -264,17 +252,13 @@ def mlp_train(features, targets, config: MlpConfig):
 
     weights = mlp_init(config)
     keep = 1.0 - config.dropout_rate
-    phase = "joint" if config.loss_mode == "gaussian_nll" else "mean"
-    h, train_hist, val_hist = _fit_phase(
-        weights, x_tr, y_tr, x_va, y_va, config.epochs, config.learning_rate,
-        keep, config.loss_mode, phase, rng)
-    if phase == "mean":
-        # second phase: variance column only, hidden layer and mean head frozen
-        _fit_variance(weights, h, y_tr, config.epochs, config.learning_rate,
-                      keep, rng)
+    h, train_hist, val_hist = _fit_mean(
+        weights, x_tr, y_tr, x_va, y_va, config.epochs, config.learning_rate, keep, rng)
+    _fit_variance(weights, h, y_tr, config.epochs, config.learning_rate, keep, rng)
+    # the variance NLL can stay finite after a last mean update that overflows the RMSE
     if not np.isfinite(train_hist[-1]):
         raise TrainingDiverged(f"training RMSE became non-finite at epoch "
-                               f"{config.epochs - 1} of the {phase} phase")
+                               f"{config.epochs - 1} of the mean phase")
     return weights, TrainReport(train_hist, val_hist)
 
 
@@ -312,11 +296,10 @@ def gradient_check(weights: MlpWeights, x, y, step: float = 1e-5) -> float:
 @dataclass(frozen=True)
 class Prediction:
     mean: np.ndarray  # clamped to the rating scale
-    raw_mean: np.ndarray
     variance: np.ndarray
 
 
 def mlp_predict(weights: MlpWeights, features) -> Prediction:
-    """Eval-mode prediction; mean reported on the 0-10 scale, raw kept."""
+    """Eval-mode prediction; mean reported on the 0-10 scale."""
     mean, variance = mlp_forward(weights, features)
-    return Prediction(np.clip(mean, 0.0, 10.0), mean, variance)
+    return Prediction(np.clip(mean, 0.0, 10.0), variance)

@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__
 from .calibration import (MODEL_DEFAULTS, MODEL_SERIES, CalibrationJob, calibrate,
                           compare_models, minmax_rescale)
-from .explain import MAX_EXACT_DIM, Baseline, explain_frames, global_importance, mean_head
+from .explain import Baseline, explain_frames, global_importance, mean_head
 from .features import (DEFAULT_MANIFESTS, FeatureManifest, NormStats, build_features,
                        zscore_apply, zscore_fit)
 from .mlp import MlpConfig, MlpWeights, TrainingDiverged, mlp_predict, mlp_train
@@ -510,9 +510,7 @@ def _network(out: Path, group: str, stats: Mapping[str, NormStats]):
     returns for its features, which must be as wide as the network's input."""
     path = require(out, f"weights_{group}.json", "train")
     payload = json.loads(path.read_text(encoding="utf-8"))
-    w = payload["weights"]
-    weights = MlpWeights(np.array(w["w1"]), np.array(w["b1"]),
-                         np.array(w["w2"]), np.array(w["b2"]), seed=payload["config"]["seed"])
+    weights = MlpWeights(*(np.array(payload["weights"][k]) for k in ("w1", "b1", "w2", "b2")))
     features = _load_features(out, group, stats)
     width = features[-1].shape[1]
     if width != weights.input_dim:
@@ -575,7 +573,12 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
     write_csv(out / "training_log.csv",
               _stack(("group", "epoch", "train_rmse", "val_rmse"), log_blocks),
               seed, read_paths)
-    write_json(out / "train_summary.json", {"groups": summary}, seed, read_paths)
+    # a narrowed run leaves the other networks, which predict reads too, in place
+    kept = {g: out / f"weights_{g}.json" for g in NETWORK_GROUPS if g not in chosen}
+    kept = {g: path for g, path in kept.items() if path.exists()}
+    stored = {g: json.loads(path.read_text(encoding="utf-8"))["report"] for g, path in kept.items()}
+    write_json(out / "train_summary.json", {"groups": {**summary, **stored}}, seed,
+               read_paths + list(kept.values()))
     return summary
 
 
@@ -648,12 +651,11 @@ def run_explain(out: Path, seed: int = 0, events: Sequence[int] | None = None,
         names = stats[group].names
         model = mean_head(weights)
         baseline = Baseline.from_training(x)
-        mode = "exact" if len(names) <= MAX_EXACT_DIM else "sampled"
         collected = []
         for eid in targets:
             sel = eids == eid
             raw = matrix[sel]
-            result = explain_frames(model, x[sel], baseline, mode=mode,
+            result = explain_frames(model, x[sel], baseline,
                                     n_permutations=n_permutations, seed=seed)
             collected.append(result.attributions)
             n, d = raw.shape

@@ -230,7 +230,6 @@ class FrameState:
 class EventTrajectory:
     event_id: int
     scenario: str
-    dt: float
     t: np.ndarray
     subject: VehicleTrack
     neighbours: tuple
@@ -350,7 +349,7 @@ def _acc_command(v_s, v_des, gap, dv, p: ControllerParams) -> float:
         g_des = p.desired_gap if p.desired_gap is not None else \
             p.standstill + p.headway * v_s
         a = min(a, p.k_gap * (gap - g_des) + p.k_rel * dv)
-    return float(np.clip(a, p.a_min, p.a_max))
+    return float(min(max(a, p.a_min), p.a_max))
 
 
 def _lead_of(x, y, others):
@@ -375,8 +374,7 @@ def simulate_event(spec: EventSpec) -> EventTrajectory:
     builder = {"MB": _simulate_mb, "HB": _simulate_hb,
                "LC": _simulate_lc, "SVM": _simulate_svm}[spec.family]
     subject, neighbours = builder(spec, t)
-    return EventTrajectory(spec.event_id, spec.scenario, DT, t, subject,
-                           tuple(neighbours))
+    return EventTrajectory(spec.event_id, spec.scenario, t, subject, tuple(neighbours))
 
 
 _TRAJECTORIES: dict = {}  # event id -> EventTrajectory, filled by catalog_trajectory

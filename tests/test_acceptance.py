@@ -248,7 +248,7 @@ def test_criterion_09_shapley(capsys):
     rng = np.random.default_rng(42)
     baseline = Baseline(rng.normal(size=12) * 0.1)
     frames = rng.normal(size=(20, 12))
-    result = explain_frames(model, frames, baseline, mode="exact")
+    result = explain_frames(model, frames, baseline)
     local = np.max(np.abs(result.base_value + result.attributions.sum(axis=1)
                           - result.predicted))
     w = rng.normal(size=12)

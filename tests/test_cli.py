@@ -431,13 +431,19 @@ def test_train_scenario_takes_a_family(mini_tree, tmp_path):
     assert main(["train", "--out", str(scratch), "--seed", "1", "--scenario", "LC",
                  "--epochs", "1"]) == 0
     lc_groups = ["LC_aborted", "LC_fragmented", "LC_normal"]
-    summary = json.loads((scratch / "train_summary.json").read_text())
-    assert sorted(summary["groups"]) == lc_groups
+    # the log holds this run's epochs, the summary every network predict reads
     assert sorted(set(read_csv(scratch / "training_log.csv")["group"].tolist())) == lc_groups
+    summary = json.loads((scratch / "train_summary.json").read_text())
+    assert sorted(summary["groups"]) == sorted(NETWORK_GROUPS)
     for group in NETWORK_GROUPS:  # the other networks are left as they were
         name = f"weights_{group}.json"
         changed = (scratch / name).read_bytes() != (mini_tree / name).read_bytes()
         assert changed == (group in lc_groups), name
+        if not changed:  # their stored report, at the summary's 6 decimals
+            report = json.loads((scratch / name).read_text())["report"]
+            assert summary["groups"][group] == {
+                k: round(v, 6) if isinstance(v, float) else v for k, v in report.items()}
+            assert f"{name}:" in summary["meta"]["inputs"]
 
 
 @pytest.mark.parametrize("stage", ["predict", "explain"])

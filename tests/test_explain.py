@@ -98,7 +98,7 @@ def test_explain_frames_exact_mode(net_model, frame_and_baseline):
     _, base = frame_and_baseline
     rng = np.random.default_rng(7)
     features = rng.normal(size=(6, 8))
-    result = explain_frames(net_model, features, base, mode="exact")
+    result = explain_frames(net_model, features, base)
     assert isinstance(result, ShapResult)
     assert result.attributions.shape == (6, 8)
     assert result.std_errors is None
@@ -106,21 +106,19 @@ def test_explain_frames_exact_mode(net_model, frame_and_baseline):
     assert np.max(np.abs(totals - result.predicted)) <= 1e-9
 
 
-def test_explain_frames_sampled_mode(net_model, frame_and_baseline):
-    _, base = frame_and_baseline
+def test_explain_frames_sampled_mode():
+    d = MAX_EXACT_DIM + 1  # one past the exact cap, so frames are sampled
+    model = mean_head(mlp_init(MlpConfig(input_dim=d, hidden=32, seed=6)))
     rng = np.random.default_rng(7)
-    features = rng.normal(size=(3, 8))
-    result = explain_frames(net_model, features, base, mode="sampled",
-                            n_permutations=50, seed=1)
+    base = Baseline(rng.normal(size=d) * 0.1)
+    features = rng.normal(size=(3, d))
+    result = explain_frames(model, features, base, n_permutations=50, seed=1)
     assert result.std_errors is not None
-    assert result.std_errors.shape == (3, 8)
-    rerun = explain_frames(net_model, features, base, mode="sampled",
-                           n_permutations=50, seed=1)
+    assert result.std_errors.shape == (3, d)
+    rerun = explain_frames(model, features, base, n_permutations=50, seed=1)
     assert np.array_equal(result.attributions, rerun.attributions)
     with pytest.raises(ValueError):
-        explain_frames(net_model, features, base, mode="kernel")
-    with pytest.raises(ValueError):
-        explain_frames(net_model, features[:, :5], base)
+        explain_frames(model, features[:, :5], base)
 
 
 def test_global_importance_ranking():

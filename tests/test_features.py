@@ -89,11 +89,11 @@ def test_manifest_validation():
     with pytest.raises(ValueError):
         FeatureManifest("HB", ("dx", "dx_b"))  # follower feature, no follower
     svm = FeatureManifest("SVM", ("dx", "dx_b"))
-    assert svm.dimension == 2
+    assert len(svm.names) == 2
 
 
 def test_default_manifest_dimensions():
-    dims = {name: m.dimension for name, m in DEFAULT_MANIFESTS.items()}
+    dims = {name: len(m.names) for name, m in DEFAULT_MANIFESTS.items()}
     assert dims == {"HB": 11, "MB": 21, "LC": 20, "SVM": 32}
     for manifest in DEFAULT_MANIFESTS.values():
         assert all(n in FEATURE_VOCABULARY for n in manifest.names)
