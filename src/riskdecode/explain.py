@@ -8,19 +8,29 @@ permutation sampling with antithetic pairing.
 
 Attribution targets the raw mean head (before the [0, 10] clamp) so the
 additivity identity phi0 + sum(phi) = f(x) holds exactly per frame.
+
+Threads: ``explain_frames`` holds BLAS at one thread and attributes its frames
+on a pool of one thread per usable core, in chunks of ``FRAME_CHUNK`` frames.
+Frames are independent and each sampled frame keeps its own seed, so the
+attributions do not depend on the number of threads. With another BLAS than
+numpy's bundled OpenBLAS, every frame runs on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import blas
 from .mlp import MlpWeights, mlp_forward
 
 MAX_EXACT_DIM = 15
+FRAME_CHUNK = 8  # frames per pool task
 
 ModelFn = Callable[[np.ndarray], np.ndarray]
 
@@ -65,7 +75,7 @@ def mean_head(weights: MlpWeights) -> ModelFn:
     """Batch callable (N, D) -> (N,) for the raw mean output."""
 
     def model(x: np.ndarray) -> np.ndarray:
-        mean, _ = mlp_forward(weights, np.asarray(x, dtype=float))
+        mean, _ = mlp_forward(weights, np.asarray(x, dtype=float), variance=False)
         return mean
 
     return model
@@ -143,34 +153,57 @@ def shap_sampled(model: ModelFn, x, baseline: Baseline, n_permutations: int, see
     return phi, std_err
 
 
+_FRAME_FUNCTIONS = (shap_exact, shap_sampled)
+
+
+def _workers() -> int:
+    """Threads ``explain_frames`` may use: one per core this process can run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def explain_frames(model: ModelFn, features, baseline: Baseline,
                    n_permutations: int = 200, seed: int = 0) -> ShapResult:
     """Attribute every row of a (T, D) feature matrix independently.
 
     Frames are attributed exactly when D <= ``MAX_EXACT_DIM``; wider ones are
     sampled with ``n_permutations`` antithetic pairs, frame k seeded by the
-    k-th child of ``seed``, and carry standard errors.
+    k-th child of ``seed``, and carry standard errors. ``model`` is called
+    from pool threads (see the module docstring), one frame's batch per call.
     """
     features = np.asarray(features, dtype=float)
     if features.ndim != 2 or features.shape[1] != baseline.dim:
         raise ValueError(f"feature matrix must be (T, {baseline.dim})")
 
     n_frames = features.shape[0]
-    base_value = float(model(baseline.values[None, :])[0])
-    predicted = np.asarray(model(features), dtype=float)
-
     attributions = np.empty((n_frames, baseline.dim))
-    std_errors = None
-    if baseline.dim <= MAX_EXACT_DIM:
-        for k in range(n_frames):
-            attributions[k] = shap_exact(model, features[k], baseline)
-    else:
-        std_errors = np.empty_like(attributions)
-        children = np.random.SeedSequence(seed).spawn(n_frames)
-        for k in range(n_frames):
-            attributions[k], std_errors[k] = shap_sampled(
-                model, features[k], baseline, n_permutations, children[k]
-            )
+    exact = baseline.dim <= MAX_EXACT_DIM
+    std_errors = None if exact else np.empty_like(attributions)
+    children = None if exact else np.random.SeedSequence(seed).spawn(n_frames)
+
+    def attribute(frames: range) -> None:
+        for k in frames:
+            if exact:
+                attributions[k] = shap_exact(model, features[k], baseline)
+            else:
+                attributions[k], std_errors[k] = shap_sampled(
+                    model, features[k], baseline, n_permutations, children[k])
+
+    chunks = [range(k, min(k + FRAME_CHUNK, n_frames))
+              for k in range(0, n_frames, FRAME_CHUNK)]
+    with blas.one_thread() as pinned:
+        base_value = float(model(baseline.values[None, :])[0])
+        predicted = np.asarray(model(features), dtype=float)
+        # frame functions replaced from outside (a call recorder, say) need not be
+        # thread-safe, so they run here in frame order
+        native = (shap_exact, shap_sampled) == _FRAME_FUNCTIONS
+        workers = min(_workers(), len(chunks)) if pinned and native else 1
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(attribute, chunks))
+        else:
+            attribute(range(n_frames))
     return ShapResult(base_value, attributions, predicted, std_errors)
 
 

@@ -14,13 +14,23 @@ mean-variance scheme of Nix & Weigend, 1994).
 Each epoch does its work once. The hidden layer after an update serves both
 that epoch's train RMSE and the next epoch's forward pass. The variance phase
 trains on hidden activations computed once, since the layer below it is
-frozen, and computes only the head's gradient. Hidden layers are built in
-the buffer of their matrix product. The results are bit-identical to a plain
-loop that recomputes every pass (tests/test_mlp.py keeps that loop).
+frozen, and computes only the head's gradient. An epoch reuses its buffers:
+the hidden layer, one n x H buffer that holds the masked hidden layer and then
+its gradient, and bool masks applied as ``h * mask * (1 / keep)``. The results
+are bit-identical to a plain loop that recomputes every pass
+(tests/test_mlp.py keeps that loop).
+
+Threads: ``mlp_train`` runs on the calling thread, plus one helper thread that
+draws each epoch's dropout mask from the seeded generator while the previous
+epoch runs. The helper makes the draws in the loop's order and stops before
+``mlp_train`` returns or raises. The pipeline holds BLAS at one thread
+(``blas.one_thread``), so the weights do not depend on the core count.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +38,7 @@ import numpy as np
 VAR_FLOOR = 1e-6
 VAR_BIAS_INIT = 0.5413  # softplus(0.5413) ~ 1.0: unit initial variance
 TRAIN_FRACTION = 0.8
+DRAW_CHUNK = 1 << 16  # uniforms drawn per call when filling a dropout mask
 
 
 @dataclass(frozen=True)
@@ -109,19 +120,19 @@ def _check_input(weights: MlpWeights, x) -> np.ndarray:
     return x
 
 
-def _hidden(weights: MlpWeights, x: np.ndarray) -> np.ndarray:
-    """relu(x @ w1 + b1), built in the product's own buffer."""
-    h = x @ weights.w1
+def _hidden(weights: MlpWeights, x: np.ndarray, out=None) -> np.ndarray:
+    """relu(x @ w1 + b1), built in the product's buffer (``out`` if given)."""
+    h = np.matmul(x, weights.w1, out=out)
     h += weights.b1
     np.maximum(h, 0.0, out=h)
     return h
 
 
-def mlp_forward(weights: MlpWeights, x):
-    """(mean, variance) for a batch, without dropout."""
+def mlp_forward(weights: MlpWeights, x, variance: bool = True):
+    """(mean, variance) for a batch, without dropout; variance None if not asked for."""
     h = _hidden(weights, _check_input(weights, x))
     z = h @ weights.w2 + weights.b2
-    return z[:, 0], _softplus(z[:, 1]) + VAR_FLOOR
+    return z[:, 0], _softplus(z[:, 1]) + VAR_FLOOR if variance else None
 
 
 def _head_loss(z2, y, loss_mode):
@@ -144,16 +155,27 @@ def _head_loss(z2, y, loss_mode):
     return loss, dz2
 
 
-def _loss_and_grads(weights, x, h, y, loss_mode, mask=None):
-    """Loss plus gradients for every parameter, given ``h = _hidden(weights, x)``."""
-    hd = h if mask is None else h * mask
+def _loss_and_grads(weights, x, h, y, loss_mode, mask=None, scale=1.0, work=None):
+    """Loss plus gradients for every parameter, given ``h = _hidden(weights, x)``.
+
+    A bool dropout ``mask`` applies as ``h * mask * scale``. ``work`` is an
+    n x H float and an n x H bool buffer; the float one holds the masked
+    hidden layer, then the hidden gradient.
+    """
+    buf, active = work or (np.empty_like(h), None)
+    hd = h
+    if mask is not None:
+        hd = np.multiply(h, mask, out=buf)
+        hd *= scale
     loss, dz2 = _head_loss(hd @ weights.w2 + weights.b2, y, loss_mode)
     dw2 = hd.T @ dz2
     db2 = dz2.sum(axis=0)
-    dz1 = dz2 @ weights.w2.T
+    dz1 = np.matmul(dz2, weights.w2.T, out=buf)
     if mask is not None:
+        # a mask multiply, not a masked store: a negative gradient becomes -0.0
         dz1 *= mask
-    dz1 *= h > 0.0
+        dz1 *= scale
+    dz1 *= np.greater(h, 0.0, out=active)
     dw1 = x.T @ dz1
     db1 = dz1.sum(axis=0)
     return loss, (dw1, db1, dw2, db2)
@@ -168,8 +190,31 @@ def _sigmoid(z):
     return out
 
 
-def _dropout_mask(rng, shape, keep):
-    return (rng.random(shape) < keep) / keep
+def _dropout_masks(rng, shape, keep, count):
+    """``count`` bool masks, the draws of ``rng.random(shape) < keep`` in turn.
+
+    A helper thread draws each mask while the one before it is in use; a mask
+    stays valid until the next is requested. Closing the generator waits for
+    the helper's pending draw and stops the helper.
+    """
+    masks = np.empty((2, *shape), dtype=bool)
+    scratch = np.empty(min(masks[0].size, DRAW_CHUNK))
+
+    def draw(mask):
+        flat = mask.reshape(-1)
+        for start in range(0, flat.size, scratch.size):
+            part = scratch[:flat.size - start]
+            rng.random(out=part)
+            np.less(part, keep, out=flat[start:start + part.size])
+        return mask
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(draw, masks[0])
+        for i in range(1, count + 1):
+            mask = pending.result()
+            if i < count:
+                pending = helper.submit(draw, masks[i % 2])
+            yield mask
 
 
 def _rmse(mean, y):
@@ -189,7 +234,7 @@ def _check_loss(loss, phase, epoch):
             f"training loss became non-finite at epoch {epoch} of the {phase} phase")
 
 
-def _fit_mean(weights, x_train, y_train, x_val, y_val, epochs, lr, keep, rng):
+def _fit_mean(weights, x_train, y_train, x_val, y_val, epochs, lr, scale, masks):
     """Full-batch MSE descent on every parameter; returns the final hidden layer.
 
     The post-update hidden layer serves the epoch's train RMSE and the next
@@ -198,26 +243,27 @@ def _fit_mean(weights, x_train, y_train, x_val, y_val, epochs, lr, keep, rng):
     train_hist = np.empty(epochs)
     val_hist = np.empty(epochs)
     h = _hidden(weights, x_train)
+    work = np.empty_like(h), np.empty(h.shape, dtype=bool)
     for epoch in range(epochs):
-        mask = _dropout_mask(rng, h.shape, keep)
         loss, (dw1, db1, dw2, db2) = _loss_and_grads(
-            weights, x_train, h, y_train, "mse_mean", mask)
+            weights, x_train, h, y_train, "mse_mean", next(masks), scale, work)
         _check_loss(loss, "mean", epoch)
         weights.w1 -= lr * dw1
         weights.b1 -= lr * db1
         weights.w2 -= lr * dw2
         weights.b2 -= lr * db2
-        h = _hidden(weights, x_train)
+        _hidden(weights, x_train, out=h)
         train_hist[epoch] = _rmse((h @ weights.w2 + weights.b2)[:, 0], y_train)
         val_hist[epoch] = _rmse(mlp_forward(weights, x_val)[0], y_val)
     return h, train_hist, val_hist
 
 
-def _fit_variance(weights, h, y_train, epochs, lr, keep, rng):
+def _fit_variance(weights, h, y_train, epochs, lr, scale, masks):
     """NLL descent on the variance column alone over frozen hidden activations."""
+    hd = np.empty_like(h)
     for epoch in range(epochs):
-        hd = _dropout_mask(rng, h.shape, keep)
-        hd *= h
+        np.multiply(h, next(masks), out=hd)
+        hd *= scale
         loss, dz2 = _head_loss(hd @ weights.w2 + weights.b2, y_train, "gaussian_nll")
         _check_loss(loss, "variance", epoch)
         # the two-column product keeps the bits of the full gradient's column
@@ -252,9 +298,13 @@ def mlp_train(features, targets, config: MlpConfig):
 
     weights = mlp_init(config)
     keep = 1.0 - config.dropout_rate
-    h, train_hist, val_hist = _fit_mean(
-        weights, x_tr, y_tr, x_va, y_va, config.epochs, config.learning_rate, keep, rng)
-    _fit_variance(weights, h, y_tr, config.epochs, config.learning_rate, keep, rng)
+    # the mean phase's masks, then the variance phase's, all from one rng
+    masks = _dropout_masks(rng, (n_train, config.hidden), keep, 2 * config.epochs)
+    with closing(masks):
+        h, train_hist, val_hist = _fit_mean(weights, x_tr, y_tr, x_va, y_va, config.epochs,
+                                            config.learning_rate, 1.0 / keep, masks)
+        _fit_variance(weights, h, y_tr, config.epochs, config.learning_rate, 1.0 / keep,
+                      masks)
     # the variance NLL can stay finite after a last mean update that overflows the RMSE
     if not np.isfinite(train_hist[-1]):
         raise TrainingDiverged(f"training RMSE became non-finite at epoch "

@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, blas
 from .calibration import (MODEL_DEFAULTS, MODEL_SERIES, CalibrationJob, calibrate,
                           compare_models, minmax_rescale)
 from .explain import Baseline, explain_frames, global_importance, mean_head
@@ -523,6 +523,7 @@ def _network(out: Path, group: str, stats: Mapping[str, NormStats]):
 # train / predict
 
 
+@blas.one_thread()
 def run_train(out: Path, seed: int = 0, scenario: str | None = None,
               epochs: int | None = None,
               learning_rate: float | None = None) -> dict:
@@ -582,6 +583,7 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
     return summary
 
 
+@blas.one_thread()
 def run_predict(out: Path, seed: int = 0) -> Path:
     out = Path(out)
     normstats_path, stats = _load_normstats(out)
@@ -630,6 +632,7 @@ def run_calibrate(out: Path, seed: int = 0, draws: int = 500,
 # explain
 
 
+@blas.one_thread()
 def run_explain(out: Path, seed: int = 0, events: Sequence[int] | None = None,
                 n_permutations: int = 200) -> Path:
     out = Path(out)

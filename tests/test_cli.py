@@ -193,6 +193,25 @@ def test_diverging_training_fails_cleanly(mini_tree, tmp_path, caplog):
         f"ERROR riskdecode: {message}; lower the learning rate (was 1000000.0)"]
 
 
+def test_network_artifacts_do_not_depend_on_blas_threads(mini_tree, tmp_path):
+    # the network stages hold BLAS at one thread, so the thread count the
+    # environment asks for changes no byte of what they write
+    cfg = write_config(tmp_path / "explain.json", n_permutations=8)
+    env = {**os.environ, "PYTHONPATH": str(Path(riskdecode.__file__).parents[1])}
+    digests = []
+    for threads in ("1", "2"):
+        tree = tmp_path / f"threads{threads}"
+        shutil.copytree(mini_tree, tree)
+        for argv in (["train", "--epochs", "2"], ["predict"], ["explain", "--config", cfg]):
+            subprocess.run([sys.executable, "-m", "riskdecode.cli", *argv, "--out", str(tree),
+                            "--seed", "1"], env={**env, "OPENBLAS_NUM_THREADS": threads},
+                           check=True, capture_output=True, timeout=300)
+        names = [f"weights_{g}.json" for g in NETWORK_GROUPS]
+        digests.append({name: hashlib.sha256((tree / name).read_bytes()).hexdigest()
+                        for name in names + ["predictions.csv", "shap.csv", "globals.csv"]})
+    assert digests[0] == digests[1]
+
+
 @pytest.mark.parametrize("stage,flag,message", [
     ("calibrate", "--draws", "calibration needs at least one draw"),
     ("train", "--epochs", "epochs must be at least 1"),

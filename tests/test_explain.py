@@ -1,8 +1,12 @@
 """Shapley attribution: additivity, linear exactness, sampling behaviour."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from riskdecode import blas, explain
 from riskdecode.explain import (MAX_EXACT_DIM, Baseline, ShapResult,
                                 explain_frames, global_importance,
                                 mean_head, shap_exact,
@@ -119,6 +123,70 @@ def test_explain_frames_sampled_mode():
     assert np.array_equal(result.attributions, rerun.attributions)
     with pytest.raises(ValueError):
         explain_frames(model, features[:, :5], base)
+
+
+@pytest.mark.parametrize("d,frames", [(11, 20), (MAX_EXACT_DIM + 1, 19)])
+def test_explain_frames_do_not_depend_on_the_worker_count(d, frames, monkeypatch):
+    model = mean_head(mlp_init(MlpConfig(input_dim=d, hidden=32, seed=6)))
+    rng = np.random.default_rng(d)
+    base = Baseline(rng.normal(size=d) * 0.1)
+    features = rng.normal(size=(frames, d))
+    results, callers = [], set()
+
+    def recorded(x):
+        callers.add(threading.get_ident())
+        return model(x)
+
+    for workers in (1, 3):
+        monkeypatch.setattr(explain, "_workers", lambda: workers)
+        callers.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so the chunks interleave
+        try:
+            results.append(explain_frames(recorded, features, base, n_permutations=6, seed=2))
+        finally:
+            sys.setswitchinterval(interval)
+        if blas._openblas() is not None:
+            # frames reach pool threads only when there is more than one worker
+            assert (len(callers) > 1) == (workers > 1)
+    serial, pooled = results
+    assert serial.attributions.tobytes() == pooled.attributions.tobytes()
+    if d > MAX_EXACT_DIM:
+        assert serial.std_errors.tobytes() == pooled.std_errors.tobytes()
+    else:
+        assert serial.std_errors is None and pooled.std_errors is None
+
+
+def test_explain_frames_restore_the_blas_thread_count(monkeypatch):
+    lib = blas._openblas()
+    if lib is None:
+        pytest.skip("numpy does not use its bundled OpenBLAS")
+    get, set_ = lib
+    model = mean_head(mlp_init(MlpConfig(input_dim=11, hidden=32, seed=6)))
+    seen = set()
+
+    def recorded(x):
+        seen.add(get())
+        return model(x)
+
+    rng = np.random.default_rng(3)
+    base = Baseline(rng.normal(size=11) * 0.1)
+    features = rng.normal(size=(20, 11))
+    bad = features.copy()
+    bad[13, 4] = np.nan
+    monkeypatch.setattr(explain, "_workers", lambda: 2)
+    original = get()
+    set_(2)
+    try:
+        before = get()
+        explain_frames(recorded, features, base)
+        assert get() == before
+        with pytest.raises(ValueError, match="finite"):
+            explain_frames(recorded, bad, base)
+        assert get() == before
+    finally:
+        set_(original)
+    assert seen == {1}
 
 
 def test_global_importance_ranking():

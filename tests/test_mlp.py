@@ -1,5 +1,7 @@
 """Network training: gradients, determinism, overfit capacity, both heads."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,16 @@ def test_divergent_training_raises():
             mlp_train(x, y, cfg)
 
 
+def test_mask_helper_stops_when_training_diverges():
+    x, y = overfit_problem()
+    before = threading.active_count()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged) as caught:
+            mlp_train(x, y, MlpConfig(input_dim=5, epochs=50, learning_rate=1e9))
+    # checked while the traceback still holds mlp_train's frame and its locals
+    assert caught.traceback and threading.active_count() == before
+
+
 def test_divergence_names_its_phase():
     x, y = overfit_problem()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -272,3 +284,18 @@ def test_forward_matches_out_of_place_reference(rows):
     ref_mean, ref_variance = reference_forward(weights, x)
     assert mean.tobytes() == ref_mean.tobytes()
     assert variance.tobytes() == ref_variance.tobytes()
+
+
+def test_chunked_mask_draws_match_the_reference_loop(monkeypatch):
+    # 1000 uniforms per call: each 240 x 48 mask takes 12 calls, the last one short
+    monkeypatch.setattr(mlp, "DRAW_CHUNK", 1000)
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(300, 7))
+    y = np.clip(5.0 + x[:, 0] + 0.3 * rng.normal(size=300), 0.0, 10.0)
+    cfg = MlpConfig(input_dim=7, hidden=48, epochs=3, seed=4, dropout_rate=0.3,
+                    learning_rate=0.05)
+    weights, report = mlp_train(x, y, cfg)
+    ref, train_hist, _ = reference_train(x, y, cfg)
+    for name in ("w1", "b1", "w2", "b2"):
+        assert getattr(weights, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert report.train_rmse.tobytes() == train_hist.tobytes()
