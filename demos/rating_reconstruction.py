@@ -22,17 +22,15 @@ EVENT_ID = 41  # hard braking, mid intensity
 def main():
     spec = event_by_id(EVENT_ID)
     truth = planted_truth()[EVENT_ID]
-    table = load_alignment_table()
     # one rater, so the rating column runs clip by clip
-    ratings = synthetic_ratings({EVENT_ID: truth}, table, n_participants=1,
-                                seed=1)["rating"].tolist()
+    ratings = synthetic_ratings({EVENT_ID: truth}, n_participants=1, seed=1)["rating"].tolist()
     print(f"event {EVENT_ID} ({spec.scenario}): one rater's clip scores {ratings}")
 
     curves = {}
     lo, hi = min(ratings), max(ratings)
     for method in ("pchip", "linear", "quadratic"):
         # the event's ratings as a participants × clips matrix: here one row
-        curve = reconstruct_event(EVENT_ID, [ratings], table, method)
+        curve = reconstruct_event(EVENT_ID, [ratings], method)
         value = curve.value[0]
         rmse = float(np.sqrt(np.mean((value - truth) ** 2)))
         overshoot = float(np.maximum(value - hi, lo - value).max())
@@ -50,7 +48,7 @@ def main():
     ax.plot(grid, truth, "k--", lw=1.2, label="planted truth")
     for method, curve in curves.items():
         ax.plot(curve.t, curve.value[0], lw=1.4, label=method)
-    moments = [t for t, _, dup in table.moments(EVENT_ID) if dup == 0]
+    moments = [t for t, _, dup in load_alignment_table().moments(EVENT_ID) if dup == 0]
     ax.plot(moments, ratings, "o", ms=5, color="tab:red", label="clip ratings")
     ax.set_xlabel("t [s]")
     ax.set_ylabel("perceived risk (0-10)")

@@ -138,9 +138,7 @@ def mlp_forward(weights: MlpWeights, x, variance: bool = True):
 def _head_loss(z2, y, loss_mode):
     """Loss and its gradient with respect to the head outputs ``z2``."""
     n = z2.shape[0]
-    mean = z2[:, 0]
-    v = _softplus(z2[:, 1]) + VAR_FLOOR
-    resid = mean - y
+    resid = z2[:, 0] - y
     dz2 = np.zeros_like(z2)
     # a diverging fit overflows here; the caller's finiteness check reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -148,6 +146,7 @@ def _head_loss(z2, y, loss_mode):
             loss = float(np.mean(resid ** 2))
             dz2[:, 0] = 2.0 * resid / n
         else:
+            v = _softplus(z2[:, 1]) + VAR_FLOOR
             loss = float(np.mean(0.5 * (np.log(v) + resid ** 2 / v)))
             dz2[:, 0] = resid / v / n
             dv = 0.5 * (1.0 / v - resid ** 2 / v ** 2) / n
@@ -254,7 +253,7 @@ def _fit_mean(weights, x_train, y_train, x_val, y_val, epochs, lr, scale, masks)
         weights.b2 -= lr * db2
         _hidden(weights, x_train, out=h)
         train_hist[epoch] = _rmse((h @ weights.w2 + weights.b2)[:, 0], y_train)
-        val_hist[epoch] = _rmse(mlp_forward(weights, x_val)[0], y_val)
+        val_hist[epoch] = _rmse(mlp_forward(weights, x_val, variance=False)[0], y_val)
     return h, train_hist, val_hist
 
 

@@ -41,9 +41,8 @@ from .explain import Baseline, explain_frames, global_importance, mean_head
 from .features import (DEFAULT_MANIFESTS, FeatureManifest, NormStats, build_features,
                        zscore_apply, zscore_fit)
 from .mlp import MlpConfig, MlpWeights, TrainingDiverged, mlp_predict, mlp_train
-from .reconstruction import (RATING_MAX, RATING_MIN, RATINGS_COLUMNS, AlignmentTable,
-                             aggregate_curves, filter_ratings, load_alignment_table,
-                             reconstruct_event)
+from .reconstruction import (RATING_MAX, RATING_MIN, RATINGS_COLUMNS, aggregate_curves,
+                             filter_ratings, load_alignment_table, reconstruct_event)
 from .risk_models import PairTable
 from .scenarios import DT, catalog_trajectory, enumerate_events, event_by_id
 from .synthetic import DEFAULT_PARTICIPANTS, planted_truth, synthetic_ratings
@@ -304,8 +303,7 @@ def write_synthetic_ratings(out: Path, seed: int = 0,
     return write_csv(Path(out) / "ratings.csv", ratings, seed)
 
 
-def _read_ratings_file(path: Path, profile: Mapping[str, str] | None,
-                       alignment: AlignmentTable):
+def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
     """Accepted rows as ``RATINGS_COLUMNS`` int64 columns, their line numbers,
     and ``(line_number, reason)`` for every rejected row."""
     mapping = {c: c for c in RATINGS_COLUMNS}
@@ -323,6 +321,7 @@ def _read_ratings_file(path: Path, profile: Mapping[str, str] | None,
         raise ValueError(f"{path} lacks required columns {missing} "
                          f"(line {lines[0][0]}: {lines[0][1].strip()!r})")
     index = [header.index(mapping[c]) for c in RATINGS_COLUMNS]
+    alignment = load_alignment_table()
     known = set(alignment.event_ids())
     accepted, invalid = [], []
     for (line_no, _), cells in zip(lines[1:], reader):
@@ -338,7 +337,10 @@ def _read_ratings_file(path: Path, profile: Mapping[str, str] | None,
                 raise ValueError(f"rating must be an integer in 0..10, got {rating}")
             if not -2**63 <= pid < 2**63:
                 raise ValueError(f"participant_id {pid} does not fit in 64 bits")
-        except (IndexError, ValueError) as exc:
+        except IndexError:  # the first column, in check order, that the row lacks
+            lacking = next(mapping[c] for c, i in zip(RATINGS_COLUMNS, index) if i >= len(cells))
+            invalid.append((line_no, f"row has {len(cells)} cells, none for column {lacking}"))
+        except ValueError as exc:
             invalid.append((line_no, str(exc)))
         else:
             accepted.append((line_no, pid, eid, clip, rating))
@@ -346,7 +348,7 @@ def _read_ratings_file(path: Path, profile: Mapping[str, str] | None,
     return dict(zip(RATINGS_COLUMNS, rows[:, 1:].T)), rows[:, 0], invalid
 
 
-def _pair_matrices(table: Mapping[str, np.ndarray], alignment: AlignmentTable):
+def _pair_matrices(table: Mapping[str, np.ndarray]):
     """Each event's complete (participant, event) pairs as one participants × slots matrix.
 
     A pair is complete if it rates clips 1..n_slots once each.  Returns
@@ -359,6 +361,7 @@ def _pair_matrices(table: Mapping[str, np.ndarray], alignment: AlignmentTable):
     starts_pair[1:] = (eid[1:] != eid[:-1]) | (pid[1:] != pid[:-1])
     pair = np.cumsum(starts_pair) - 1
     first = np.flatnonzero(starts_pair)
+    alignment = load_alignment_table()
     n_slots = np.array([alignment.n_slots(e) for e in eid[first].tolist()], dtype=np.int64)
     width = int(n_slots.max(initial=0)) + 2  # the outer bins take clips outside 1..n_slots
     counts = np.bincount(pair * width + np.clip(clip, 0, width - 1),
@@ -389,9 +392,8 @@ def run_ingest(out: Path, ratings_path: Path, seed: int = 0,
     if not ratings_path.exists():
         raise FileNotFoundError(f"ratings file {ratings_path} does not exist")
 
-    alignment = load_alignment_table()
-    accepted, lines, invalid = _read_ratings_file(ratings_path, profile, alignment)
-    matrices, incomplete = _pair_matrices(accepted, alignment)
+    accepted, lines, invalid = _read_ratings_file(ratings_path, profile)
+    matrices, incomplete = _pair_matrices(accepted)
     invalid = sorted(invalid + [(int(lines[row]), reason) for row, reason in incomplete])
     for line_no, reason in invalid[:20]:
         log.warning("ratings line %d rejected: %s", line_no, reason)
@@ -433,15 +435,24 @@ def run_ingest(out: Path, ratings_path: Path, seed: int = 0,
 def run_reconstruct(out: Path, seed: int = 0, method: str = "pchip") -> Path:
     out = Path(out)
     ratings = require(out, "ratings_valid.csv", "ingest")
-    alignment = load_alignment_table()
-
-    matrices, incomplete = _pair_matrices(read_csv(ratings), alignment)
+    columns = read_csv(ratings)
+    for name in RATINGS_COLUMNS:
+        if name not in columns:
+            raise ValueError(f"{ratings} lacks the {name} column; run the ingest stage again")
+        if columns[name].dtype != np.int64:
+            raise ValueError(f"{ratings} column {name} holds non-integer cells; "
+                             "run the ingest stage again")
+    unknown = np.setdiff1d(columns["event_id"], load_alignment_table().event_ids())
+    if unknown.size:
+        raise ValueError(f"{ratings} names events without an alignment row: "
+                         f"{unknown.tolist()}; run the ingest stage again")
+    matrices, incomplete = _pair_matrices(columns)
     if incomplete:
         raise ValueError(f"{ratings} holds an incomplete pair, which ingest never keeps: "
                          f"{incomplete[0][1]}")
     blocks = []
     for eid, (_, sequences) in matrices.items():
-        agg = aggregate_curves(reconstruct_event(eid, sequences, alignment, method))
+        agg = aggregate_curves(reconstruct_event(eid, sequences, method))
         blocks.append((np.full(agg.t.size, eid), agg.t, agg.mean, agg.p25, agg.p75, agg.std,
                        np.full(agg.t.size, agg.n_participants)))
     return write_csv(out / "curves.csv",
@@ -632,7 +643,6 @@ def run_calibrate(out: Path, seed: int = 0, draws: int = 500,
 # explain
 
 
-@blas.one_thread()
 def run_explain(out: Path, seed: int = 0, events: Sequence[int] | None = None,
                 n_permutations: int = 200) -> Path:
     out = Path(out)

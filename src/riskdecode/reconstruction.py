@@ -4,10 +4,11 @@ Participants rated the most dangerous moment of each 6 s clip on a 0-10
 integer scale. A ratings table is the four ``RATINGS_COLUMNS`` as int64
 arrays; the stages hand one event's ratings to this module as a
 participants × clips matrix. Reconstruction places those ratings at the
-event's rating moments (shipped alignment tables, one strictly rising knot
-vector per event), screens out the rows whose rating sequence does not
-track the event's mean row, interpolates every remaining row of the
-matrix to 10 Hz in one call, and aggregates across participants.
+event's rating moments (the shipped alignment table, read once per process:
+one strictly rising knot vector per event), screens out the rows whose
+rating sequence does not track the event's mean row, interpolates every
+remaining row of the matrix to 10 Hz in one call, and aggregates across
+participants.
 
 Three interpolators are provided, each one row-batched implementation over
 shared knot times. The shape-preserving cubic is the default used by the
@@ -78,51 +79,51 @@ class AlignmentTable:
                 if not time > before:
                     raise ValueError(f"alignment moments for {key} are not strictly rising: "
                                      f"time {time} follows {before}")
-        keys = {spec.event_id: (spec.family, scenario_rank(spec)) for spec in CATALOG}
-        self._by_event_id = {eid: rows[key] for eid, key in keys.items() if key in rows}
-        self._n_slots = {eid: max(slot for _, slot, _ in moments)
-                         for eid, moments in self._by_event_id.items()}
-        self._knots = {}
-        for eid, moments in self._by_event_id.items():
-            times = np.array([t for t, _, _ in moments])
-            slots = np.array([slot for _, slot, _ in moments]) - 1
-            times.flags.writeable = slots.flags.writeable = False
-            self._knots[eid] = (times, slots)
+        self._events = {}  # event id -> (moments, knot times, 0-based slots, slot count)
+        for spec in CATALOG:
+            moments = tuple(rows.get((spec.family, scenario_rank(spec)), ()))
+            if moments:
+                times, slots, _ = (np.array(column) for column in zip(*moments))
+                slots -= 1
+                times.flags.writeable = slots.flags.writeable = False
+                self._events[spec.event_id] = (moments, times, slots, int(slots.max()) + 1)
 
-    def moments(self, event_id: int) -> list:
+    def _event(self, event_id: int) -> tuple:
         try:
-            return self._by_event_id[event_id]
+            return self._events[event_id]
         except KeyError:
             raise KeyError(f"event_id {event_id} has no alignment row") from None
+
+    def moments(self, event_id: int) -> tuple:
+        return self._event(event_id)[0]
 
     def n_slots(self, event_id: int) -> int:
-        try:
-            return self._n_slots[event_id]
-        except KeyError:
-            raise KeyError(f"event_id {event_id} has no alignment row") from None
+        return self._event(event_id)[3]
 
     def knots(self, event_id: int) -> tuple:
         """The event's moment times and the 0-based clip slot pinned at each."""
-        try:
-            return self._knots[event_id]
-        except KeyError:
-            raise KeyError(f"event_id {event_id} has no alignment row") from None
+        return self._event(event_id)[1:3]
 
     def event_ids(self) -> list:
-        return sorted(self._by_event_id)
+        return sorted(self._events)
+
+
+_PACKAGED: list = []  # the shipped AlignmentTable, filled by load_alignment_table
 
 
 def load_alignment_table() -> AlignmentTable:
-    """Read the packaged per-scenario rating-moment tables."""
-    rows: dict = {}
-    for name in ("alignment_mb.csv", "alignment_hb.csv", "alignment_lc.csv",
-                 "alignment_svm.csv"):
-        text = resources.files("riskdecode.data").joinpath(name).read_text()
-        _, *body = csv.reader(text.splitlines())  # scenario,event,slot,time_s,duplicate_flag
-        for family, event, slot, time_s, dup in body:
-            rows.setdefault((family, int(event)), []).append(
-                (float(time_s), int(slot), int(dup)))
-    return AlignmentTable(rows)
+    """The packaged per-scenario rating-moment tables, read on first use and shared."""
+    if not _PACKAGED:
+        rows: dict = {}
+        for name in ("alignment_mb.csv", "alignment_hb.csv", "alignment_lc.csv",
+                     "alignment_svm.csv"):
+            text = resources.files("riskdecode.data").joinpath(name).read_text()
+            _, *body = csv.reader(text.splitlines())  # scenario,event,slot,time_s,duplicate_flag
+            for family, event, slot, time_s, dup in body:
+                rows.setdefault((family, int(event)), []).append(
+                    (float(time_s), int(slot), int(dup)))
+        _PACKAGED.append(AlignmentTable(rows))
+    return _PACKAGED[0]
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +303,7 @@ def curve_from_anchors(anchors, n_frames: int, method: str = "pchip") -> RiskCur
     return RiskCurve(grid, np.clip(_one_row(rows, anchors, grid), RATING_MIN, RATING_MAX))
 
 
-def reconstruct_event(event_id: int, ratings, table: AlignmentTable,
-                      method: str = "pchip") -> RiskCurve:
+def reconstruct_event(event_id: int, ratings, method: str = "pchip") -> RiskCurve:
     """Every rater's curve of one event, as one participants × frames stack.
 
     ``ratings`` is the event's participants × clips matrix.  Each clip's
@@ -313,6 +313,7 @@ def reconstruct_event(event_id: int, ratings, table: AlignmentTable,
     """
     rows = _interpolator(method)
     ratings = np.asarray(ratings)
+    table = load_alignment_table()
     n_slots = table.n_slots(event_id)
     if ratings.ndim != 2 or ratings.shape[1] != n_slots:
         raise ValueError(f"event {event_id} expects a participants × {n_slots} clip "

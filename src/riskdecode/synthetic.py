@@ -17,8 +17,7 @@ import numpy as np
 
 from .calibration import joint_rescale
 from .features import FeatureManifest, build_features
-from .reconstruction import (RATINGS_COLUMNS, AlignmentTable, curve_from_anchors,
-                             load_alignment_table)
+from .reconstruction import RATINGS_COLUMNS, load_alignment_table, reconstruct_event
 from .risk_models import PcadParams, pcad_risk_series
 from .scenarios import CATALOG, DT, catalog_trajectory
 
@@ -72,10 +71,9 @@ def planted_truth() -> dict:
     proximity_scaled = joint_rescale(proximity_raw)
 
     # Sample the warped blend at each slot's canonical rating moment and
-    # interpolate through all of that slot's placements: the truth then
-    # lives in the reconstruction's own function class, so clean ratings
-    # reproduce it instead of smearing fast transients between moments.
-    table = load_alignment_table()
+    # reconstruct it as one rater's clip ratings: the truth then lives in the
+    # reconstruction's own function class, so clean ratings reproduce it
+    # instead of smearing fast transients between moments.
     truth = {}
     for spec in CATALOG:
         eid = spec.event_id
@@ -83,21 +81,18 @@ def planted_truth() -> dict:
                  + TRUTH_BRAKE_GAIN * brake_scaled[eid]
                  + TRUTH_PROXIMITY_GAIN * proximity_scaled[eid])
         warped = 10.0 * (blend / 10.0) ** TRUTH_WARP
-        moments = table.moments(eid)
-        slot_value = {slot: _curve_at(warped, t)
-                      for t, slot, dup in moments if dup == 0}
-        anchors = [(t, slot_value[slot]) for t, slot, _ in moments]
-        truth[eid] = curve_from_anchors(anchors, spec.n_frames, "pchip").value
+        truth[eid] = reconstruct_event(eid, _at_canonical_moments(warped, eid)[None, :]).value[0]
     return truth
 
 
-def _curve_at(curve: np.ndarray, moment: float) -> float:
-    grid = np.arange(curve.size) * DT
-    return float(np.interp(moment, grid, curve))
+def _at_canonical_moments(curve: np.ndarray, event_id: int) -> np.ndarray:
+    """The 10 Hz ``curve`` read at each slot's canonical (``dup == 0``) moment, by slot."""
+    moments = sorted((slot, t) for t, slot, dup in load_alignment_table().moments(event_id)
+                     if dup == 0)
+    return np.interp([t for _, t in moments], np.arange(curve.size) * DT, curve)
 
 
 def synthetic_ratings(truth: Mapping[int, np.ndarray],
-                      table: AlignmentTable | None = None,
                       n_participants: int = DEFAULT_PARTICIPANTS,
                       seed: int = 0) -> dict:
     """Integer clip ratings for every event in ``truth``, as ``RATINGS_COLUMNS`` arrays.
@@ -108,15 +103,12 @@ def synthetic_ratings(truth: Mapping[int, np.ndarray],
     """
     if n_participants < 1:
         raise ValueError("need at least one participant")
-    if table is None:
-        table = load_alignment_table()
     rng = np.random.default_rng(seed)
 
     blocks = []
     for eid in sorted(truth):
-        slot_moment = {slot: t for t, slot, dup in table.moments(eid) if dup == 0}
-        slots = sorted(slot_moment)
-        values = np.array([_curve_at(truth[eid], slot_moment[slot]) for slot in slots])
+        values = _at_canonical_moments(truth[eid], eid)
+        slots = np.arange(1, values.size + 1)
         # stream order: per participant its offset, then one noise per slot;
         # normal(0, s) draws s * standard_normal(), so the ratings match a per-draw loop
         z = rng.standard_normal((n_participants, 1 + len(slots)))

@@ -4,14 +4,17 @@ These are the straightforward forms the per-event matrix path in
 ``riskdecode.reconstruction`` replaced: one rater's clip ratings become an
 anchor list, the anchor list is deduplicated and sorted, each interpolator
 walks its knots in a Python loop, and the aggregate stacks a list of curves.
-Tests require the library to match them bit for bit.
+The synthetic ratings and the planted truth's last step read a curve one
+slot at a time and build the truth from an anchor list.  Tests require the
+library to match them bit for bit.
 """
 
 import numpy as np
 
-from riskdecode.reconstruction import (RATING_MAX, RATING_MIN, AggregateCurve, RiskCurve,
-                                       _prepare_anchors)
+from riskdecode.reconstruction import (RATING_MAX, RATING_MIN, RATINGS_COLUMNS, AggregateCurve,
+                                       RiskCurve, _prepare_anchors, curve_from_anchors)
 from riskdecode.scenarios import DT, event_by_id
+from riskdecode.synthetic import PARTICIPANT_SIGMA, RATER_SIGMA
 
 
 def interp_linear(anchors, grid):
@@ -104,3 +107,38 @@ def aggregate_curve_list(curves):
     return AggregateCurve(t=curves[0].t, mean=values.mean(axis=0),
                           p25=_nearest_rank(values, 0.25), p75=_nearest_rank(values, 0.75),
                           std=values.std(axis=0), n_participants=len(curves))
+
+
+def curve_at(curve, moment):
+    """A 10 Hz curve read at one moment."""
+    grid = np.arange(curve.size) * DT
+    return float(np.interp(moment, grid, curve))
+
+
+def planted_truth_from_anchors(warped, table):
+    """The planted truth's last step: each event's warped blend read at every
+    slot's canonical moment, pinned at all of the slot's moments, and the
+    anchor list interpolated with ``curve_from_anchors``."""
+    truth = {}
+    for eid, curve in warped.items():
+        moments = table.moments(eid)
+        slot_value = {slot: curve_at(curve, t) for t, slot, dup in moments if dup == 0}
+        anchors = [(t, slot_value[slot]) for t, slot, _ in moments]
+        truth[eid] = curve_from_anchors(anchors, event_by_id(eid).n_frames, "pchip").value
+    return truth
+
+
+def synthetic_ratings(truth, table, n_participants, seed):
+    """Rehearsal ratings with each slot's canonical reading taken one slot at a time."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for eid in sorted(truth):
+        slot_moment = {slot: t for t, slot, dup in table.moments(eid) if dup == 0}
+        slots = sorted(slot_moment)
+        values = np.array([curve_at(truth[eid], slot_moment[slot]) for slot in slots])
+        z = rng.standard_normal((n_participants, 1 + len(slots)))
+        noisy = values + PARTICIPANT_SIGMA * z[:, :1] + RATER_SIGMA * z[:, 1:]
+        blocks.append((np.repeat(np.arange(1, n_participants + 1), len(slots)),
+                       np.full(noisy.size, eid), np.tile(slots, n_participants),
+                       np.clip(np.rint(noisy), 0, 10).astype(np.int64).ravel()))
+    return {name: np.concatenate(parts) for name, parts in zip(RATINGS_COLUMNS, zip(*blocks))}

@@ -281,7 +281,7 @@ def test_ingest_drops_incomplete_pairs(defect, fault, invalid, tmp_path):
     ("2,1,3,-1", "rating must be an integer in 0..10, got -1"),
     ("2,1,3,5.5", "invalid literal for int() with base 10: '5.5'"),
     ("2,1,0,5", "clip_index 0 outside event 1's slots"),
-    ("2,1,3", "list index out of range"),
+    ("2,1,3", "row has 3 cells, none for column rating"),
     # the columns are int64; a wider id is a reject, not an overflow
     ("99999999999999999999,1,3,5", "participant_id 99999999999999999999 does not fit in 64 bits"),
 ])
@@ -293,6 +293,32 @@ def test_ingest_names_each_row_reject(row, reason, tmp_path):
     index = json.loads((tmp_path / "dataset_index.json").read_text())
     assert index["invalid_detail"][-1] == {"line": len(lines) + 1, "reason": reason}
     assert index["invalid_rows"] == 5
+
+
+@pytest.mark.parametrize("damage,message", [
+    ("event_999", r"names events without an alignment row: \[999\]"),
+    ("rating_5.5", r"column rating holds non-integer cells"),
+    ("no_rating", r"lacks the rating column"),
+], ids=["event_999", "rating_5.5", "no_rating"])
+def test_reconstruct_refuses_ratings_it_cannot_trust(damage, message, tmp_path, caplog):
+    ratings = _pair_ratings(tmp_path / "ratings.csv", "drop_row")
+    assert main(["ingest", str(ratings), "--out", str(tmp_path)]) == 0
+    valid = tmp_path / "ratings_valid.csv"
+    lines = valid.read_text(encoding="utf-8").splitlines()
+    if damage == "event_999":
+        lines += [f"1,999,{clip},5" for clip in (1, 2, 3)]
+    elif damage == "rating_5.5":
+        lines[-1] = lines[-1].rpartition(",")[0] + ",5.5"
+    else:
+        lines[1:] = [line.rpartition(",")[0] for line in lines[1:]]
+    valid.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    caplog.clear()
+    with caplog.at_level(logging.ERROR):
+        assert main(["reconstruct", "--out", str(tmp_path)]) == 1
+    assert [r.levelno for r in caplog.records] == [logging.ERROR]
+    assert re.fullmatch(rf"{re.escape(str(valid))} {message}; run the ingest stage again",
+                        caplog.records[0].getMessage())
+    assert not (tmp_path / "curves.csv").exists()
 
 
 def test_ingest_reject_names_its_line_after_a_blank_line(tmp_path):

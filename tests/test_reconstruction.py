@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 import reconstruction_oracles as oracle
+from riskdecode import reconstruction, synthetic
+from riskdecode.pipeline import run_ingest, run_reconstruct, write_synthetic_ratings
 from riskdecode.reconstruction import (CROSSVAL_KNOTS, AlignmentTable, RiskCurve, _pearson,
                                        aggregate_curves, crossval_interp,
                                        curve_from_anchors, filter_ratings,
                                        interp_linear, interp_pchip,
-                                       interp_quadratic_monotone, reconstruct_event)
+                                       interp_quadratic_monotone, load_alignment_table,
+                                       reconstruct_event)
 from riskdecode.scenarios import DT, enumerate_events
 from riskdecode.synthetic import planted_truth, synthetic_ratings
 
@@ -40,6 +43,32 @@ def test_alignment_table_requires_strictly_rising_times():
         AlignmentTable({("HB", 1): moments[:1]})
 
 
+def test_packaged_table_is_one_shared_read_only_object(table):
+    assert load_alignment_table() is load_alignment_table() is table
+    for event_id in table.event_ids():
+        moments = table.moments(event_id)
+        assert isinstance(moments, tuple) and all(isinstance(m, tuple) for m in moments)
+        for knots in table.knots(event_id):
+            assert not knots.flags.writeable
+            with pytest.raises(ValueError):
+                knots[0] = 0
+
+
+def test_packaged_table_is_parsed_once_per_process(monkeypatch, tmp_path):
+    # a process that has not read the table yet: every stage that needs the
+    # alignment looks it up, and the four packaged CSVs are read once in all
+    monkeypatch.setattr(reconstruction, "_PACKAGED", [])
+    reads = []
+    files = reconstruction.resources.files
+    monkeypatch.setattr(reconstruction.resources, "files",
+                        lambda package: reads.append(package) or files(package))
+    ratings = write_synthetic_ratings(tmp_path, seed=3, n_participants=2)
+    run_ingest(tmp_path, ratings, seed=3)
+    run_reconstruct(tmp_path, seed=3)
+    assert reads == ["riskdecode.data"] * 4
+    assert load_alignment_table() is reconstruction._PACKAGED[0]
+
+
 def test_align_ratings_places_duplicates(table):
     n = table.n_slots(1)
     ratings = np.arange(1, n + 1)
@@ -53,7 +82,7 @@ def test_align_ratings_places_duplicates(table):
     # every placement of a slot pins the same rating value
     assert all(len(v) == 1 for v in by_slot.values())
     with pytest.raises(ValueError):
-        reconstruct_event(1, [ratings.tolist() + [5]], table)
+        reconstruct_event(1, [ratings.tolist() + [5]])
 
 
 def test_filter_keeps_agreement_drops_contrarian(table):
@@ -249,9 +278,37 @@ def test_curve_from_anchors_grid(table):
 
 def test_reconstruct_participant_end_to_end(table):
     n = table.n_slots(28)
-    curve = reconstruct_event(28, [[1] * (n - 1) + [9]], table)
+    curve = reconstruct_event(28, [[1] * (n - 1) + [9]])
     assert curve.t.shape == (301,)
     assert curve.value[0, 0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_planted_truth_matches_anchor_list_oracle(monkeypatch, table, catalog):
+    # record each event's warped blend on its way into the canonical readings
+    warped, read = {}, synthetic._at_canonical_moments
+
+    def recording(curve, event_id):
+        warped[event_id] = curve.copy()
+        return read(curve, event_id)
+
+    monkeypatch.setattr(synthetic, "_at_canonical_moments", recording)
+    truth = planted_truth()
+    expected = oracle.planted_truth_from_anchors(warped, table)
+    assert list(truth) == list(expected) == [s.event_id for s in catalog]
+    for event_id, curve in expected.items():
+        assert truth[event_id].tobytes() == curve.tobytes(), event_id
+
+
+@pytest.mark.parametrize("n_participants", [2, 32])
+def test_synthetic_ratings_match_per_slot_oracle(n_participants, table):
+    truth = planted_truth()
+    for seed in range(5):
+        got = synthetic_ratings(truth, n_participants=n_participants, seed=seed)
+        want = oracle.synthetic_ratings(truth, table, n_participants, seed)
+        assert list(got) == list(want)
+        for name, column in want.items():
+            assert got[name].dtype == column.dtype, name
+            assert got[name].tobytes() == column.tobytes(), (seed, name)
 
 
 @pytest.fixture(scope="module")
@@ -263,7 +320,7 @@ def rated_events():
 
 
 def assert_matches_oracle(event_id, ratings, table, method):
-    curves = reconstruct_event(event_id, ratings, table, method)
+    curves = reconstruct_event(event_id, ratings, method)
     scalar = [oracle.reconstruct_participant(event_id, row, table, method) for row in ratings]
     assert curves.t.tobytes() == scalar[0].t.tobytes()
     assert curves.value.tobytes() == np.stack([c.value for c in scalar]).tobytes()
