@@ -4,10 +4,11 @@ Every stage reads only named upstream files and writes UTF-8 CSV/JSON.
 Only ``read_csv`` and ``write_csv`` know the table format: a stamp line
 with the tool version, the seed and the digest of every file the stage
 read (JSON artifacts carry it as ``meta.inputs``), then the header and
-rows.  Floats are written at 6 decimals; model state that later stages
-read back (feature matrices, normalization stats, network weights) is
-written at ``repr``, because some catalog features vary only at the 1e-7
-level.  A missing float (NaN) is an empty cell, and cells are quoted as
+rows.  Floats are written at 6 decimals; normalization stats and network
+weights, which later stages read back, are JSON at ``repr``.  No stage
+reads the feature tables: train, predict and explain rebuild each matrix
+from the catalog for the events and feature names in ``normstats.json``.
+A missing float (NaN) is an empty cell, and cells are quoted as
 ``csv.writer`` quotes them.  ``read_csv`` returns columns keyed by header
 name: int64 if every cell of the column parses as ``int``, else float64 if
 every cell parses as ``float``, else strings.  It guesses each column's
@@ -85,11 +86,11 @@ def _tags(inputs: Sequence[Path]) -> str:
     return ",".join(f"{p.name}:{_digest(p)}" for p in inputs) or "-"
 
 
-def _cells(values: np.ndarray, precise: bool) -> list:
+def _cells(values: np.ndarray) -> list:
     """A column's cells, with the formatter chosen once from its dtype."""
     if values.dtype.kind != "f":
         return list(map(str, values.tolist()))
-    cells = list(map(float.__repr__ if precise else "{:.6f}".format, values.tolist()))
+    cells = list(map("{:.6f}".format, values.tolist()))
     for i in np.flatnonzero(np.isnan(values)):
         cells[i] = ""
     return cells
@@ -104,22 +105,22 @@ def _field(cell: str, lone: bool) -> str:
     return cell
 
 
-def _column(values: np.ndarray, precise: bool, lone: bool) -> tuple:
+def _column(values: np.ndarray, lone: bool) -> tuple:
     """One block of a column as a ``%`` conversion and the values it converts:
-    integers and bools go to ``str``, finite floats to ``repr`` or 6 decimals,
-    and any other column (strings, floats with NaN) is formatted by ``_cells``."""
+    integers and bools go to ``str``, finite floats to 6 decimals, and any
+    other column (strings, floats with NaN) is formatted by ``_cells``."""
     kind = values.dtype.kind
     if kind in "iub" or (kind == "f" and not np.isnan(values).any()):
-        return ("%s" if kind != "f" else "%r" if precise else "%.6f"), values.tolist()
-    cells = _cells(values, precise)
+        return ("%.6f" if kind == "f" else "%s"), values.tolist()
+    cells = _cells(values)
     if lone or any(ch in "".join(cells) for ch in ',"\r\n'):
         cells = [_field(cell, lone) for cell in cells]
     return "%s", cells
 
 
 def write_csv(path: Path, table: Mapping[str, Sequence], seed: int,
-              inputs: Sequence[Path] = (), precise: bool = False) -> Path:
-    """Stamped CSV of ``table``'s columns; ``precise`` writes floats at ``repr``.
+              inputs: Sequence[Path] = ()) -> Path:
+    """Stamped CSV of ``table``'s columns, floats at 6 decimals.
 
     Rows end in ``\\r\\n`` and cells are quoted as ``csv.writer`` quotes them;
     each block of rows is formatted by one ``%`` over a repeated row format."""
@@ -135,7 +136,7 @@ def write_csv(path: Path, table: Mapping[str, Sequence], seed: int,
         fh.write(f"# riskdecode {__version__} seed={seed} inputs={_tags(inputs)}\n")
         fh.write(",".join(_field(str(name), lone) for name in table) + "\r\n")
         for start in range(0, n_rows, _ROWS_PER_WRITE):  # bounds the formatted cells held
-            specs, blocks = zip(*(_column(c[start:start + _ROWS_PER_WRITE], precise, lone)
+            specs, blocks = zip(*(_column(c[start:start + _ROWS_PER_WRITE], lone)
                                   for c in columns))
             rows = (",".join(specs) + "\r\n") * len(blocks[0])
             fh.write(rows % tuple(chain.from_iterable(zip(*blocks))))
@@ -442,6 +443,12 @@ def run_reconstruct(out: Path, seed: int = 0, method: str = "pchip") -> Path:
         if columns[name].dtype != np.int64:
             raise ValueError(f"{ratings} column {name} holds non-integer cells; "
                              "run the ingest stage again")
+    off_scale = np.flatnonzero((columns["rating"] < RATING_MIN) | (columns["rating"] > RATING_MAX))
+    if off_scale.size:
+        pid, eid, clip, rating = (columns[c][off_scale[0]] for c in RATINGS_COLUMNS)
+        raise ValueError(f"{ratings} data row {off_scale[0] + 1} (participant {pid}, event {eid}, "
+                         f"clip {clip}) holds rating {rating}, outside 0..10; "
+                         "run the ingest stage again")
     unknown = np.setdiff1d(columns["event_id"], load_alignment_table().event_ids())
     if unknown.size:
         raise ValueError(f"{ratings} names events without an alignment row: "
@@ -465,6 +472,14 @@ def run_reconstruct(out: Path, seed: int = 0, method: str = "pchip") -> Path:
 # features
 
 
+def _group_matrix(event_ids: Sequence[int], manifest: FeatureManifest):
+    """Event ids, frame times and the raw matrix of ``event_ids``' catalog frames."""
+    blocks = [build_features(catalog_trajectory(eid), manifest) for eid in event_ids]
+    sizes = [len(b) for b in blocks]
+    return (np.repeat(np.asarray(event_ids, dtype=np.int64), sizes),
+            np.concatenate([np.arange(n) * DT for n in sizes]), np.vstack(blocks))
+
+
 def run_features(out: Path, seed: int = 0,
                  manifests: Mapping[str, Sequence[str]] | None = None) -> dict:
     out = Path(out)
@@ -474,23 +489,19 @@ def run_features(out: Path, seed: int = 0,
 
     manifest_meta, norm_meta, paths = {}, {}, {}
     for group in NETWORK_GROUPS:
-        specs = [s for s in _events(group) if s.event_id in listed]
-        if not specs:
+        event_ids = [s.event_id for s in _events(group) if s.event_id in listed]
+        if not event_ids:
             # a matrix left by an earlier, wider run would outlive its normstats
             (out / f"features_{group}.csv").unlink(missing_ok=True)
             continue
         manifest = _group_manifest(group, manifests)
-        blocks = [build_features(catalog_trajectory(s.event_id), manifest) for s in specs]
-        matrix = np.vstack(blocks)
+        eids, times, matrix = _group_matrix(event_ids, manifest)
         stats = zscore_fit(matrix, manifest.names)
-        table = {"event_id": np.repeat([s.event_id for s in specs], [len(b) for b in blocks]),
-                 "t": np.concatenate([np.arange(len(b)) * DT for b in blocks]),
-                 **dict(zip(manifest.names, matrix.T))}
-        paths[group] = write_csv(out / f"features_{group}.csv", table, seed,
-                                 [events_json], precise=True)
+        table = {"event_id": eids, "t": times, **dict(zip(manifest.names, matrix.T))}
+        paths[group] = write_csv(out / f"features_{group}.csv", table, seed, [events_json])
         manifest_meta[group] = {"family": manifest.scenario,
                                 "features": list(manifest.names)}
-        norm_meta[group] = {"names": list(stats.names),
+        norm_meta[group] = {"event_ids": event_ids, "names": list(stats.names),
                             "mean": stats.mean, "std": stats.std}
     write_json(out / "manifest.json", {"groups": manifest_meta}, seed, [events_json])
     write_json(out / "normstats.json", {"groups": norm_meta}, seed, [events_json],
@@ -499,33 +510,36 @@ def run_features(out: Path, seed: int = 0,
 
 
 def _load_normstats(out: Path):
-    """``normstats.json``'s path and its ``NormStats`` by group."""
+    """``normstats.json``'s path and, by group that lists its events, those event ids
+    and its ``NormStats``."""
     path = require(out, "normstats.json", "features")
     payload = json.loads(path.read_text(encoding="utf-8"))
-    return path, {group: NormStats(tuple(entry["names"]), np.array(entry["mean"], dtype=float),
-                                   np.array(entry["std"], dtype=float))
-                  for group, entry in payload["groups"].items()}
+    return path, {group: (entry["event_ids"],
+                          NormStats(tuple(entry["names"]), np.array(entry["mean"], dtype=float),
+                                    np.array(entry["std"], dtype=float)))
+                  for group, entry in payload["groups"].items() if "event_ids" in entry}
 
 
-def _load_features(out: Path, group: str, stats: Mapping[str, NormStats]):
-    """(path, event ids, frame times, raw matrix, z-scored matrix) of one features CSV."""
-    path = require(out, f"features_{group}.csv", "features")
-    table = read_csv(path)
-    eids, times = table.pop("event_id"), table.pop("t")
-    matrix = np.column_stack(list(table.values()))
-    return path, eids, times, matrix, zscore_apply(matrix, stats[group])
+def _load_features(out: Path, group: str, stats: Mapping[str, tuple]):
+    """``_group_matrix`` of the events one group was fit on, then its matrix z-scored."""
+    if group not in stats:
+        raise ValueError(f"normstats.json under {out} lists no events for group {group}; "
+                         "run the features stage with its events listed")
+    event_ids, fitted = stats[group]
+    eids, times, matrix = _group_matrix(event_ids, _group_manifest(group, {group: fitted.names}))
+    return eids, times, matrix, zscore_apply(matrix, fitted)
 
 
-def _network(out: Path, group: str, stats: Mapping[str, NormStats]):
+def _network(out: Path, group: str, stats: Mapping[str, tuple]):
     """(weights path, weights) of one group's network, then what ``_load_features``
-    returns for its features, which must be as wide as the network's input."""
+    returns for it; ``normstats.json`` must name as many features as the network takes."""
     path = require(out, f"weights_{group}.json", "train")
     payload = json.loads(path.read_text(encoding="utf-8"))
     weights = MlpWeights(*(np.array(payload["weights"][k]) for k in ("w1", "b1", "w2", "b2")))
     features = _load_features(out, group, stats)
     width = features[-1].shape[1]
     if width != weights.input_dim:
-        raise ValueError(f"{features[0].name} holds {width} features, but {path.name} "
+        raise ValueError(f"normstats.json holds {width} features for {group}, but {path.name} "
                          f"takes {weights.input_dim}; run the train stage again")
     return path, weights, *features
 
@@ -548,10 +562,9 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
     chosen = {_GROUP_OF[s.scenario] for s in _events(scenario)}
     summary, log_blocks = {}, []
     for group in (g for g in NETWORK_GROUPS if g in chosen):
-        feats_path, eids, _, _, x = _load_features(out, group, stats)
-        read_paths.append(feats_path)
+        eids, _, _, x = _load_features(out, group, stats)
         targets = []
-        for eid in np.unique(eids):
+        for eid in dict.fromkeys(eids.tolist()):  # in the order of the matrix rows
             if eid not in mean_curves:
                 raise ValueError(f"curves.csv lacks event {eid} needed by {group}")
             targets.append(mean_curves[eid])
@@ -580,7 +593,7 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
             "weights": {"w1": weights.w1, "b1": weights.b1,
                         "w2": weights.w2, "b2": weights.b2},
             "report": summary[group],
-        }, seed, [normstats_path, curves_path, feats_path], precise=True)
+        }, seed, read_paths, precise=True)
 
     write_csv(out / "training_log.csv",
               _stack(("group", "epoch", "train_rmse", "val_rmse"), log_blocks),
@@ -600,8 +613,8 @@ def run_predict(out: Path, seed: int = 0) -> Path:
     normstats_path, stats = _load_normstats(out)
     blocks, input_paths = [], [normstats_path]
     for group in sorted(NETWORK_GROUPS):
-        weights_path, weights, feats_path, eids, times, _, x = _network(out, group, stats)
-        input_paths += [weights_path, feats_path]
+        weights_path, weights, eids, times, _, x = _network(out, group, stats)
+        input_paths.append(weights_path)
         pred = mlp_predict(weights, x)
         blocks.append((np.full(eids.size, group), eids, times, pred.mean, pred.variance))
     table = _stack(("group", "event_id", "t", "mean", "variance"), blocks)
@@ -654,14 +667,14 @@ def run_explain(out: Path, seed: int = 0, events: Sequence[int] | None = None,
     for group in sorted(NETWORK_GROUPS):
         if chosen is not None and chosen.isdisjoint(s.event_id for s in _events(group)):
             continue  # the selection names none of this network's events
-        weights_path, weights, feats_path, eids, times, matrix, x = _network(out, group, stats)
-        input_paths += [weights_path, feats_path]
+        weights_path, weights, eids, times, matrix, x = _network(out, group, stats)
+        input_paths.append(weights_path)
         targets = [e for e in np.unique(eids).tolist() if chosen is None or e in chosen]
         if chosen is None:
             targets = targets[:1]  # default: one representative event per network
         if not targets:
             continue
-        names = stats[group].names
+        names = stats[group][1].names
         model = mean_head(weights)
         baseline = Baseline.from_training(x)
         collected = []

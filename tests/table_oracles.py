@@ -18,19 +18,19 @@ from riskdecode.pipeline import _tags
 _ROWS_PER_WRITE = 1024
 
 
-def _cells(values: np.ndarray, precise: bool) -> list:
+def _cells(values: np.ndarray) -> list:
     """A column's cells, with the formatter chosen once from its dtype."""
     if values.dtype.kind != "f":
         return list(map(str, values.tolist()))
-    cells = list(map(float.__repr__ if precise else "{:.6f}".format, values.tolist()))
+    cells = list(map("{:.6f}".format, values.tolist()))
     for i in np.flatnonzero(np.isnan(values)):
         cells[i] = ""
     return cells
 
 
 def write_csv(path: Path, table: Mapping[str, Sequence], seed: int,
-              inputs: Sequence[Path] = (), precise: bool = False) -> Path:
-    """Stamped CSV of ``table``'s columns; ``precise`` writes floats at ``repr``."""
+              inputs: Sequence[Path] = ()) -> Path:
+    """Stamped CSV of ``table``'s columns, floats at 6 decimals."""
     path.parent.mkdir(parents=True, exist_ok=True)
     columns = [np.asarray(column) for column in table.values()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -38,7 +38,7 @@ def write_csv(path: Path, table: Mapping[str, Sequence], seed: int,
         writer = csv.writer(fh)
         writer.writerow(table)
         for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
-            writer.writerows(zip(*(_cells(c[start:start + _ROWS_PER_WRITE], precise)
+            writer.writerows(zip(*(_cells(c[start:start + _ROWS_PER_WRITE])
                                    for c in columns)))
     return path
 

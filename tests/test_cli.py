@@ -17,7 +17,7 @@ import pytest
 import table_oracles
 
 import riskdecode
-from riskdecode import __version__, scenarios
+from riskdecode import __version__, pipeline, scenarios
 from riskdecode.cli import main
 from riskdecode.pipeline import (NETWORK_GROUPS, read_csv, run_all, write_csv,
                                  write_synthetic_ratings)
@@ -97,20 +97,25 @@ def test_artifact_headers_are_stamped(mini_tree):
     meta = json.loads((mini_tree / "dataset_index.json").read_text())["meta"]
     assert meta["seed"] == 1 and meta["version"] == __version__
     assert meta["inputs"].startswith("ratings.csv:")
-    # a stamp names every file its stage read, with that file's current digest
-    groups = sorted(NETWORK_GROUPS)
+    # a stamp names every file its stage read, with that file's current digest; the
+    # network stages rebuild their feature matrices, so they read no feature table
+    networks = ["normstats.json", *[f"weights_{g}.json" for g in sorted(NETWORK_GROUPS)]]
     read_by = {
-        "predictions.csv": ["normstats.json", *[f"{kind}_{g}.{ext}" for g in groups
-                                                for kind, ext in (("weights", "json"),
-                                                                  ("features", "csv"))]],
+        "predictions.csv": networks,
+        "shap.csv": networks,
+        "globals.csv": networks,
         "report_comparison.csv": ["curves.csv", "predictions.csv",
                                   "calibration_pcad.json", "calibration_drf.json"],
+        **{f"weights_{g}.json": ["normstats.json", "curves.csv"] for g in NETWORK_GROUPS},
     }
     for name, inputs in read_by.items():
-        header = (mini_tree / name).read_text().splitlines()[0]
         tags = ",".join(f"{n}:{hashlib.sha256((mini_tree / n).read_bytes()).hexdigest()[:12]}"
                         for n in inputs)
-        assert header == f"# riskdecode {__version__} seed=1 inputs={tags}", name
+        if name.endswith(".json"):
+            assert json.loads((mini_tree / name).read_text())["meta"]["inputs"] == tags, name
+        else:
+            header = (mini_tree / name).read_text().splitlines()[0]
+            assert header == f"# riskdecode {__version__} seed=1 inputs={tags}", name
 
 
 def test_artifacts_read_and_write_as_per_cell_codec(mini_tree, tmp_path):
@@ -119,11 +124,9 @@ def test_artifacts_read_and_write_as_per_cell_codec(mini_tree, tmp_path):
     for path in tables:
         got = read_csv(path)
         table_oracles.assert_same_columns(got, table_oracles.read_csv(path))
-        # stages write feature tables at repr and every other table at 6 decimals
-        precise = path.name.startswith("features_")
-        again = write_csv(tmp_path / path.name, got, seed=1, precise=precise)
+        again = write_csv(tmp_path / path.name, got, seed=1)
         assert again.read_bytes().partition(b"\n")[2] == path.read_bytes().partition(b"\n")[2]
-        want = table_oracles.write_csv(tmp_path / "oracle.csv", got, seed=1, precise=precise)
+        want = table_oracles.write_csv(tmp_path / "oracle.csv", got, seed=1)
         assert again.read_bytes() == want.read_bytes(), path.name
 
 
@@ -161,7 +164,7 @@ def _stamped_inputs(path):
 
 
 @pytest.mark.parametrize("events,stamped", [
-    (["28"], ["normstats.json", "weights_HB.json", "features_HB.csv"]),
+    (["28"], ["normstats.json", "weights_HB.json"]),
     (["999"], ["normstats.json"]),
 ])
 def test_explain_reads_only_selected_groups(events, stamped, mini_tree, tmp_path):
@@ -299,7 +302,9 @@ def test_ingest_names_each_row_reject(row, reason, tmp_path):
     ("event_999", r"names events without an alignment row: \[999\]"),
     ("rating_5.5", r"column rating holds non-integer cells"),
     ("no_rating", r"lacks the rating column"),
-], ids=["event_999", "rating_5.5", "no_rating"])
+    ("rating_57", r"data row 45 \(participant 5, event 2, clip 5\) holds rating 57, "
+                  r"outside 0\.\.10"),
+], ids=["event_999", "rating_5.5", "no_rating", "rating_57"])
 def test_reconstruct_refuses_ratings_it_cannot_trust(damage, message, tmp_path, caplog):
     ratings = _pair_ratings(tmp_path / "ratings.csv", "drop_row")
     assert main(["ingest", str(ratings), "--out", str(tmp_path)]) == 0
@@ -307,8 +312,8 @@ def test_reconstruct_refuses_ratings_it_cannot_trust(damage, message, tmp_path, 
     lines = valid.read_text(encoding="utf-8").splitlines()
     if damage == "event_999":
         lines += [f"1,999,{clip},5" for clip in (1, 2, 3)]
-    elif damage == "rating_5.5":
-        lines[-1] = lines[-1].rpartition(",")[0] + ",5.5"
+    elif damage in ("rating_5.5", "rating_57"):
+        lines[-1] = lines[-1].rpartition(",")[0] + "," + damage.partition("_")[2]
     else:
         lines[1:] = [line.rpartition(",")[0] for line in lines[1:]]
     valid.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -492,17 +497,26 @@ def test_train_scenario_takes_a_family(mini_tree, tmp_path):
 
 
 @pytest.mark.parametrize("stage", ["predict", "explain"])
-@pytest.mark.parametrize("damage", ["missing", "narrowed"])
+@pytest.mark.parametrize("damage", ["missing", "narrowed", "unlisted"])
 def test_network_stages_name_a_faulty_feature_table(stage, damage, mini_tree, tmp_path, caplog):
     scratch = tmp_path / "tree"
     shutil.copytree(mini_tree, scratch)
-    if damage == "missing":
-        (scratch / "features_MB.csv").unlink()
-        message = r"features_MB\.csv is missing under .*; run the features stage first"
-    else:  # a narrowed features rerun leaves MB's network trained on the wider table
+    unlisted = (r"normstats\.json under .* lists no events for group {}; "
+                r"run the features stage with its events listed")
+    if damage == "missing":  # features over HB alone leaves the other groups unfitted
+        assert main(["generate", "--out", str(scratch), "--scenario", "HB"]) == 0
+        assert main(["features", "--out", str(scratch), "--seed", "1"]) == 0
+        message = unlisted.format("LC_aborted")
+    elif damage == "unlisted":  # as an earlier version wrote it, without each group's events
+        normstats = json.loads((scratch / "normstats.json").read_text())
+        for entry in normstats["groups"].values():
+            del entry["event_ids"]
+        (scratch / "normstats.json").write_text(json.dumps(normstats))
+        message = unlisted.format("HB")
+    else:  # a narrowed features rerun leaves MB's network trained on the wider manifest
         narrow = write_config(tmp_path / "narrow.json", manifests={"MB": ["dx", "dv_x"]})
         assert main(["features", "--out", str(scratch), "--seed", "1", "--config", narrow]) == 0
-        message = (r"features_MB\.csv holds 2 features, but weights_MB\.json takes 21; "
+        message = (r"normstats\.json holds 2 features for MB, but weights_MB\.json takes 21; "
                    r"run the train stage again")
     cfg = write_config(tmp_path / "cfg.json", n_permutations=8)
     caplog.clear()
@@ -510,6 +524,50 @@ def test_network_stages_name_a_faulty_feature_table(stage, damage, mini_tree, tm
         assert main([stage, "--out", str(scratch), "--seed", "1", "--config", cfg]) == 1
     assert [r.levelno for r in caplog.records] == [logging.ERROR]
     assert re.fullmatch(message, caplog.records[0].getMessage())
+
+
+def test_network_stages_read_no_feature_table(mini_tree, tmp_path):
+    scratch = tmp_path / "tree"
+    shutil.copytree(mini_tree, scratch)
+    for path in scratch.glob("features_*.csv"):
+        path.unlink()
+    cfg = write_config(tmp_path / "cfg.json", n_permutations=8)
+    assert main(["predict", "--out", str(scratch), "--seed", "1"]) == 0
+    assert main(["explain", "--out", str(scratch), "--seed", "1", "--config", cfg]) == 0
+    for name in ("predictions.csv", "shap.csv", "globals.csv"):
+        assert (scratch / name).read_bytes() == (mini_tree / name).read_bytes(), name
+
+
+def test_network_stages_take_their_events_from_normstats(mini_tree, tmp_path):
+    scratch = tmp_path / "tree"
+    shutil.copytree(mini_tree, scratch)
+    # a narrower generate rewrites events.json; the fitted statistics still list
+    # both normal lane changes, and training rebuilds exactly those
+    assert main(["generate", "--out", str(scratch), "--scenario", "LC_normal_slow"]) == 0
+    assert main(["train", "--out", str(scratch), "--seed", "1", "--scenario", "LC_normal",
+                 "--epochs", "2"]) == 0
+    name = "weights_LC_normal.json"
+    assert (scratch / name).read_bytes() == (mini_tree / name).read_bytes()
+
+
+def test_training_pairs_each_frame_with_its_own_event(mini_tree, tmp_path, monkeypatch):
+    scratch = tmp_path / "tree"
+    shutil.copytree(mini_tree, scratch)
+    normstats = json.loads((scratch / "normstats.json").read_text())
+    listed = normstats["groups"]["MB"]["event_ids"][::-1]  # out of catalog order
+    normstats["groups"]["MB"]["event_ids"] = listed
+    (scratch / "normstats.json").write_text(json.dumps(normstats))
+    fitted = []
+
+    def capture(x, y, config):
+        fitted.append(y)
+        raise pipeline.TrainingDiverged("stopped after the first group")
+
+    monkeypatch.setattr(pipeline, "mlp_train", capture)
+    assert main(["train", "--out", str(scratch), "--seed", "1", "--scenario", "MB"]) == 1
+    curves = read_csv(scratch / "curves.csv")
+    want = np.concatenate([curves["mean"][curves["event_id"] == eid] for eid in listed])
+    assert fitted[0].tobytes() == want.tobytes()
 
 
 def test_narrowed_features_drop_stale_group_matrices(tmp_path):

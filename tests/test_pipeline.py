@@ -1,5 +1,6 @@
 """Stamped CSV tables: what write_csv writes, read_csv returns bit for bit."""
 
+import csv
 import json
 
 import numpy as np
@@ -22,11 +23,27 @@ def _table():
             "group": np.full(n, "LC_normal")}
 
 
-@pytest.mark.parametrize("precise", [True, False])
-def test_table_round_trip(tmp_path, precise):
+def _write_repr(path, table):
+    """``table`` as text with every float at ``repr``, quoted by ``csv.writer``: text
+    another tool may write, whose floats ``read_csv`` must read back bit for bit."""
+    columns = ([repr(v) if isinstance(v, float) else str(v) for v in np.asarray(c).tolist()]
+               for c in table.values())
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("# hand-written\n")
+        writer = csv.writer(fh)
+        writer.writerow(table)
+        writer.writerows(zip(*columns))
+    return path
+
+
+@pytest.mark.parametrize("repr_text", [True, False])
+def test_table_round_trip(tmp_path, repr_text):
     table = _table()
-    path = write_csv(tmp_path / "table.csv", table, seed=4, precise=precise)
-    assert path.read_text().startswith("# riskdecode ")
+    if repr_text:
+        path = _write_repr(tmp_path / "table.csv", table)
+    else:
+        path = write_csv(tmp_path / "table.csv", table, seed=4)
+        assert path.read_text().startswith("# riskdecode ")
     back = read_csv(path)
     assert list(back) == list(table)
     assert back["event_id"].dtype == np.int64
@@ -34,14 +51,14 @@ def test_table_round_trip(tmp_path, precise):
     assert back["group"].tolist() == table["group"].tolist()
     for name in ("t", "value"):
         written = table[name]
-        if not precise:
+        if not repr_text:
             written = np.array([float(f"{v:.6f}") for v in written])
         assert back[name].dtype == np.float64
         assert back[name].tobytes() == written.tobytes(), name
-    assert np.signbit(back["value"][40])  # -0.0 keeps its sign in both modes
-    # what was read writes back to the same bytes (report stages pass columns through)
-    again = write_csv(tmp_path / "again.csv", back, seed=4, precise=precise)
-    assert again.read_bytes() == path.read_bytes()
+    assert np.signbit(back["value"][40])  # -0.0 keeps its sign either way
+    if not repr_text:  # what was read writes back to the same bytes
+        again = write_csv(tmp_path / "again.csv", back, seed=4)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_missing_float_is_an_empty_cell(tmp_path):
@@ -93,18 +110,22 @@ TABLES = {
 }
 
 
-@pytest.mark.parametrize("precise", [True, False])
+@pytest.mark.parametrize("repr_text", [True, False])
 @pytest.mark.parametrize("name", sorted(TABLES))
-def test_codec_matches_per_cell_oracle(tmp_path, name, precise):
+def test_codec_matches_per_cell_oracle(tmp_path, name, repr_text):
     table = {k: np.asarray(v) for k, v in TABLES[name].items()}
-    path = write_csv(tmp_path / "new.csv", table, seed=3, precise=precise)
-    want = oracle.write_csv(tmp_path / "old.csv", table, seed=3, precise=precise)
+    if repr_text:  # the table's floats at full precision read as the oracle reads them
+        path = _write_repr(tmp_path / "repr.csv", table)
+        oracle.assert_same_columns(read_csv(path), oracle.read_csv(path))
+        return
+    path = write_csv(tmp_path / "new.csv", table, seed=3)
+    want = oracle.write_csv(tmp_path / "old.csv", table, seed=3)
     assert path.read_bytes() == want.read_bytes()
     back = read_csv(path)
     oracle.assert_same_columns(back, oracle.read_csv(path))
-    again = write_csv(tmp_path / "again.csv", back, seed=3, precise=precise)
-    assert again.read_bytes() == oracle.write_csv(tmp_path / "again_old.csv", back, seed=3,
-                                                  precise=precise).read_bytes()
+    again = write_csv(tmp_path / "again.csv", back, seed=3)
+    assert again.read_bytes() == oracle.write_csv(tmp_path / "again_old.csv", back,
+                                                  seed=3).read_bytes()
 
 
 # hand-made tables around the one-pass parse: what it accepts, and what it hands to
@@ -127,6 +148,10 @@ TEXTS = {
     "whitespace_cell": "# s\r\nname\r\na\r\n  \r\nb\r\n",
     "only_delimiters": "# s\r\na,b\r\n,\r\n,\r\n",
     "non_ascii": "# s\r\nname,x\r\nÄ b,1\r\nz,١\r\n",
+    # 17-digit floats, a signed zero, a tiny normal and a subnormal: parsed bit for bit
+    "repr_floats": ("# s\r\nid,x\r\n1,0.30000000000000004\r\n2,-0.0\r\n"
+                    "3,1e-300\r\n4,5e-324\r\n5,2.2250738585072014e-309\r\n"
+                    "6,-1.2345678901234567e-07\r\n7,1.7976931348623157e+308\r\n"),
 }
 
 
