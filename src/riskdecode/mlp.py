@@ -72,7 +72,8 @@ class MlpWeights:
         for arr in (self.w1, self.b1, self.w2, self.b2):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("weights must be finite")
-        if self.w1.shape[1] != self.b1.size or self.w2.shape != (self.b1.size, 2):
+        if (self.w1.ndim != 2 or self.w1.shape[1] != self.b1.size
+                or self.w2.shape != (self.b1.size, 2) or self.b2.shape != (2,)):
             raise ValueError("inconsistent layer shapes")
 
     @property

@@ -6,8 +6,10 @@ with the tool version, the seed and the digest of every file the stage
 read (JSON artifacts carry it as ``meta.inputs``), then the header and
 rows.  Floats are written at 6 decimals; normalization stats and network
 weights, which later stages read back, are JSON at ``repr``.  No stage
-reads the feature tables: train, predict and explain rebuild each matrix
-from the catalog for the events and feature names in ``normstats.json``.
+reads the feature tables: train rebuilds each matrix from the catalog for
+the events and feature names in ``normstats.json`` and copies that group's
+entry into the network's ``weights_<group>.json``, from which alone
+predict and explain rebuild it.
 A missing float (NaN) is an empty cell, and cells are quoted as
 ``csv.writer`` quotes them.  ``read_csv`` returns columns keyed by header
 name: int64 if every cell of the column parses as ``int``, else float64 if
@@ -486,8 +488,10 @@ def run_features(out: Path, seed: int = 0,
     events_json = require(out, "events.json", "generate")
     listed = {e["event_id"] for e in
               json.loads(events_json.read_text(encoding="utf-8"))["events"]}
+    if not listed:
+        raise ValueError(f"{events_json} lists no events; run the generate stage again")
 
-    manifest_meta, norm_meta, paths = {}, {}, {}
+    norm_meta, paths = {}, {}
     for group in NETWORK_GROUPS:
         event_ids = [s.event_id for s in _events(group) if s.event_id in listed]
         if not event_ids:
@@ -499,49 +503,70 @@ def run_features(out: Path, seed: int = 0,
         stats = zscore_fit(matrix, manifest.names)
         table = {"event_id": eids, "t": times, **dict(zip(manifest.names, matrix.T))}
         paths[group] = write_csv(out / f"features_{group}.csv", table, seed, [events_json])
-        manifest_meta[group] = {"family": manifest.scenario,
-                                "features": list(manifest.names)}
         norm_meta[group] = {"event_ids": event_ids, "names": list(stats.names),
                             "mean": stats.mean, "std": stats.std}
-    write_json(out / "manifest.json", {"groups": manifest_meta}, seed, [events_json])
     write_json(out / "normstats.json", {"groups": norm_meta}, seed, [events_json],
                precise=True)
     return paths
 
 
-def _load_normstats(out: Path):
-    """``normstats.json``'s path and, by group that lists its events, those event ids
-    and its ``NormStats``."""
-    path = require(out, "normstats.json", "features")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    return path, {group: (entry["event_ids"],
-                          NormStats(tuple(entry["names"]), np.array(entry["mean"], dtype=float),
-                                    np.array(entry["std"], dtype=float)))
-                  for group, entry in payload["groups"].items() if "event_ids" in entry}
+def _fault(path: Path, group: str, stage: str, exc: Exception) -> ValueError:
+    """One line for a file that does not hold ``group``'s network inputs as ``stage``
+    writes them."""
+    fault = f"no {exc} key" if isinstance(exc, KeyError) else exc
+    return ValueError(f"{path} holds no usable inputs for group {group} ({fault}); "
+                      f"run the {stage} stage again")
 
 
-def _load_features(out: Path, group: str, stats: Mapping[str, tuple]):
-    """``_group_matrix`` of the events one group was fit on, then its matrix z-scored."""
-    if group not in stats:
-        raise ValueError(f"normstats.json under {out} lists no events for group {group}; "
-                         "run the features stage with its events listed")
-    event_ids, fitted = stats[group]
-    eids, times, matrix = _group_matrix(event_ids, _group_manifest(group, {group: fitted.names}))
-    return eids, times, matrix, zscore_apply(matrix, fitted)
+def _inputs(entry: Mapping, group: str) -> tuple:
+    """The event ids, ``FeatureManifest`` and ``NormStats`` of a ``normstats.json``
+    group entry, its events checked to be distinct catalog events of the group."""
+    event_ids = entry["event_ids"]
+    known = {s.event_id for s in _events(group)}
+    foreign = [e for e in event_ids if e not in known]
+    if foreign:
+        raise ValueError(f"event ids {foreign} are not {group} catalog events")
+    repeated = sorted({e for e in event_ids if event_ids.count(e) > 1})
+    if repeated:
+        raise ValueError(f"event ids {repeated} are listed more than once")
+    stats = NormStats(tuple(entry["names"]), np.array(entry["mean"], dtype=float),
+                      np.array(entry["std"], dtype=float))
+    return event_ids, _group_manifest(group, {group: stats.names}), stats
 
 
-def _network(out: Path, group: str, stats: Mapping[str, tuple]):
-    """(weights path, weights) of one group's network, then what ``_load_features``
-    returns for it; ``normstats.json`` must name as many features as the network takes."""
+def _load_normstats(path: Path, group: str) -> tuple:
+    """``_inputs`` of ``group``'s entry in ``normstats.json`` at ``path``."""
+    try:
+        groups = json.loads(path.read_text(encoding="utf-8"))["groups"]
+        if group in groups and "event_ids" in groups[group]:  # earlier versions wrote none
+            return _inputs(groups[group], group)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _fault(path, group, "features", exc) from None
+    raise ValueError(f"{path.name} under {path.parent} lists no events for group {group}; "
+                     "run the features stage with its events listed")
+
+
+def _load_features(event_ids: Sequence[int], manifest: FeatureManifest, stats: NormStats):
+    """``_group_matrix`` of one network's inputs, then its matrix z-scored."""
+    eids, times, matrix = _group_matrix(event_ids, manifest)
+    return eids, times, matrix, zscore_apply(matrix, stats)
+
+
+def _network(out: Path, group: str) -> tuple:
+    """One group's network from its ``weights_<group>.json`` alone: the file's path,
+    the weights, the feature names, then ``_load_features`` of the inputs it was
+    trained on."""
     path = require(out, f"weights_{group}.json", "train")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    weights = MlpWeights(*(np.array(payload["weights"][k]) for k in ("w1", "b1", "w2", "b2")))
-    features = _load_features(out, group, stats)
-    width = features[-1].shape[1]
-    if width != weights.input_dim:
-        raise ValueError(f"normstats.json holds {width} features for {group}, but {path.name} "
-                         f"takes {weights.input_dim}; run the train stage again")
-    return path, weights, *features
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        weights = MlpWeights(*(np.array(payload["weights"][k]) for k in ("w1", "b1", "w2", "b2")))
+        event_ids, manifest, stats = _inputs(payload["normstats"], group)
+        if len(stats.names) != weights.input_dim:
+            raise ValueError(f"{len(stats.names)} feature names for the "
+                             f"{weights.input_dim} rows of w1")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _fault(path, group, "train", exc) from None
+    return path, weights, stats.names, *_load_features(event_ids, manifest, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +579,7 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
               learning_rate: float | None = None) -> dict:
     out = Path(out)
     curves_path = require(out, "curves.csv", "reconstruct")
-    normstats_path, stats = _load_normstats(out)
+    normstats_path = require(out, "normstats.json", "features")
     curves = read_csv(curves_path)
     mean_curves = _by_event(curves["event_id"], curves["mean"])
     read_paths = [normstats_path, curves_path]
@@ -562,7 +587,8 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
     chosen = {_GROUP_OF[s.scenario] for s in _events(scenario)}
     summary, log_blocks = {}, []
     for group in (g for g in NETWORK_GROUPS if g in chosen):
-        eids, _, _, x = _load_features(out, group, stats)
+        event_ids, manifest, stats = _load_normstats(normstats_path, group)
+        eids, _, _, x = _load_features(event_ids, manifest, stats)
         targets = []
         for eid in dict.fromkeys(eids.tolist()):  # in the order of the matrix rows
             if eid not in mean_curves:
@@ -592,6 +618,8 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
             "config": asdict(config),
             "weights": {"w1": weights.w1, "b1": weights.b1,
                         "w2": weights.w2, "b2": weights.b2},
+            "normstats": {"event_ids": event_ids, "names": list(stats.names),
+                          "mean": stats.mean, "std": stats.std},
             "report": summary[group],
         }, seed, read_paths, precise=True)
 
@@ -610,10 +638,9 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
 @blas.one_thread()
 def run_predict(out: Path, seed: int = 0) -> Path:
     out = Path(out)
-    normstats_path, stats = _load_normstats(out)
-    blocks, input_paths = [], [normstats_path]
+    blocks, input_paths = [], []
     for group in sorted(NETWORK_GROUPS):
-        weights_path, weights, eids, times, _, x = _network(out, group, stats)
+        weights_path, weights, _, eids, times, _, x = _network(out, group)
         input_paths.append(weights_path)
         pred = mlp_predict(weights, x)
         blocks.append((np.full(eids.size, group), eids, times, pred.mean, pred.variance))
@@ -659,22 +686,18 @@ def run_calibrate(out: Path, seed: int = 0, draws: int = 500,
 def run_explain(out: Path, seed: int = 0, events: Sequence[int] | None = None,
                 n_permutations: int = 200) -> Path:
     out = Path(out)
-    normstats_path, stats = _load_normstats(out)
-
     chosen = set(events) if events else None
-    shap_blocks, globals_blocks = [], []
-    input_paths = [normstats_path]
+    shap_blocks, globals_blocks, input_paths = [], [], []
     for group in sorted(NETWORK_GROUPS):
         if chosen is not None and chosen.isdisjoint(s.event_id for s in _events(group)):
             continue  # the selection names none of this network's events
-        weights_path, weights, eids, times, matrix, x = _network(out, group, stats)
+        weights_path, weights, names, eids, times, matrix, x = _network(out, group)
         input_paths.append(weights_path)
         targets = [e for e in np.unique(eids).tolist() if chosen is None or e in chosen]
         if chosen is None:
             targets = targets[:1]  # default: one representative event per network
         if not targets:
             continue
-        names = stats[group][1].names
         model = mean_head(weights)
         baseline = Baseline.from_training(x)
         collected = []

@@ -19,6 +19,7 @@ import table_oracles
 import riskdecode
 from riskdecode import __version__, pipeline, scenarios
 from riskdecode.cli import main
+from riskdecode.features import DEFAULT_MANIFESTS
 from riskdecode.pipeline import (NETWORK_GROUPS, read_csv, run_all, write_csv,
                                  write_synthetic_ratings)
 from riskdecode.reconstruction import load_alignment_table
@@ -71,7 +72,7 @@ def mini_tree(tmp_path_factory):
 def test_all_branch_builds_every_artifact(mini_tree):
     expected = ["events.json", "ratings.csv", "ratings_valid.csv",
                 "dataset_index.json", "curves.csv", "normstats.json",
-                "manifest.json", "predictions.csv", "training_log.csv",
+                "predictions.csv", "training_log.csv",
                 "train_summary.json", "calibration_pcad.json",
                 "calibration_drf.json", "shap.csv", "globals.csv",
                 "report_curves.csv", "report_comparison.csv",
@@ -98,8 +99,8 @@ def test_artifact_headers_are_stamped(mini_tree):
     assert meta["seed"] == 1 and meta["version"] == __version__
     assert meta["inputs"].startswith("ratings.csv:")
     # a stamp names every file its stage read, with that file's current digest; the
-    # network stages rebuild their feature matrices, so they read no feature table
-    networks = ["normstats.json", *[f"weights_{g}.json" for g in sorted(NETWORK_GROUPS)]]
+    # network stages rebuild their feature matrices from the weights files alone
+    networks = [f"weights_{g}.json" for g in sorted(NETWORK_GROUPS)]
     read_by = {
         "predictions.csv": networks,
         "shap.csv": networks,
@@ -164,8 +165,8 @@ def _stamped_inputs(path):
 
 
 @pytest.mark.parametrize("events,stamped", [
-    (["28"], ["normstats.json", "weights_HB.json"]),
-    (["999"], ["normstats.json"]),
+    (["28"], ["weights_HB.json"]),
+    (["999"], ["-"]),  # the stamp of a stage that read no file
 ])
 def test_explain_reads_only_selected_groups(events, stamped, mini_tree, tmp_path):
     scratch = tmp_path / "tree"
@@ -367,11 +368,11 @@ def test_all_runs_the_stage_commands(tmp_path):
                   "train", "predict", "explain", "report"):
         assert main([stage, *flags.get(stage, []), "--out", str(staged), *common]) == 0
     digests = _digests(together)
-    assert len(digests) == 34 and "manifest_outputs.json" in digests
+    assert len(digests) == 33 and "manifest_outputs.json" in digests
     assert digests == _digests(staged)
     # and the overrides took hold
-    manifest = json.loads((together / "manifest.json").read_text())
-    assert manifest["groups"]["HB"]["features"] == ["dx", "dv_x"]
+    normstats = json.loads((together / "normstats.json").read_text())
+    assert normstats["groups"]["HB"]["names"] == ["dx", "dv_x"]
     drawn = read_csv(together / "trace_pcad.csv")["alpha"][1:]  # draw 0 is the default record
     assert drawn.size == 1 and 3.9 <= drawn[0] <= 4.0
     assert json.loads((together / "dataset_index.json").read_text())["n_participants"] <= 4
@@ -501,29 +502,107 @@ def test_train_scenario_takes_a_family(mini_tree, tmp_path):
 def test_network_stages_name_a_faulty_feature_table(stage, damage, mini_tree, tmp_path, caplog):
     scratch = tmp_path / "tree"
     shutil.copytree(mini_tree, scratch)
-    unlisted = (r"normstats\.json under .* lists no events for group {}; "
-                r"run the features stage with its events listed")
     if damage == "missing":  # features over HB alone leaves the other groups unfitted
         assert main(["generate", "--out", str(scratch), "--scenario", "HB"]) == 0
         assert main(["features", "--out", str(scratch), "--seed", "1"]) == 0
-        message = unlisted.format("LC_aborted")
     elif damage == "unlisted":  # as an earlier version wrote it, without each group's events
         normstats = json.loads((scratch / "normstats.json").read_text())
         for entry in normstats["groups"].values():
             del entry["event_ids"]
         (scratch / "normstats.json").write_text(json.dumps(normstats))
-        message = unlisted.format("HB")
     else:  # a narrowed features rerun leaves MB's network trained on the wider manifest
         narrow = write_config(tmp_path / "narrow.json", manifests={"MB": ["dx", "dv_x"]})
         assert main(["features", "--out", str(scratch), "--seed", "1", "--config", narrow]) == 0
-        message = (r"normstats\.json holds 2 features for MB, but weights_MB\.json takes 21; "
-                   r"run the train stage again")
+    if damage != "narrowed":  # train reads normstats.json, and MB trains first
+        caplog.clear()
+        with caplog.at_level(logging.ERROR):
+            assert main(["train", "--out", str(scratch), "--seed", "1"]) == 1
+        assert [r.levelno for r in caplog.records] == [logging.ERROR]
+        assert re.fullmatch(r"normstats\.json under .* lists no events for group MB; "
+                            r"run the features stage with its events listed",
+                            caplog.records[0].getMessage())
+    # predict and explain read each network's inputs from its weights file alone
     cfg = write_config(tmp_path / "cfg.json", n_permutations=8)
+    assert main([stage, "--out", str(scratch), "--seed", "1", "--config", cfg]) == 0
+    for name in {"predict": ["predictions.csv"], "explain": ["shap.csv", "globals.csv"]}[stage]:
+        assert (scratch / name).read_bytes() == (mini_tree / name).read_bytes(), name
+
+
+def test_network_stages_ignore_a_reordered_features_rerun(mini_tree, tmp_path):
+    scratch = tmp_path / "tree"
+    shutil.copytree(mini_tree, scratch)
+    # MB's 21 names in reverse: the width holds, so only the weights' own copy of the
+    # names keeps each column where the network was trained to find it
+    reordered = list(reversed(DEFAULT_MANIFESTS["MB"].names))
+    cfg = write_config(tmp_path / "cfg.json", n_permutations=8, manifests={"MB": reordered})
+    for stage in ("features", "predict", "explain"):
+        assert main([stage, "--out", str(scratch), "--seed", "1", "--config", cfg]) == 0
+    normstats = json.loads((scratch / "normstats.json").read_text())
+    assert normstats["groups"]["MB"]["names"] == reordered
+    for name in ("predictions.csv", "shap.csv", "globals.csv"):
+        bodies = [(tree / name).read_bytes().partition(b"\n")[2] for tree in (scratch, mini_tree)]
+        assert bodies[0] == bodies[1], name
+
+
+# what each fault says of the file: train reads MB's entry in normstats.json, and
+# predict and explain read HB's weights file, the first each of them reads
+NETWORK_INPUT_FAULTS = {
+    "not_json": "Expecting property name enclosed in double quotes",
+    "no_std": "no 'std' key",
+    "no_weights": "no 'weights' key",
+    "no_normstats": "no 'normstats' key",
+    "event_999": "event ids [999] are not {group} catalog events",
+    "event_twice": "event ids [{first}] are listed more than once",
+    "zero_std": "std must be positive for every feature",
+    "unknown_name": "names outside the feature vocabulary: ['speed']",
+    "short_b1": "inconsistent layer shapes",
+    "nan_w1": "weights must be finite",
+    "short_names": "10 feature names for the 11 rows of w1",
+}
+
+
+@pytest.mark.parametrize("stage,fault", [
+    *[("train", fault) for fault in ("not_json", "no_std", "event_999", "event_twice",
+                                     "zero_std", "unknown_name")],
+    *[(stage, fault) for stage in ("predict", "explain")
+      for fault in NETWORK_INPUT_FAULTS if fault != "no_std"],
+])
+def test_network_stages_name_a_faulty_input_file(stage, fault, mini_tree, tmp_path, caplog):
+    scratch = tmp_path / "tree"
+    shutil.copytree(mini_tree, scratch)
+    group, name, writer = (("MB", "normstats.json", "features") if stage == "train"
+                           else ("HB", "weights_HB.json", "train"))
+    path = scratch / name
+    payload = json.loads(path.read_text())
+    entry = payload["groups"][group] if stage == "train" else payload["normstats"]
+    if fault in ("no_weights", "no_normstats"):  # the latter as earlier versions wrote it
+        del payload[fault[3:]]
+    elif fault == "no_std":
+        del entry["std"]
+    elif fault == "event_999":
+        entry["event_ids"][-1] = 999
+    elif fault == "event_twice":
+        entry["event_ids"][-1] = entry["event_ids"][0]
+    elif fault == "zero_std":
+        entry["std"][0] = 0.0
+    elif fault == "unknown_name":
+        entry["names"][0] = "speed"
+    elif fault == "short_b1":
+        payload["weights"]["b1"].pop()
+    elif fault == "nan_w1":
+        payload["weights"]["w1"][0][0] = float("nan")
+    elif fault == "short_names":
+        for key in ("names", "mean", "std"):
+            entry[key].pop()
+    path.write_text("{" if fault == "not_json" else json.dumps(payload))
     caplog.clear()
     with caplog.at_level(logging.ERROR):
-        assert main([stage, "--out", str(scratch), "--seed", "1", "--config", cfg]) == 1
+        assert main([stage, "--out", str(scratch), "--seed", "1"]) == 1
     assert [r.levelno for r in caplog.records] == [logging.ERROR]
-    assert re.fullmatch(message, caplog.records[0].getMessage())
+    detail = NETWORK_INPUT_FAULTS[fault].format(group=group, first=entry["event_ids"][0])
+    assert re.fullmatch(rf"{re.escape(str(path))} holds no usable inputs for group {group} "
+                        rf"\(.*{re.escape(detail)}.*\); run the {writer} stage again",
+                        caplog.records[0].getMessage())
 
 
 def test_network_stages_read_no_feature_table(mini_tree, tmp_path):
@@ -570,6 +649,19 @@ def test_training_pairs_each_frame_with_its_own_event(mini_tree, tmp_path, monke
     assert fitted[0].tobytes() == want.tobytes()
 
 
+def test_features_refuses_an_events_file_that_lists_no_events(tmp_path, caplog):
+    assert main(["generate", "--out", str(tmp_path)]) == 0
+    events_json = tmp_path / "events.json"
+    payload = json.loads(events_json.read_text())
+    events_json.write_text(json.dumps({**payload, "events": []}))
+    caplog.clear()
+    with caplog.at_level(logging.ERROR):
+        assert main(["features", "--out", str(tmp_path)]) == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{events_json} lists no events; run the generate stage again"]
+    assert not (tmp_path / "normstats.json").exists()
+
+
 def test_narrowed_features_drop_stale_group_matrices(tmp_path):
     out = str(tmp_path)
     assert main(["generate", "--out", out]) == 0
@@ -586,9 +678,9 @@ def test_narrowed_features_drop_stale_group_matrices(tmp_path):
     ("reconstruct", "run the ingest stage first"),
     ("features", "run the generate stage first"),
     ("train", "run the reconstruct stage first"),
-    ("predict", "run the features stage first"),
+    ("predict", "run the train stage first"),
     ("calibrate", "run the reconstruct stage first"),
-    ("explain", "run the features stage first"),
+    ("explain", "run the train stage first"),
     ("report", "run the reconstruct stage first"),
 ])
 def test_missing_dependency_messages(stage, needs, tmp_path, caplog):

@@ -48,6 +48,10 @@ def test_weights_validation():
     with pytest.raises(ValueError):
         MlpWeights(np.zeros((3, 8)), np.zeros(8),
                    np.zeros((7, 2)), np.zeros(2))
+    with pytest.raises(ValueError, match="inconsistent layer shapes"):
+        MlpWeights(np.zeros(8), np.zeros(8), np.zeros((8, 2)), np.zeros(2))
+    with pytest.raises(ValueError, match="inconsistent layer shapes"):
+        MlpWeights(np.zeros((3, 8)), np.zeros(8), np.zeros((8, 2)), np.zeros(3))
 
 
 def test_init_is_seeded_and_scaled():
