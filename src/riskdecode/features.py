@@ -9,8 +9,12 @@ velocities attach a fixed-magnitude velocity along the line between the
 two vehicles (the distance-reducing direction), which feeds the DRAC_u
 family.
 
-Scenario manifests pick an ordered subset of the vocabulary; the follower
-block (``_b`` suffix) only exists for the three-vehicle merges.
+Every quantity of a subject-neighbour pair comes from one kernel,
+``_pair_features``, which derives the pair's kinematics once.  Its output is
+named by one of two parallel tuples: ``_NEIGHBOUR_FEATURES`` for the first
+neighbour and ``FOLLOWER_FEATURES`` (``_b`` suffix) for the second, which only
+the three-vehicle merges have.  Scenario manifests pick an ordered subset of
+the vocabulary.
 """
 
 from __future__ import annotations
@@ -53,7 +57,15 @@ _NON_FOLLOWER = (
     "drac_u_x", "drac_u_y", "drac_r_x", "drac_r_y",
 )
 
-# same quantities against the follower (second neighbour)
+# one pair's quantities, in the order ``_pair_features`` returns them: the
+# first neighbour's here, the follower's (second neighbour) below
+_NEIGHBOUR_FEATURES = (
+    "v_n_x", "v_n_y", "a_n_x", "a_n_y",
+    "dx", "dy", "dv_x", "dv_y", "da_x", "da_y",
+    "dv_n_u_x", "dv_n_u_y",
+    "drac_u_x", "drac_u_y", "drac_r_x", "drac_r_y",
+)
+
 FOLLOWER_FEATURES = (
     "v_nb_x", "v_nb_y", "a_nb_x", "a_nb_y",
     "dx_b", "dy_b", "dv_x_b", "dv_y_b", "da_x_b", "da_y_b",
@@ -162,13 +174,25 @@ def drac(v_s, v_n, gap, gap_rate):
     return np.where(gap_rate >= 0.0, 0.0, d * d / np.maximum(gap, GAP_FLOOR))
 
 
-def _axis_gaps(frame: States, neighbour_index: int):
-    """Per-axis bumper-to-bumper gaps (clamped at zero)."""
+def _pair_features(frame: States, neighbour_index: int) -> tuple:
+    """The subject's uncertain velocity against one neighbour, then that pair's
+    quantities in ``_NEIGHBOUR_FEATURES`` order (DRACs as ``drac_components``)."""
     s = frame.subject
     n = _neighbour(frame, neighbour_index)
-    gap_x = np.abs(n.x - s.x) - 0.5 * (s.length + n.length)
-    gap_y = np.abs(n.y - s.y) - 0.5 * (s.width + n.width)
-    return np.maximum(gap_x, 0.0), np.maximum(gap_y, 0.0)
+    dx, dy, dv_x, dv_y, da_x, da_y = relative_kinematics(frame, neighbour_index)
+    sig = DEFAULT_SIGMAS
+    su = uncertain_velocity("subject", frame, sig.s_x, sig.s_y, neighbour_index)
+    nu = uncertain_velocity("neighbour", frame, sig.n_x, sig.n_y, neighbour_index)
+    # per-axis bumper-to-bumper gaps, clamped at zero
+    gap_x = np.maximum(dx - 0.5 * (s.length + n.length), 0.0)
+    gap_y = np.maximum(dy - 0.5 * (s.width + n.width), 0.0)
+    rel_u_x = su[0] - nu[0]  # opposite directions add up
+    rel_u_y = su[1] - nu[1]
+    # dv > 0 means closing, so the gap rate is its negation
+    return su, (n.vx, n.vy, n.ax, n.ay, dx, dy, dv_x, dv_y, da_x, da_y, *nu,
+                drac(rel_u_x, 0.0, gap_x, -np.abs(rel_u_x)),
+                drac(rel_u_y, 0.0, gap_y, -np.abs(rel_u_y)),
+                drac(s.vx, n.vx, gap_x, -dv_x), drac(s.vy, n.vy, gap_y, -dv_y))
 
 
 def drac_components(frame: States, neighbour_index: int = 0):
@@ -179,57 +203,18 @@ def drac_components(frame: States, neighbour_index: int = 0):
     component on that axis, which always closes the gap, so they are
     nonzero whenever there is any centre offset on the axis.
     """
-    s = frame.subject
-    n = _neighbour(frame, neighbour_index)
-    gap_x, gap_y = _axis_gaps(frame, neighbour_index)
-    _, _, dv_x, dv_y, _, _ = relative_kinematics(frame, neighbour_index)
-    # dv > 0 means closing, so the gap rate is its negation
-    r_x = drac(s.vx, n.vx, gap_x, -dv_x)
-    r_y = drac(s.vy, n.vy, gap_y, -dv_y)
-
-    sig = DEFAULT_SIGMAS
-    su = uncertain_velocity("subject", frame, sig.s_x, sig.s_y, neighbour_index)
-    nu = uncertain_velocity("neighbour", frame, sig.n_x, sig.n_y, neighbour_index)
-    rel_u_x = su[0] - nu[0]  # opposite directions add up
-    rel_u_y = su[1] - nu[1]
-    u_x = drac(rel_u_x, 0.0, gap_x, -np.abs(rel_u_x))
-    u_y = drac(rel_u_y, 0.0, gap_y, -np.abs(rel_u_y))
+    u_x, u_y, r_x, r_y = _pair_features(frame, neighbour_index)[1][-4:]
     return r_x, r_y, u_x, u_y
 
 
 def frame_features(frame: States) -> dict:
     """Every vocabulary feature available for this frame (or every frame), by name."""
     s = frame.subject
-    n = _neighbour(frame, 0)
-    dx, dy, dv_x, dv_y, da_x, da_y = relative_kinematics(frame, 0)
-    sig = DEFAULT_SIGMAS
-    su = uncertain_velocity("subject", frame, sig.s_x, sig.s_y, 0)
-    nu = uncertain_velocity("neighbour", frame, sig.n_x, sig.n_y, 0)
-    r_x, r_y, u_x, u_y = drac_components(frame, 0)
-    out = {
-        "v_s_x": s.vx, "v_s_y": s.vy, "a_s_x": s.ax, "a_s_y": s.ay,
-        "v_n_x": n.vx, "v_n_y": n.vy, "a_n_x": n.ax, "a_n_y": n.ay,
-        "dx": dx, "dy": dy, "dv_x": dv_x, "dv_y": dv_y,
-        "da_x": da_x, "da_y": da_y,
-        "dv_s_u_x": su[0], "dv_s_u_y": su[1],
-        "dv_n_u_x": nu[0], "dv_n_u_y": nu[1],
-        "drac_u_x": u_x, "drac_u_y": u_y,
-        "drac_r_x": r_x, "drac_r_y": r_y,
-    }
+    su, pair = _pair_features(frame, 0)
+    out = {"v_s_x": s.vx, "v_s_y": s.vy, "a_s_x": s.ax, "a_s_y": s.ay,
+           "dv_s_u_x": su[0], "dv_s_u_y": su[1], **dict(zip(_NEIGHBOUR_FEATURES, pair))}
     if len(frame.neighbours) > 1:
-        b = _neighbour(frame, 1)
-        dx_b, dy_b, dv_x_b, dv_y_b, da_x_b, da_y_b = relative_kinematics(frame, 1)
-        bu = uncertain_velocity("neighbour", frame, sig.n_x, sig.n_y, 1)
-        rb_x, rb_y, ub_x, ub_y = drac_components(frame, 1)
-        out.update({
-            "v_nb_x": b.vx, "v_nb_y": b.vy, "a_nb_x": b.ax, "a_nb_y": b.ay,
-            "dx_b": dx_b, "dy_b": dy_b,
-            "dv_x_b": dv_x_b, "dv_y_b": dv_y_b,
-            "da_x_b": da_x_b, "da_y_b": da_y_b,
-            "dv_nb_u_x": bu[0], "dv_nb_u_y": bu[1],
-            "drac_u_b_x": ub_x, "drac_u_b_y": ub_y,
-            "drac_r_b_x": rb_x, "drac_r_b_y": rb_y,
-        })
+        out.update(zip(FOLLOWER_FEATURES, _pair_features(frame, 1)[1]))
     return out
 
 

@@ -248,6 +248,53 @@ def require(out: Path, name: str, stage: str) -> Path:
     return path
 
 
+def _fault(path: Path, what: str, stage: str, exc: Exception) -> ValueError:
+    """One line for a file that does not hold ``what`` as ``stage`` writes it."""
+    fault = f"no {exc} key" if isinstance(exc, KeyError) else exc
+    return ValueError(f"{path} holds no usable {what} ({fault}); "
+                      f"run the {stage} stage again")
+
+
+def _row(table: Mapping[str, np.ndarray], i: int) -> str:
+    """Data row ``i`` (from 0) of an event table, named by its event and time."""
+    t = f", t {table['t'][i]}" if "t" in table else ""
+    return f"data row {i + 1} (event {table['event_id'][i]}{t})"
+
+
+def _read_event_table(path: Path, stage: str, numbers: Sequence[str],
+                      others: Sequence[str] = ()) -> dict:
+    """``read_csv`` of a table that ``stage`` writes, checked to hold an integer
+    ``event_id`` column, the columns ``numbers`` with a number in every cell, and
+    the columns ``others``."""
+    table = read_csv(path)
+    missing = [c for c in ("event_id", *numbers, *others) if c not in table]
+    if missing:
+        raise ValueError(f"{path} lacks the {missing[0]} column; run the {stage} stage again")
+    if table["event_id"].dtype != np.int64:
+        raise ValueError(f"{path} column event_id holds non-integer cells; "
+                         f"run the {stage} stage again")
+    for name in numbers:
+        if table[name].dtype.kind not in "if":  # a cell no float, such as an empty one
+            cells = table[name].tolist()
+            row = next(i for i, c in enumerate(cells) if _cast((c,)).dtype.kind == "U")
+            raise ValueError(f"{path} {_row(table, row)} holds {cells[row]!r} in column {name}, "
+                             f"not a number; run the {stage} stage again")
+    return table
+
+
+def _read_curves(out: Path) -> tuple:
+    """``curves.csv``'s path, its columns and its mean curves by event, every mean a
+    rating in ``RATING_MIN..RATING_MAX``."""
+    path = require(out, "curves.csv", "reconstruct")
+    curves = _read_event_table(path, "reconstruct", ("t", "mean"), ("p25", "p75"))
+    mean = curves["mean"]
+    off_scale = np.flatnonzero(~((mean >= RATING_MIN) & (mean <= RATING_MAX)))  # NaN too
+    if off_scale.size:
+        raise ValueError(f"{path} {_row(curves, off_scale[0])} holds mean {mean[off_scale[0]]}, "
+                         f"outside {RATING_MIN:g}..{RATING_MAX:g}; run the reconstruct stage again")
+    return path, curves, _by_event(curves["event_id"], mean)
+
+
 # ---------------------------------------------------------------------------
 # catalog helpers
 
@@ -486,8 +533,11 @@ def run_features(out: Path, seed: int = 0,
                  manifests: Mapping[str, Sequence[str]] | None = None) -> dict:
     out = Path(out)
     events_json = require(out, "events.json", "generate")
-    listed = {e["event_id"] for e in
-              json.loads(events_json.read_text(encoding="utf-8"))["events"]}
+    try:
+        listed = {e["event_id"] for e in
+                  json.loads(events_json.read_text(encoding="utf-8"))["events"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _fault(events_json, "event list", "generate", exc) from None
     if not listed:
         raise ValueError(f"{events_json} lists no events; run the generate stage again")
 
@@ -508,14 +558,6 @@ def run_features(out: Path, seed: int = 0,
     write_json(out / "normstats.json", {"groups": norm_meta}, seed, [events_json],
                precise=True)
     return paths
-
-
-def _fault(path: Path, group: str, stage: str, exc: Exception) -> ValueError:
-    """One line for a file that does not hold ``group``'s network inputs as ``stage``
-    writes them."""
-    fault = f"no {exc} key" if isinstance(exc, KeyError) else exc
-    return ValueError(f"{path} holds no usable inputs for group {group} ({fault}); "
-                      f"run the {stage} stage again")
 
 
 def _inputs(entry: Mapping, group: str) -> tuple:
@@ -541,7 +583,7 @@ def _load_normstats(path: Path, group: str) -> tuple:
         if group in groups and "event_ids" in groups[group]:  # earlier versions wrote none
             return _inputs(groups[group], group)
     except (KeyError, TypeError, ValueError) as exc:
-        raise _fault(path, group, "features", exc) from None
+        raise _fault(path, f"inputs for group {group}", "features", exc) from None
     raise ValueError(f"{path.name} under {path.parent} lists no events for group {group}; "
                      "run the features stage with its events listed")
 
@@ -565,7 +607,7 @@ def _network(out: Path, group: str) -> tuple:
             raise ValueError(f"{len(stats.names)} feature names for the "
                              f"{weights.input_dim} rows of w1")
     except (KeyError, TypeError, ValueError) as exc:
-        raise _fault(path, group, "train", exc) from None
+        raise _fault(path, f"inputs for group {group}", "train", exc) from None
     return path, weights, stats.names, *_load_features(event_ids, manifest, stats)
 
 
@@ -578,10 +620,8 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
               epochs: int | None = None,
               learning_rate: float | None = None) -> dict:
     out = Path(out)
-    curves_path = require(out, "curves.csv", "reconstruct")
+    curves_path, _, mean_curves = _read_curves(out)
     normstats_path = require(out, "normstats.json", "features")
-    curves = read_csv(curves_path)
-    mean_curves = _by_event(curves["event_id"], curves["mean"])
     read_paths = [normstats_path, curves_path]
 
     chosen = {_GROUP_OF[s.scenario] for s in _events(scenario)}
@@ -657,9 +697,7 @@ def run_predict(out: Path, seed: int = 0) -> Path:
 def run_calibrate(out: Path, seed: int = 0, draws: int = 500,
                   bounds: Mapping[str, Mapping[str, tuple]] | None = None) -> dict:
     out = Path(out)
-    curves_path = require(out, "curves.csv", "reconstruct")
-    curves = read_csv(curves_path)
-    targets = _by_event(curves["event_id"], curves["mean"])
+    curves_path, _, targets = _read_curves(out)
 
     results = {}
     for offset, model in enumerate(MODEL_DEFAULTS):
@@ -736,8 +774,11 @@ def _model_curves(calibrations: Mapping[str, Path], targets: dict) -> dict:
     table = PairTable([catalog_trajectory(eid) for eid in event_ids])
     outputs = {}
     for model, path in calibrations.items():
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        params = replace(MODEL_DEFAULTS[model](), **payload["best_params"])
+        try:
+            params = replace(MODEL_DEFAULTS[model](),
+                             **json.loads(path.read_text(encoding="utf-8"))["best_params"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _fault(path, f"{model} parameters", "calibrate", exc) from None
         raw = MODEL_SERIES[model](table, params)
         outputs[model] = dict(zip(event_ids, table.split(minmax_rescale(raw))))
     return outputs
@@ -745,20 +786,18 @@ def _model_curves(calibrations: Mapping[str, Path], targets: dict) -> dict:
 
 def run_report(out: Path, seed: int = 0) -> dict:
     out = Path(out)
-    curves_path = require(out, "curves.csv", "reconstruct")
+    curves_path, curves, truth = _read_curves(out)
     predictions_path = require(out, "predictions.csv", "predict")
     shap_path = require(out, "shap.csv", "explain")
     globals_path = require(out, "globals.csv", "explain")
     calibrations = {model: require(out, f"calibration_{model.lower()}.json", "calibrate")
                     for model in MODEL_DEFAULTS}
 
-    curves = read_csv(curves_path)
     write_csv(out / "report_curves.csv",
               {c: curves[c] for c in ("event_id", "t", "mean", "p25", "p75")},
               seed, [curves_path])
 
-    truth = _by_event(curves["event_id"], curves["mean"])
-    predictions = read_csv(predictions_path)
+    predictions = _read_event_table(predictions_path, "predict", ("mean",))
     mlp_curves = _by_event(predictions["event_id"], predictions["mean"])
     report = compare_models(truth, {**_model_curves(calibrations, truth), "MLP": mlp_curves})
     model_inputs = [curves_path, predictions_path, *calibrations.values()]
@@ -776,12 +815,19 @@ def run_report(out: Path, seed: int = 0) -> dict:
 
     write_csv(out / "report_globals.csv", read_csv(globals_path), seed, [globals_path])
 
-    shap = read_csv(shap_path)
-    frames = np.rint(shap["t"] / DT).astype(np.int64)
+    shap = _read_event_table(shap_path, "explain", ("t", "phi"), ("feature",))
+    frames = np.rint(shap["t"] / DT)
     predicted = np.full(frames.size, np.nan)  # empty cell where no prediction exists
-    for eid, curve in mlp_curves.items():
-        sel = shap["event_id"] == eid
-        predicted[sel] = curve[frames[sel]]
+    outside = []
+    for eid in np.unique(shap["event_id"]).tolist():
+        if eid in mlp_curves:
+            rows = np.flatnonzero(shap["event_id"] == eid)
+            inside = (frames[rows] >= 0) & (frames[rows] < mlp_curves[eid].size)
+            outside += rows[~inside][:1].tolist()
+            predicted[rows[inside]] = mlp_curves[eid][frames[rows[inside]].astype(np.int64)]
+    if outside:
+        raise ValueError(f"{shap_path} {_row(shap, min(outside))} lies outside the event's "
+                         "predicted frames; run the explain stage again")
     write_csv(out / "report_heatmap.csv",
               {**{c: shap[c] for c in ("event_id", "t", "feature", "phi")},
                "predicted": predicted},

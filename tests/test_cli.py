@@ -605,6 +605,83 @@ def test_network_stages_name_a_faulty_input_file(stage, fault, mini_tree, tmp_pa
                         caplog.records[0].getMessage())
 
 
+# each damage to an input another stage wrote: the file, the stage that writes it, and
+# what the one ERROR line says of it; {row} is the damaged data row, by event and time
+READ_FAULTS = {
+    "curves_no_mean": ("curves.csv", "reconstruct", r"lacks the mean column"),
+    "curves_nan_mean": ("curves.csv", "reconstruct",
+                        r"{row} holds '' in column mean, not a number"),
+    "curves_mean_57": ("curves.csv", "reconstruct", r"{row} holds mean 57\.0, outside 0\.\.10"),
+    "events_not_json": ("events.json", "generate", r"holds no usable event list \(.+\)"),
+    "drf_not_json": ("calibration_drf.json", "calibrate",
+                     r"holds no usable DRF parameters \(Expecting property name .+\)"),
+    "pcad_unknown_param": ("calibration_pcad.json", "calibrate",
+                           r"holds no usable PCAD parameters "
+                           r"\(.*unexpected keyword argument 'speed'\)"),
+    "pcad_no_best_params": ("calibration_pcad.json", "calibrate",
+                            r"holds no usable PCAD parameters \(no 'best_params' key\)"),
+    "predictions_no_mean": ("predictions.csv", "predict", r"lacks the mean column"),
+    "shap_t_400": ("shap.csv", "explain", r"{row} lies outside the event's predicted frames"),
+    "shap_t_negative": ("shap.csv", "explain",
+                        r"{row} lies outside the event's predicted frames"),
+}
+
+
+@pytest.mark.parametrize("stage,fault", [
+    *[(stage, fault) for fault in ("curves_no_mean", "curves_nan_mean", "curves_mean_57")
+      for stage in ("train", "calibrate", "report")],
+    ("features", "events_not_json"),
+    *[("report", fault) for fault in READ_FAULTS if not fault.startswith(("curves", "events"))],
+])
+def test_stages_name_a_faulty_input_file(stage, fault, mini_tree, tmp_path, caplog):
+    scratch = tmp_path / "tree"
+    shutil.copytree(mini_tree, scratch)
+    name, writer, detail = READ_FAULTS[fault]
+    path = scratch / name
+    row = 0
+    if fault.endswith("not_json"):
+        path.write_text("{")
+    elif name.endswith(".json"):
+        payload = json.loads(path.read_text())
+        if fault == "pcad_unknown_param":
+            payload["best_params"]["speed"] = 1.0
+        else:
+            del payload["best_params"]
+        path.write_text(json.dumps(payload))
+    else:
+        table = read_csv(path)
+        if fault.endswith("no_mean"):
+            del table["mean"]
+        elif fault.startswith("curves"):
+            row = 3
+            table["mean"][row] = np.nan if fault == "curves_nan_mean" else 57.0
+        else:
+            table["t"][row] = 400.0 if fault == "shap_t_400" else -0.1
+        write_csv(path, table, seed=1)
+        table = read_csv(path)
+        detail = detail.format(row=re.escape(
+            f"data row {row + 1} (event {table['event_id'][row]}, t {table['t'][row]})"))
+    flags = {"train": ["--epochs", "2"], "calibrate": ["--draws", "2"]}.get(stage, [])
+    caplog.clear()
+    with caplog.at_level(logging.ERROR):
+        assert main([stage, "--out", str(scratch), "--seed", "1", *flags]) == 1
+    assert [r.levelno for r in caplog.records] == [logging.ERROR]
+    assert re.fullmatch(rf"{re.escape(str(path))} {detail}; run the {writer} stage again",
+                        caplog.records[0].getMessage())
+
+
+def test_report_accepts_a_shap_table_without_rows(mini_tree, tmp_path):
+    scratch = tmp_path / "tree"
+    shutil.copytree(mini_tree, scratch)
+    # an event outside the catalog selects no network: explain writes headers alone
+    assert main(["explain", "--out", str(scratch), "--seed", "1", "--events", "999"]) == 0
+    assert read_csv(scratch / "shap.csv")["event_id"].size == 0
+    assert main(["report", "--out", str(scratch), "--seed", "1"]) == 0
+    heatmap = read_csv(scratch / "report_heatmap.csv")
+    assert list(heatmap) == ["event_id", "t", "feature", "phi", "predicted"]
+    assert all(column.size == 0 for column in heatmap.values())
+
+
 def test_network_stages_read_no_feature_table(mini_tree, tmp_path):
     scratch = tmp_path / "tree"
     shutil.copytree(mini_tree, scratch)

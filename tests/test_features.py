@@ -1,5 +1,6 @@
 """Feature extraction: signs, gating, manifests, and normalization."""
 
+import feature_oracles as oracle
 import numpy as np
 import pytest
 from frames import frame_at
@@ -131,6 +132,23 @@ def test_build_features_matches_per_frame_stack(catalog):
         matrix = build_features(traj, FeatureManifest(spec.family, names))
         assert matrix.shape == oracle.shape
         assert matrix.tobytes() == oracle.tobytes(), spec.event_id
+
+
+def test_pair_kernel_matches_hand_written_blocks(catalog):
+    # one kernel names its output through two parallel tuples; the oracle writes
+    # the neighbour and follower blocks out by hand, so a slot mix-up shows here
+    for spec in catalog:
+        names = tuple(n for n in FEATURE_VOCABULARY
+                      if spec.family == "SVM" or n not in FOLLOWER_FEATURES)
+        traj = simulate_event(spec)
+        feats = oracle.frame_features(traj)
+        want = np.column_stack([feats[n] for n in names])
+        matrix = build_features(traj, FeatureManifest(spec.family, names))
+        assert matrix.tobytes() == want.tobytes(), spec.event_id
+        for k in range(len(traj.neighbours)):
+            got = drac_components(traj, k)
+            want = oracle.drac_components(traj, k)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want], (spec.event_id, k)
 
 
 def test_sigma_validation():
