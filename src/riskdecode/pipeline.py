@@ -184,12 +184,7 @@ def _cast(column: tuple) -> np.ndarray:
 def _has_blank_line(raw: bytes) -> bool:
     """Whether a line of ``raw`` is empty, lines ending at ``\\r\\n``, ``\\r`` or
     ``\\n`` as ``csv.reader`` ends them."""
-    codes = np.frombuffer(raw, np.uint8)
-    ends = np.flatnonzero(codes <= 13)
-    ends = ends[(codes[ends] == 10) | (codes[ends] == 13)]
-    follows = ends[1:][np.diff(ends) == 1]  # a line end right after another
-    return raw[:1] in (b"\n", b"\r") or bool(
-        ((codes[follows - 1] != 13) | (codes[follows] != 10)).any())
+    return raw[:1] in (b"\n", b"\r") or any(pair in raw for pair in (b"\n\n", b"\r\r", b"\n\r"))
 
 
 def read_csv(path: Path) -> dict:
@@ -584,8 +579,12 @@ def _load_normstats(path: Path, group: str) -> tuple:
             return _inputs(groups[group], group)
     except (KeyError, TypeError, ValueError) as exc:
         raise _fault(path, f"inputs for group {group}", "features", exc) from None
-    raise ValueError(f"{path.name} under {path.parent} lists no events for group {group}; "
-                     "run the features stage with its events listed")
+    fault = f"{path.name} under {path.parent} lists no events for group {group}"
+    if group in groups:  # a features rerun over the same events.json lists them
+        raise ValueError(f"{fault}; run the features stage with its events listed")
+    raise ValueError(f"{fault}; train the groups it lists ({', '.join(map(str, groups))}) "
+                     f"with train --scenario, or run the generate and features stages "
+                     f"over the events of {group}")
 
 
 def _load_features(event_ids: Sequence[int], manifest: FeatureManifest, stats: NormStats):
@@ -625,6 +624,15 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
     read_paths = [normstats_path, curves_path]
 
     chosen = {_GROUP_OF[s.scenario] for s in _events(scenario)}
+    # a narrowed run leaves the other networks, which predict reads too, in place
+    kept = {g: out / f"weights_{g}.json" for g in NETWORK_GROUPS if g not in chosen}
+    kept = {g: path for g, path in kept.items() if path.exists()}
+    stored = {}
+    for g, path in kept.items():
+        try:
+            stored[g] = json.loads(path.read_text(encoding="utf-8"))["report"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _fault(path, f"training report for group {g}", "train", exc) from None
     summary, log_blocks = {}, []
     for group in (g for g in NETWORK_GROUPS if g in chosen):
         event_ids, manifest, stats = _load_normstats(normstats_path, group)
@@ -666,10 +674,6 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
     write_csv(out / "training_log.csv",
               _stack(("group", "epoch", "train_rmse", "val_rmse"), log_blocks),
               seed, read_paths)
-    # a narrowed run leaves the other networks, which predict reads too, in place
-    kept = {g: out / f"weights_{g}.json" for g in NETWORK_GROUPS if g not in chosen}
-    kept = {g: path for g, path in kept.items() if path.exists()}
-    stored = {g: json.loads(path.read_text(encoding="utf-8"))["report"] for g, path in kept.items()}
     write_json(out / "train_summary.json", {"groups": {**summary, **stored}}, seed,
                read_paths + list(kept.values()))
     return summary

@@ -16,7 +16,10 @@ forward along the road and y lateral (positive to the left), all vehicles
 
 Scripted vehicles sample exact closed-form positions; their frame velocities
 are forward differences so each step's displacement equals vx*dt exactly.
-Controller-driven vehicles integrate a per-step constant acceleration.
+Controller-driven vehicles (the subject, and the SVM follower) integrate a
+per-step constant acceleration; each follows the one vehicle its event scripts
+for it (the MB merger, HB lead, LC changer, SVM lead, or for the SVM follower
+the subject) while that vehicle is ahead with lateral footprint overlap.
 
 Every vehicle's lateral plan carries a centimetre-scale lane-keeping ripple
 with a per-vehicle phase: lateral control never holds a lane centre exactly,
@@ -26,6 +29,7 @@ and the ripple keeps lateral quantities from degenerating into constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -137,26 +141,19 @@ def _build_catalog() -> tuple:
     def add(**kw):
         events.append(EventSpec(event_id=len(events) + 1, **kw))
 
-    for scenario, anchors in (("MB", _MB_ANCHORS), ("HB", _HB_ANCHORS)):
-        for d in MERGE_DISTANCES:
-            for v in CRUISE_SPEEDS:
-                for b in BRAKING_INTENSITIES:
-                    v0 = v * KMH * (MB_PASS_FACTOR if scenario == "MB" else 1.0)
-                    add(scenario=scenario, initial_distance=d, duration=30.0,
-                        timeline_anchors=_feasible_anchors(anchors, v0, b),
-                        cruise_speed=v, braking_intensity=b)
-    for cat in LC_CATEGORIES:
-        for d in LC_DISTANCES:
-            for acc in ACC_CATEGORIES:
-                add(scenario=cat, initial_distance=d, duration=36.0,
-                    timeline_anchors=dict(_LC_ANCHORS[cat]), cruise_speed=LC_CRUISE,
-                    acc_category=acc)
-    for d in MERGE_DISTANCES:
-        for v in CRUISE_SPEEDS:
-            for b in BRAKING_INTENSITIES:
-                add(scenario="SVM", initial_distance=d, duration=30.0,
-                    timeline_anchors=_feasible_anchors(_SVM_ANCHORS, v * KMH, b),
-                    cruise_speed=v, braking_intensity=b)
+    def add_braking(scenario, anchors, speed_factor=1.0):
+        for d, v, b in product(MERGE_DISTANCES, CRUISE_SPEEDS, BRAKING_INTENSITIES):
+            add(scenario=scenario, initial_distance=d, duration=30.0,
+                timeline_anchors=_feasible_anchors(anchors, v * KMH * speed_factor, b),
+                cruise_speed=v, braking_intensity=b)
+
+    add_braking("MB", _MB_ANCHORS, MB_PASS_FACTOR)
+    add_braking("HB", _HB_ANCHORS)
+    for cat, d, acc in product(LC_CATEGORIES, LC_DISTANCES, ACC_CATEGORIES):
+        add(scenario=cat, initial_distance=d, duration=36.0,
+            timeline_anchors=dict(_LC_ANCHORS[cat]), cruise_speed=LC_CRUISE,
+            acc_category=acc)
+    add_braking("SVM", _SVM_ANCHORS)
     return tuple(events)
 
 
@@ -343,27 +340,6 @@ ACC_STYLES = {
 }
 
 
-def _acc_command(v_s, v_des, gap, dv, p: ControllerParams) -> float:
-    a = p.k_cruise * (v_des - v_s)
-    if gap is not None:
-        g_des = p.desired_gap if p.desired_gap is not None else \
-            p.standstill + p.headway * v_s
-        a = min(a, p.k_gap * (gap - g_des) + p.k_rel * dv)
-    return float(min(max(a, p.a_min), p.a_max))
-
-
-def _lead_of(x, y, others):
-    """Nearest vehicle ahead with lateral footprint overlap, as (gap, dv)."""
-    best = None
-    for ox, oy, ovx in others:
-        if ox <= x or abs(oy - y) >= VEHICLE_WIDTH:
-            continue
-        gap = ox - x - VEHICLE_LENGTH
-        if best is None or gap < best[0]:
-            best = (gap, ovx)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # event simulation
 
@@ -393,44 +369,51 @@ def catalog_trajectory(event_id: int) -> EventTrajectory:
     return _TRAJECTORIES[spec.event_id]
 
 
-def _simulate_subject(t, v0, neighbour_tracks, params, y_track, x0=0.0):
+def _simulate_subject(t, v0, lead, params, y_track, x0=0.0):
     """Integrate an ACC vehicle from (x0, v0) that also holds v0 as its desired
-    speed; its lateral motion is scripted by ``y_track``."""
-    n = t.size
-    x = np.zeros(n)
-    vx = np.zeros(n)
-    ax = np.zeros(n)
-    x[0] = x0
-    vx[0] = v0
-    for k in range(n - 1):
-        others = [(trk.x[k], trk.y[k], trk.vx[k]) for trk in neighbour_tracks]
-        lead = _lead_of(x[k], y_track[k], others)
-        gap, dv = (lead if lead is not None else (None, 0.0))
-        a = _acc_command(vx[k], v0, gap, dv - vx[k] if lead else 0.0, params)
-        ax[k] = a
-        x[k + 1] = x[k] + vx[k] * DT + 0.5 * a * DT * DT
-        vx[k + 1] = vx[k] + a * DT
-    lat = _scripted_track(t, np.zeros(n), y_track)
-    return VehicleTrack(x, lat.y, vx, lat.vy, ax, lat.ay)
+    speed and follows ``lead`` while that vehicle is ahead with lateral
+    footprint overlap; its lateral motion is scripted by ``y_track``."""
+    lead_x, lead_y, lead_vx = lead.x.tolist(), lead.y.tolist(), lead.vx.tolist()
+    y = y_track.tolist()
+    p = params
+    x, vx, ax = [x0], [v0], []
+    for k in range(t.size - 1):
+        a = p.k_cruise * (v0 - vx[k])
+        if lead_x[k] > x[k] and abs(lead_y[k] - y[k]) < VEHICLE_WIDTH:
+            g_des = p.desired_gap if p.desired_gap is not None else \
+                p.standstill + p.headway * vx[k]
+            a = min(a, p.k_gap * (lead_x[k] - x[k] - VEHICLE_LENGTH - g_des)
+                    + p.k_rel * (lead_vx[k] - vx[k]))
+        a = min(max(a, p.a_min), p.a_max)
+        ax.append(a)
+        x.append(x[k] + vx[k] * DT + 0.5 * a * DT * DT)
+        vx.append(vx[k] + a * DT)
+    ax.append(0.0)
+    lat = _scripted_track(t, np.zeros(t.size), y_track)
+    return VehicleTrack(np.array(x), lat.y, np.array(vx), lat.vy, np.array(ax), lat.ay)
+
+
+def _pinned_x(spec, t, v_c, knot_t, knot_v):
+    """Exact positions of a scripted vehicle on a speed profile, pinned so its
+    bumper gap to the subject is the initial distance at merge onset (the
+    subject cruises at v_c until then)."""
+    t_merge = spec.timeline_anchors["merge_onset"]
+    x_at_merge = v_c * t_merge + spec.initial_distance + VEHICLE_LENGTH
+    return (_integrate_piecewise_linear(knot_t, knot_v, t)
+            - float(_integrate_piecewise_linear(knot_t, knot_v, np.array([t_merge]))[0])
+            + x_at_merge)
 
 
 def _simulate_mb(spec, t):
     v_c = spec.cruise_speed * KMH
     t_merge = spec.timeline_anchors["merge_onset"]
-    v_pass = MB_PASS_FACTOR * v_c
     knot_t, knot_v = _speed_knots(v_c, spec.braking_intensity,
                                   spec.timeline_anchors["brake_onset"],
                                   spec.timeline_anchors["recovery_onset"],
-                                  initial=v_pass)
-    x_rel = _integrate_piecewise_linear(knot_t, knot_v, t)
-    # pin the merger so its bumper gap to the cruising subject is the
-    # initial distance at merge onset (subject holds cruise until then)
-    x_at_merge = v_c * t_merge + spec.initial_distance + VEHICLE_LENGTH
-    x_m = x_rel - float(_integrate_piecewise_linear(knot_t, knot_v,
-                                                    np.array([t_merge]))[0]) + x_at_merge
+                                  initial=MB_PASS_FACTOR * v_c)
     y_m = _ramp_y(t, t_merge) + _lane_ripple(t, spec.event_id, 1)
-    merger = _scripted_track(t, x_m, y_m)
-    subject = _simulate_subject(t, v_c, [merger], ControllerParams(),
+    merger = _scripted_track(t, _pinned_x(spec, t, v_c, knot_t, knot_v), y_m)
+    subject = _simulate_subject(t, v_c, merger, ControllerParams(),
                                 y_track=_lane_ripple(t, spec.event_id, 0))
     return subject, [merger]
 
@@ -449,7 +432,7 @@ def _simulate_hb(spec, t):
     v_c = spec.cruise_speed * KMH
     lead = _braking_lead(spec, t)
     params = replace(ControllerParams(), desired_gap=spec.initial_distance)
-    subject = _simulate_subject(t, v_c, [lead], params,
+    subject = _simulate_subject(t, v_c, lead, params,
                                 y_track=_lane_ripple(t, spec.event_id, 0))
     return subject, [lead]
 
@@ -462,13 +445,9 @@ def _simulate_lc(spec, t):
     settle = (v_app - v_c) / 1.0
     knot_t = [0.0, t_merge, t_merge + settle]
     knot_v = [v_app, v_app, v_c]
-    x_rel = _integrate_piecewise_linear(knot_t, knot_v, t)
-    x_at_merge = v_c * t_merge + spec.initial_distance + VEHICLE_LENGTH
-    x_n = x_rel - float(_integrate_piecewise_linear(knot_t, knot_v,
-                                                    np.array([t_merge]))[0]) + x_at_merge
     y_n = _lane_change_y(t, spec.scenario, t_merge) + _lane_ripple(t, spec.event_id, 1)
-    changer = _scripted_track(t, x_n, y_n)
-    subject = _simulate_subject(t, v_c, [changer], ACC_STYLES[spec.acc_category],
+    changer = _scripted_track(t, _pinned_x(spec, t, v_c, knot_t, knot_v), y_n)
+    subject = _simulate_subject(t, v_c, changer, ACC_STYLES[spec.acc_category],
                                 y_track=_lane_ripple(t, spec.event_id, 0))
     return subject, [changer]
 
@@ -479,10 +458,10 @@ def _simulate_svm(spec, t):
     lead = _braking_lead(spec, t)
     y_s = _ramp_y(t, t_merge) + _lane_ripple(t, spec.event_id, 0)
     params = replace(ControllerParams(), desired_gap=spec.initial_distance)
-    subject = _simulate_subject(t, v_c, [lead], params, y_track=y_s)
+    subject = _simulate_subject(t, v_c, lead, params, y_track=y_s)
 
     # follower on the main road, controller-driven once the subject is in lane
     follower = _simulate_subject(
-        t, v_c, [subject], replace(ControllerParams(), desired_gap=SVM_FOLLOWER_GAP),
+        t, v_c, subject, replace(ControllerParams(), desired_gap=SVM_FOLLOWER_GAP),
         y_track=_lane_ripple(t, spec.event_id, 2), x0=-(SVM_FOLLOWER_GAP + VEHICLE_LENGTH))
     return subject, [lead, follower]

@@ -518,8 +518,10 @@ def test_network_stages_name_a_faulty_feature_table(stage, damage, mini_tree, tm
         with caplog.at_level(logging.ERROR):
             assert main(["train", "--out", str(scratch), "--seed", "1"]) == 1
         assert [r.levelno for r in caplog.records] == [logging.ERROR]
-        assert re.fullmatch(r"normstats\.json under .* lists no events for group MB; "
-                            r"run the features stage with its events listed",
+        remedy = (r"train the groups it lists \(HB\) with train --scenario, or run the "
+                  r"generate and features stages over the events of MB" if damage == "missing"
+                  else r"run the features stage with its events listed")
+        assert re.fullmatch(r"normstats\.json under .* lists no events for group MB; " + remedy,
                             caplog.records[0].getMessage())
     # predict and explain read each network's inputs from its weights file alone
     cfg = write_config(tmp_path / "cfg.json", n_permutations=8)
@@ -624,6 +626,11 @@ READ_FAULTS = {
     "shap_t_400": ("shap.csv", "explain", r"{row} lies outside the event's predicted frames"),
     "shap_t_negative": ("shap.csv", "explain",
                         r"{row} lies outside the event's predicted frames"),
+    # a network that a narrowed train leaves in place
+    "kept_not_json": ("weights_HB.json", "train",
+                      r"holds no usable training report for group HB \(Expecting .+\)"),
+    "kept_no_report": ("weights_HB.json", "train",
+                       r"holds no usable training report for group HB \(no 'report' key\)"),
 }
 
 
@@ -631,7 +638,10 @@ READ_FAULTS = {
     *[(stage, fault) for fault in ("curves_no_mean", "curves_nan_mean", "curves_mean_57")
       for stage in ("train", "calibrate", "report")],
     ("features", "events_not_json"),
-    *[("report", fault) for fault in READ_FAULTS if not fault.startswith(("curves", "events"))],
+    *[("report", fault) for fault in READ_FAULTS
+      if not fault.startswith(("curves", "events", "kept"))],
+    ("train", "kept_not_json"),
+    ("train", "kept_no_report"),
 ])
 def test_stages_name_a_faulty_input_file(stage, fault, mini_tree, tmp_path, caplog):
     scratch = tmp_path / "tree"
@@ -646,7 +656,7 @@ def test_stages_name_a_faulty_input_file(stage, fault, mini_tree, tmp_path, capl
         if fault == "pcad_unknown_param":
             payload["best_params"]["speed"] = 1.0
         else:
-            del payload["best_params"]
+            del payload["report" if fault == "kept_no_report" else "best_params"]
         path.write_text(json.dumps(payload))
     else:
         table = read_csv(path)
@@ -662,12 +672,17 @@ def test_stages_name_a_faulty_input_file(stage, fault, mini_tree, tmp_path, capl
         detail = detail.format(row=re.escape(
             f"data row {row + 1} (event {table['event_id'][row]}, t {table['t'][row]})"))
     flags = {"train": ["--epochs", "2"], "calibrate": ["--draws", "2"]}.get(stage, [])
+    if fault.startswith("kept"):
+        flags += ["--scenario", "MB"]
     caplog.clear()
     with caplog.at_level(logging.ERROR):
         assert main([stage, "--out", str(scratch), "--seed", "1", *flags]) == 1
     assert [r.levelno for r in caplog.records] == [logging.ERROR]
     assert re.fullmatch(rf"{re.escape(str(path))} {detail}; run the {writer} stage again",
                         caplog.records[0].getMessage())
+    if stage == "train":  # it stops before it trains anything
+        for name in ("weights_MB.json", "training_log.csv"):
+            assert (scratch / name).read_bytes() == (mini_tree / name).read_bytes(), name
 
 
 def test_report_accepts_a_shap_table_without_rows(mini_tree, tmp_path):

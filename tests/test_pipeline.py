@@ -167,7 +167,9 @@ def test_hand_made_tables_read_as_per_cell_oracle(tmp_path, name):
                                   "# s\nid,x\n1,2\n\n",
                                   "# s\r\nid,x\r\n1,2\r\r\n",
                                   "# s\r\nid,x\r\n1,2,3\r\n",
-                                  "# s\r\nid,x\r\n1,2\r\n3\r\n"])
+                                  "# s\r\nid,x\r\n1,2\r\n3\r\n",
+                                  "# s\nid,x\n1,2\n\r3,4\n",
+                                  "# s\rid,x\r1,2\r\r3,4\r"])
 def test_blank_and_ragged_rows_fail_as_per_cell_oracle(tmp_path, text):
     path = tmp_path / "bad.csv"
     path.write_bytes(text.encode("utf-8"))

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scenario_oracles as oracle
 
-from riskdecode.scenarios import (ACC_CATEGORIES, BRAKE_FLOOR, DT, KMH,
+from riskdecode import scenarios
+from riskdecode.scenarios import (ACC_CATEGORIES, BRAKE_FLOOR, CATALOG, DT, KMH,
                                   LC_CATEGORIES, RIPPLE_AMP, EventSpec,
                                   catalog_trajectory, enumerate_events, event_by_id,
                                   scenario_family, scenario_rank,
@@ -187,6 +189,28 @@ def test_catalog_trajectory_is_shared_and_read_only():
                 getattr(shared, name)[0] = 0.0
     with pytest.raises(ValueError):
         traj.t[0] = 1.0
+
+
+def test_simulator_matches_written_out_oracle(catalog, monkeypatch):
+    """Every controller call of the catalog against the list-searching loop, and
+    the catalog against its loops written out in full."""
+    calls = []
+    follow = scenarios._simulate_subject
+
+    def recorded(t, v0, lead, params, y_track, x0=0.0):
+        track = follow(t, v0, lead, params, y_track, x0)
+        calls.append(((t, v0, lead, params, y_track, x0), track))
+        return track
+
+    monkeypatch.setattr(scenarios, "_simulate_subject", recorded)
+    for spec in catalog:
+        simulate_event(spec)
+    assert len(calls) == 105 + 27  # one subject per event, one SVM follower
+    for (t, v0, lead, params, y_track, x0), track in calls:
+        want = oracle.simulate_subject(t, v0, [lead], params, y_track, x0)
+        for name in ("x", "y", "vx", "vy", "ax", "ay"):
+            assert getattr(track, name).tobytes() == getattr(want, name).tobytes(), name
+    assert CATALOG == oracle.build_catalog()
 
 
 def test_simulation_is_deterministic():
