@@ -348,15 +348,57 @@ def write_synthetic_ratings(out: Path, seed: int = 0,
     return write_csv(Path(out) / "ratings.csv", ratings, seed)
 
 
-def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
-    """Accepted rows as ``RATINGS_COLUMNS`` int64 columns, their line numbers,
-    and ``(line_number, reason)`` for every rejected row."""
-    mapping = {c: c for c in RATINGS_COLUMNS}
-    if profile:
-        mapping.update(profile)
-    # utf-8-sig drops the byte-order mark spreadsheet exports put before line 1
-    with open(path, encoding="utf-8-sig") as fh:
-        lines = [(i, ln) for i, ln in enumerate(fh, start=1) if not ln.startswith("#")]
+def _rating_fault(pid: int, eid: int, clip: int, rating: int, slot_counts: np.ndarray):
+    """Why a row of parsed cells is rejected, the first failing check in order, or None."""
+    n_slots = int(slot_counts[eid]) if 0 <= eid < slot_counts.size else 0
+    if not n_slots:
+        return f"unknown event_id {eid}"
+    if not 1 <= clip <= n_slots:
+        return f"clip_index {clip} outside event {eid}'s slots"
+    if not RATING_MIN <= rating <= RATING_MAX:
+        return f"rating must be an integer in 0..10, got {rating}"
+    if not -2**63 <= pid < 2**63:
+        return f"participant_id {pid} does not fit in 64 bits"
+    return None
+
+
+def _ratings_by_column(text: str, mapping: Mapping[str, str]):
+    """``_read_ratings_file``'s result from one ``np.loadtxt`` pass and array checks,
+    or None for a file that pass must not or cannot take."""
+    lines = io.StringIO(text)
+    header, head_no = lines.readline(), 1
+    while header.startswith("#"):
+        header, head_no = lines.readline(), head_no + 1
+    header = header.rstrip("\n").split(",")
+    body = text[lines.tell():]
+    # csv.reader reads quotes and drops blank and "#" lines, which loadtxt would not;
+    # loadtxt's int parser takes \x1c..\x1f and some letters beyond ASCII, int() does not
+    if (not body or '"' in text or "#" in body or "\n\n" in body or body.startswith("\n")
+            or not body.isascii() or any(c in body for c in "\x1c\x1d\x1e\x1f")
+            or any(mapping[c] not in header for c in RATINGS_COLUMNS)):
+        return None
+    index = [header.index(mapping[c]) for c in RATINGS_COLUMNS]
+    try:
+        values = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None,
+                            usecols=index, ndmin=2)
+    except ValueError:  # a cell int64 cannot hold, or a row short of a mapped column
+        return None
+    _, eid, clip, rating = values.T
+    slot_counts = load_alignment_table().slot_counts
+    n_slots = np.zeros_like(eid)
+    known = (eid >= 0) & (eid < slot_counts.size)
+    n_slots[known] = slot_counts[eid[known]]
+    ok = (clip >= 1) & (clip <= n_slots) & (rating >= RATING_MIN) & (rating <= RATING_MAX)
+    line_no = np.arange(head_no + 1, head_no + 1 + len(values))
+    invalid = [(int(line_no[i]), _rating_fault(*values[i].tolist(), slot_counts))
+               for i in np.flatnonzero(~ok).tolist()]
+    return dict(zip(RATINGS_COLUMNS, values[ok].T)), line_no[ok], invalid
+
+
+def _ratings_by_row(path: Path, text: str, mapping: Mapping[str, str]):
+    """``_read_ratings_file``'s result from ``csv.reader`` and ``int()`` row by row."""
+    lines = [(i, ln) for i, ln in enumerate(io.StringIO(text), start=1)
+             if not ln.startswith("#")]
     if not lines:
         raise ValueError(f"{path} holds no CSV content")
     reader = csv.reader([ln for _, ln in lines])
@@ -366,31 +408,46 @@ def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
         raise ValueError(f"{path} lacks required columns {missing} "
                          f"(line {lines[0][0]}: {lines[0][1].strip()!r})")
     index = [header.index(mapping[c]) for c in RATINGS_COLUMNS]
-    alignment = load_alignment_table()
-    known = set(alignment.event_ids())
+    slot_counts = load_alignment_table().slot_counts
     accepted, invalid = [], []
-    for (line_no, _), cells in zip(lines[1:], reader):
+    start = reader.line_num  # a quoted cell may span lines, so a row starts where the last ended
+    for cells in reader:
+        line_no, start = lines[start][0], reader.line_num
         if not cells:
             continue  # blank line
         try:
-            pid, eid, clip, rating = (int(cells[i]) for i in index)
-            if eid not in known:
-                raise ValueError(f"unknown event_id {eid}")
-            if not 1 <= clip <= alignment.n_slots(eid):
-                raise ValueError(f"clip_index {clip} outside event {eid}'s slots")
-            if not RATING_MIN <= rating <= RATING_MAX:
-                raise ValueError(f"rating must be an integer in 0..10, got {rating}")
-            if not -2**63 <= pid < 2**63:
-                raise ValueError(f"participant_id {pid} does not fit in 64 bits")
+            row = [int(cells[i]) for i in index]
         except IndexError:  # the first column, in check order, that the row lacks
             lacking = next(mapping[c] for c, i in zip(RATINGS_COLUMNS, index) if i >= len(cells))
-            invalid.append((line_no, f"row has {len(cells)} cells, none for column {lacking}"))
+            fault = f"row has {len(cells)} cells, none for column {lacking}"
         except ValueError as exc:
-            invalid.append((line_no, str(exc)))
+            fault = str(exc)
         else:
-            accepted.append((line_no, pid, eid, clip, rating))
+            fault = _rating_fault(*row, slot_counts)
+        if fault:
+            invalid.append((line_no, fault))
+        else:
+            accepted.append((line_no, *row))
     rows = np.array(accepted, dtype=np.int64).reshape(-1, 5)
     return dict(zip(RATINGS_COLUMNS, rows[:, 1:].T)), rows[:, 0], invalid
+
+
+def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
+    """Accepted rows as ``RATINGS_COLUMNS`` int64 columns, their line numbers,
+    and ``(line_number, reason)`` for every rejected row.
+
+    One ``np.loadtxt`` pass parses the four mapped columns and array masks check
+    them.  A file that pass must not or cannot take (a quote, a blank or ``#`` line
+    below the header, a character beyond ASCII, a cell loadtxt rejects, a short row)
+    is read row by row with ``csv.reader`` and ``int()``, to the same result."""
+    mapping = {c: c for c in RATINGS_COLUMNS}
+    if profile:
+        mapping.update(profile)
+    # utf-8-sig drops the byte-order mark spreadsheet exports put before line 1, and
+    # text mode ends lines at \r\n, \r or \n
+    with open(path, encoding="utf-8-sig") as fh:
+        text = fh.read()
+    return _ratings_by_column(text, mapping) or _ratings_by_row(path, text, mapping)
 
 
 def _pair_matrices(table: Mapping[str, np.ndarray]):
@@ -406,8 +463,8 @@ def _pair_matrices(table: Mapping[str, np.ndarray]):
     starts_pair[1:] = (eid[1:] != eid[:-1]) | (pid[1:] != pid[:-1])
     pair = np.cumsum(starts_pair) - 1
     first = np.flatnonzero(starts_pair)
-    alignment = load_alignment_table()
-    n_slots = np.array([alignment.n_slots(e) for e in eid[first].tolist()], dtype=np.int64)
+    slot_counts = load_alignment_table().slot_counts
+    n_slots = slot_counts[eid[first]]
     width = int(n_slots.max(initial=0)) + 2  # the outer bins take clips outside 1..n_slots
     counts = np.bincount(pair * width + np.clip(clip, 0, width - 1),
                          minlength=first.size * width).reshape(first.size, width)
@@ -425,7 +482,7 @@ def _pair_matrices(table: Mapping[str, np.ndarray]):
     matrices = {}
     for event in np.unique(eid[complete]).tolist():
         rows = complete & (eid == event)
-        n = alignment.n_slots(event)
+        n = slot_counts[event]
         matrices[event] = (pid[rows][::n], rating[rows].reshape(-1, n))
     return matrices, rejects
 

@@ -87,6 +87,11 @@ class AlignmentTable:
                 slots -= 1
                 times.flags.writeable = slots.flags.writeable = False
                 self._events[spec.event_id] = (moments, times, slots, int(slots.max()) + 1)
+        # n_slots of every event by id, 0 for an id without a row: one lookup for an id array
+        self.slot_counts = np.zeros(max(self._events, default=0) + 1, dtype=np.int64)
+        for event_id, (*_, n_slots) in self._events.items():
+            self.slot_counts[event_id] = n_slots
+        self.slot_counts.flags.writeable = False
 
     def _event(self, event_id: int) -> tuple:
         try:
