@@ -30,6 +30,7 @@ import hashlib
 import io
 import json
 import logging
+import warnings
 from dataclasses import asdict, dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -348,9 +349,9 @@ def write_synthetic_ratings(out: Path, seed: int = 0,
     return write_csv(Path(out) / "ratings.csv", ratings, seed)
 
 
-def _rating_fault(pid: int, eid: int, clip: int, rating: int, slot_counts: np.ndarray):
+def _rating_fault(pid: int, eid: int, clip: int, rating: int, slot_counts: Sequence[int]):
     """Why a row of parsed cells is rejected, the first failing check in order, or None."""
-    n_slots = int(slot_counts[eid]) if 0 <= eid < slot_counts.size else 0
+    n_slots = int(slot_counts[eid]) if 0 <= eid < len(slot_counts) else 0
     if not n_slots:
         return f"unknown event_id {eid}"
     if not 1 <= clip <= n_slots:
@@ -362,57 +363,53 @@ def _rating_fault(pid: int, eid: int, clip: int, rating: int, slot_counts: np.nd
     return None
 
 
-def _ratings_by_column(text: str, mapping: Mapping[str, str]):
+# the characters a body may hold for the column pass.  On printable ASCII loadtxt's int
+# parser agrees with int(); beyond it, it reads \x1c..\x1f as white space and some letters
+# as digits, where int() raises.  A quote means what csv.reader makes of it.
+_COLUMN_PASS_CHARS = bytes(c for c in range(32, 127) if chr(c) != '"') + b"\n"
+
+
+def _ratings_by_column(text: str, body_from: int, index: Sequence[int]):
     """``_read_ratings_file``'s result from one ``np.loadtxt`` pass and array checks,
-    or None for a file that pass must not or cannot take."""
+    or None for a file that pass must not or cannot take.  The body starts after line
+    ``body_from`` and ``index`` holds the mapped columns' positions in it."""
     lines = io.StringIO(text)
-    header, head_no = lines.readline(), 1
-    while header.startswith("#"):
-        header, head_no = lines.readline(), head_no + 1
-    header = header.rstrip("\n").split(",")
+    for _ in range(body_from):
+        lines.readline()
     body = text[lines.tell():]
-    # csv.reader reads quotes and drops blank and "#" lines, which loadtxt would not;
-    # loadtxt's int parser takes \x1c..\x1f and some letters beyond ASCII, int() does not
-    if (not body or '"' in text or "#" in body or "\n\n" in body or body.startswith("\n")
-            or not body.isascii() or any(c in body for c in "\x1c\x1d\x1e\x1f")
-            or any(mapping[c] not in header for c in RATINGS_COLUMNS)):
+    if (not body or body.encode().translate(None, _COLUMN_PASS_CHARS)
+            or body.startswith("#") or "\n#" in body):  # csv.reader drops "#" lines
         return None
-    index = [header.index(mapping[c]) for c in RATINGS_COLUMNS]
     try:
-        values = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None,
-                            usecols=index, ndmin=2)
-    except ValueError:  # a cell int64 cannot hold, or a row short of a mapped column
+        with warnings.catch_warnings():
+            # numpy releases that read "5.5" as the int 5 warn that they do; int() raises
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None,
+                                usecols=index, ndmin=2)
+    except (ValueError, DeprecationWarning):  # a cell no int64, a row short of a column
         return None
+    if len(values) != body.count("\n") + (not body.endswith("\n")):
+        return None  # loadtxt skipped a blank line, so rows and lines no longer pair
     _, eid, clip, rating = values.T
     slot_counts = load_alignment_table().slot_counts
     n_slots = np.zeros_like(eid)
     known = (eid >= 0) & (eid < slot_counts.size)
     n_slots[known] = slot_counts[eid[known]]
     ok = (clip >= 1) & (clip <= n_slots) & (rating >= RATING_MIN) & (rating <= RATING_MAX)
-    line_no = np.arange(head_no + 1, head_no + 1 + len(values))
+    line_no = np.arange(body_from + 1, body_from + 1 + len(values))
     invalid = [(int(line_no[i]), _rating_fault(*values[i].tolist(), slot_counts))
                for i in np.flatnonzero(~ok).tolist()]
     return dict(zip(RATINGS_COLUMNS, values[ok].T)), line_no[ok], invalid
 
 
-def _ratings_by_row(path: Path, text: str, mapping: Mapping[str, str]):
-    """``_read_ratings_file``'s result from ``csv.reader`` and ``int()`` row by row."""
-    lines = [(i, ln) for i, ln in enumerate(io.StringIO(text), start=1)
-             if not ln.startswith("#")]
-    if not lines:
-        raise ValueError(f"{path} holds no CSV content")
-    reader = csv.reader([ln for _, ln in lines])
-    header = next(reader)
-    missing = [mapping[c] for c in RATINGS_COLUMNS if mapping[c] not in header]
-    if missing:
-        raise ValueError(f"{path} lacks required columns {missing} "
-                         f"(line {lines[0][0]}: {lines[0][1].strip()!r})")
-    index = [header.index(mapping[c]) for c in RATINGS_COLUMNS]
-    slot_counts = load_alignment_table().slot_counts
+def _ratings_by_row(reader, line_no: list, index: Sequence[int], mapping: Mapping[str, str]):
+    """``_read_ratings_file``'s result from ``csv.reader`` and ``int()`` row by row, from
+    the row after the header; ``line_no[k]`` is the file line number of the reader's line k."""
+    slot_counts = load_alignment_table().slot_counts.tolist()  # a list indexes faster by int
     accepted, invalid = [], []
     start = reader.line_num  # a quoted cell may span lines, so a row starts where the last ended
     for cells in reader:
-        line_no, start = lines[start][0], reader.line_num
+        row_no, start = line_no[start], reader.line_num
         if not cells:
             continue  # blank line
         try:
@@ -425,9 +422,9 @@ def _ratings_by_row(path: Path, text: str, mapping: Mapping[str, str]):
         else:
             fault = _rating_fault(*row, slot_counts)
         if fault:
-            invalid.append((line_no, fault))
+            invalid.append((row_no, fault))
         else:
-            accepted.append((line_no, *row))
+            accepted.append((row_no, *row))
     rows = np.array(accepted, dtype=np.int64).reshape(-1, 5)
     return dict(zip(RATINGS_COLUMNS, rows[:, 1:].T)), rows[:, 0], invalid
 
@@ -436,10 +433,11 @@ def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
     """Accepted rows as ``RATINGS_COLUMNS`` int64 columns, their line numbers,
     and ``(line_number, reason)`` for every rejected row.
 
-    One ``np.loadtxt`` pass parses the four mapped columns and array masks check
-    them.  A file that pass must not or cannot take (a quote, a blank or ``#`` line
-    below the header, a character beyond ASCII, a cell loadtxt rejects, a short row)
-    is read row by row with ``csv.reader`` and ``int()``, to the same result."""
+    ``csv.reader`` reads the header.  One ``np.loadtxt`` pass parses the four mapped
+    columns below it and array masks check them.  A body that pass must not or cannot
+    take (a quote, a ``#`` or blank line, a character beyond printable ASCII, a cell
+    loadtxt rejects, a short row) is read row by row with ``csv.reader`` and ``int()``,
+    to the same result."""
     mapping = {c: c for c in RATINGS_COLUMNS}
     if profile:
         mapping.update(profile)
@@ -447,7 +445,26 @@ def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
     # text mode ends lines at \r\n, \r or \n
     with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
-    return _ratings_by_column(text, mapping) or _ratings_by_row(path, text, mapping)
+    line_no = []  # the file line number of each line csv.reader reads, "#" lines skipped
+
+    def uncommented():
+        for number, line in enumerate(io.StringIO(text), start=1):
+            if not line.startswith("#"):
+                line_no.append(number)
+                yield line
+
+    reader = csv.reader(uncommented())
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path} holds no CSV content")
+    missing = [mapping[c] for c in RATINGS_COLUMNS if mapping[c] not in header]
+    if missing:
+        first = io.StringIO(text).readlines()[line_no[0] - 1]
+        raise ValueError(f"{path} lacks required columns {missing} "
+                         f"(line {line_no[0]}: {first.strip()!r})")
+    index = [header.index(mapping[c]) for c in RATINGS_COLUMNS]
+    return (_ratings_by_column(text, line_no[-1], index)
+            or _ratings_by_row(reader, line_no, index, mapping))
 
 
 def _pair_matrices(table: Mapping[str, np.ndarray]):

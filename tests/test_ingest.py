@@ -1,6 +1,7 @@
 """Ingest's ratings parse: the column pass and the row loop read every file as the oracle does."""
 
 import json
+import warnings
 
 import ingest_oracles
 import numpy as np
@@ -108,7 +109,7 @@ ROW_DEFECTS = {
     "missing": (False, lambda rows, pos, rng: rows.pop(rng.integers(len(rows)))),
     "plus_sign": (False, _decorate("+{}")),
     "padded": (False, _decorate(" {} ")),
-    "tab_and_form_feed": (False, _decorate("\t\x0c{}")),
+    "tab_and_form_feed": (True, _decorate("\t\x0c{}")),
     "leading_zeros": (False, _decorate("00{}")),
     "long_row": (False, _extend("9", "x")),
     "rating_5.5": (True, _set(3, "5.5")),
@@ -119,7 +120,7 @@ ROW_DEFECTS = {
     "unit_separator": (True, _decorate("\x1f{}")),
     "nul": (True, _decorate("{}\x00")),
     "non_ascii_cell": (True, _extend("ø")),
-    "hash_cell": (True, _extend("note#1")),
+    "hash_cell": (False, _extend("note#1")),
     "short_row": (True, _shorten),
     "blank_line": (True, _insert("")),
     "whitespace_line": (True, _insert("  ")),
@@ -230,3 +231,42 @@ def test_a_reject_after_a_multi_line_cell_names_its_own_line(tmp_path):
     assert [(d["line"], d["reason"].partition(":")[0]) for d in index["invalid_detail"]] == [
         (2, "participant 7 event 1 dropped"), (4, "clip_index 99 outside event 1's slots"),
         (5, "rating must be an integer in 0..10, got 11")]
+
+
+def test_a_loadtxt_that_reads_floats_as_ints_falls_back(tmp_path, monkeypatch):
+    """numpy releases whose loadtxt read the int64 cell "5.5" as 5 warned with a
+    DeprecationWarning instead of raising; such a file must still reach the row loop."""
+    path = tmp_path / "ratings.csv"
+    _write_messy(path, 0, ("rating_5.5",))
+    want = _ingest(path, tmp_path / "oracle", None)  # the oracle never calls loadtxt
+
+    def loadtxt_via_float(lines, dtype, usecols, **kwargs):
+        cells = [line.rstrip("\n").split(",") for line in lines]
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        return np.array([[int(float(row[i])) for i in usecols] for row in cells], dtype)
+
+    monkeypatch.setattr(pipeline.np, "loadtxt", loadtxt_via_float)
+    by_row, rows_read = pipeline._ratings_by_row, []
+    monkeypatch.setattr(pipeline, "_ratings_by_row",
+                        lambda *args: rows_read.append(1) or by_row(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # as outside a test run
+        got = _ingest(path, tmp_path / "new", None)
+    assert rows_read and got == want
+
+
+
+@pytest.mark.parametrize("at,line", [(0, "#n,e,9,1,1,3"), (7, "#n,e,9,1,1,3"),
+                                     (7, '"n,e",9,1,1,3,4')])
+def test_a_line_loadtxt_would_misread_is_read_as_csv(at, line, tmp_path):
+    """A "#" line below the header is no row, and a quoted "," splits no cell, even where
+    loadtxt would find integers in the mapped columns."""
+    rows = [f"n,e,{pid},1,{clip},{2 + clip + pid % 3}" for pid in range(1, 6) for clip in range(1, 6)]
+    rows.insert(at, line)  # either reading leaves one incomplete pair
+    path = tmp_path / "ratings.csv"
+    path.write_text("note,extra,participant_id,event_id,clip_index,rating\n" + "\n".join(rows) + "\n")
+    got = _ingest(path, tmp_path / "new", None)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pipeline, "_read_ratings_file", ingest_oracles.read_ratings_file)
+        assert got == _ingest(path, tmp_path / "oracle", None)
