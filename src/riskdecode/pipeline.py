@@ -14,13 +14,13 @@ A missing float (NaN) is an empty cell, and cells are quoted as
 ``csv.writer`` quotes them.  ``read_csv`` returns columns keyed by header
 name: int64 if every cell of the column parses as ``int``, else float64 if
 every cell parses as ``float``, else strings.  It guesses each column's
-kind from the first data row and parses the table in one ``np.loadtxt``
-pass with those kinds; a table that pass rejects (a later cell off its
-column's kind, such as an empty cell in a float column, or a ragged row)
-is read cell by cell, as is one holding a quote, a blank line or a ``#``
-line below the stamp.  Re-running a stage with unchanged inputs
-reproduces its outputs byte for byte; no artifact embeds timestamps or
-machine state.
+kind from the first data row and parses the rows in one ``np.loadtxt`` pass
+with those kinds, under the guards of ``_loadtxt``, which ingest shares: a
+table with a quote, a blank or ``#`` line, a character beyond printable ASCII,
+or a cell that pass rejects or only warns on (such as an empty cell in a float
+column, or a ragged row) is read cell by cell.  Re-running a stage with
+unchanged inputs reproduces its outputs byte for byte; no artifact embeds
+timestamps or machine state.
 """
 
 from __future__ import annotations
@@ -182,37 +182,52 @@ def _cast(column: tuple) -> np.ndarray:
     return np.array(column, dtype=str)
 
 
-def _has_blank_line(raw: bytes) -> bool:
-    """Whether a line of ``raw`` is empty, lines ending at ``\\r\\n``, ``\\r`` or
-    ``\\n`` as ``csv.reader`` ends them."""
-    return raw[:1] in (b"\n", b"\r") or any(pair in raw for pair in (b"\n\n", b"\r\r", b"\n\r"))
+# the characters a body may hold for the column pass.  On this set loadtxt's int and float
+# parsers agree with int() and float(); beyond it, they read \x1c..\x1f as white space and
+# many letters as digits, where int() and float() raise.  A quote means what csv.reader
+# makes of it.
+_COLUMN_PASS_CHARS = bytes(c for c in range(32, 127) if chr(c) != '"') + b"\r\n"
+
+
+def _loadtxt(body: bytes, dtype: np.dtype, usecols: Sequence[int] | None = None):
+    """``body``'s rows as a structured ``dtype`` array from one ``np.loadtxt`` pass, or
+    None where it may read them otherwise than ``csv.reader`` and ``int()``/``float()``:
+    an empty body, a character beyond ``_COLUMN_PASS_CHARS``, a line that starts with
+    ``#``, a cell loadtxt rejects or warns on, a short row, or a blank line."""
+    # csv.reader drops a "#" line; the search for any "#" is the fast one
+    if (not body or body.translate(None, _COLUMN_PASS_CHARS)
+            or b"#" in body and (body.startswith(b"#") or b"\n#" in body)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy releases that read the int cell "2.5" as 2 warn that they do; int() raises
+            warnings.simplefilter("error", DeprecationWarning)
+            data = np.loadtxt(io.BytesIO(body), dtype=dtype, delimiter=",", comments=None,
+                              usecols=usecols, ndmin=1)
+    except (ValueError, DeprecationWarning):  # a cell off its column's kind, a ragged row
+        return None
+    # loadtxt raises on a lone \r inside a line, so lines end at \n; it skips a blank one
+    return data if len(data) == body.count(b"\n") + (not body.endswith(b"\n")) else None
 
 
 def read_csv(path: Path) -> dict:
     """Columns of a stamped CSV keyed by header name, skipping the stamp line.
 
-    One ``np.loadtxt`` pass with the kinds of the first data row; the tables it
-    must not or cannot parse as ``csv.reader`` and ``_cast`` would (see the
-    module docstring) are read cell by cell."""
+    One ``_loadtxt`` pass with the kinds of the first data row; a table it must not or
+    cannot take (a quote, a blank or ``#`` line, a character beyond printable ASCII, a
+    cell off its column's kind, a ragged row) is read cell by cell."""
     raw = Path(path).read_bytes()
     text = raw.decode("utf-8")
     lines = io.StringIO(text, newline="")
-    if text.startswith("#"):
-        lines.readline()
-    header = lines.readline().rstrip("\r\n").split(",")
+    rows = csv.reader(ln for ln in lines if not ln.startswith("#"))
+    header = next(rows, None)
     start = lines.tell()
-    first = lines.readline().rstrip("\r\n").split(",")
-    # quotes, "#" rows and blank lines mean what csv.reader makes of them, not loadtxt
-    if (len(first) == len(header) and lines.tell() > start and b'"' not in raw
-            and raw.find(b"#", 1) < 0 and not _has_blank_line(raw)):
-        lines.seek(start)
+    first = next(rows, None)
+    if first is not None and len(first) == len(header):
         kinds = [(f"f{i}", object if d.kind == "U" else d)  # strings parse as objects
                  for i, d in enumerate(_cast((cell,)).dtype for cell in first)]
-        try:
-            data = np.loadtxt(lines, dtype=kinds, delimiter=",", comments=None, ndmin=1)
-        except ValueError:
-            pass
-        else:
+        data = _loadtxt(raw[len(text[:start].encode()):], np.dtype(kinds))  # rows as bytes
+        if data is not None:
             return {name: data[f].astype(str) if data.dtype[f] == object else data[f].copy()
                     for name, f in zip(header, data.dtype.names)}
     header, *rows = csv.reader(ln for ln in io.StringIO(text, newline="")
@@ -363,34 +378,14 @@ def _rating_fault(pid: int, eid: int, clip: int, rating: int, slot_counts: Seque
     return None
 
 
-# the characters a body may hold for the column pass.  On printable ASCII loadtxt's int
-# parser agrees with int(); beyond it, it reads \x1c..\x1f as white space and some letters
-# as digits, where int() raises.  A quote means what csv.reader makes of it.
-_COLUMN_PASS_CHARS = bytes(c for c in range(32, 127) if chr(c) != '"') + b"\n"
-
-
-def _ratings_by_column(text: str, body_from: int, index: Sequence[int]):
-    """``_read_ratings_file``'s result from one ``np.loadtxt`` pass and array checks,
-    or None for a file that pass must not or cannot take.  The body starts after line
-    ``body_from`` and ``index`` holds the mapped columns' positions in it."""
-    lines = io.StringIO(text)
-    for _ in range(body_from):
-        lines.readline()
-    body = text[lines.tell():]
-    if (not body or body.encode().translate(None, _COLUMN_PASS_CHARS)
-            or body.startswith("#") or "\n#" in body):  # csv.reader drops "#" lines
+def _ratings_by_column(body: bytes, body_from: int, index: Sequence[int]):
+    """``_read_ratings_file``'s result from one ``_loadtxt`` pass and array checks, or
+    None for a body that pass must not or cannot take.  ``body`` holds the lines after
+    line ``body_from`` and ``index`` the mapped columns' positions in them."""
+    values = _loadtxt(body, np.dtype([(c, np.int64) for c in RATINGS_COLUMNS]), index)
+    if values is None:
         return None
-    try:
-        with warnings.catch_warnings():
-            # numpy releases that read "5.5" as the int 5 warn that they do; int() raises
-            warnings.simplefilter("error", DeprecationWarning)
-            values = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None,
-                                usecols=index, ndmin=2)
-    except (ValueError, DeprecationWarning):  # a cell no int64, a row short of a column
-        return None
-    if len(values) != body.count("\n") + (not body.endswith("\n")):
-        return None  # loadtxt skipped a blank line, so rows and lines no longer pair
-    _, eid, clip, rating = values.T
+    eid, clip, rating = (values[c] for c in RATINGS_COLUMNS[1:])
     slot_counts = load_alignment_table().slot_counts
     n_slots = np.zeros_like(eid)
     known = (eid >= 0) & (eid < slot_counts.size)
@@ -399,7 +394,7 @@ def _ratings_by_column(text: str, body_from: int, index: Sequence[int]):
     line_no = np.arange(body_from + 1, body_from + 1 + len(values))
     invalid = [(int(line_no[i]), _rating_fault(*values[i].tolist(), slot_counts))
                for i in np.flatnonzero(~ok).tolist()]
-    return dict(zip(RATINGS_COLUMNS, values[ok].T)), line_no[ok], invalid
+    return {c: values[c][ok] for c in RATINGS_COLUMNS}, line_no[ok], invalid
 
 
 def _ratings_by_row(reader, line_no: list, index: Sequence[int], mapping: Mapping[str, str]):
@@ -433,11 +428,11 @@ def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
     """Accepted rows as ``RATINGS_COLUMNS`` int64 columns, their line numbers,
     and ``(line_number, reason)`` for every rejected row.
 
-    ``csv.reader`` reads the header.  One ``np.loadtxt`` pass parses the four mapped
+    ``csv.reader`` reads the header.  One ``_loadtxt`` pass parses the four mapped
     columns below it and array masks check them.  A body that pass must not or cannot
     take (a quote, a ``#`` or blank line, a character beyond printable ASCII, a cell
-    loadtxt rejects, a short row) is read row by row with ``csv.reader`` and ``int()``,
-    to the same result."""
+    loadtxt rejects or only warns on, a short row) is read row by row with
+    ``csv.reader`` and ``int()``, to the same result."""
     mapping = {c: c for c in RATINGS_COLUMNS}
     if profile:
         mapping.update(profile)
@@ -446,9 +441,10 @@ def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
     with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     line_no = []  # the file line number of each line csv.reader reads, "#" lines skipped
+    lines = io.StringIO(text)
 
     def uncommented():
-        for number, line in enumerate(io.StringIO(text), start=1):
+        for number, line in enumerate(lines, start=1):
             if not line.startswith("#"):
                 line_no.append(number)
                 yield line
@@ -463,7 +459,8 @@ def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
         raise ValueError(f"{path} lacks required columns {missing} "
                          f"(line {line_no[0]}: {first.strip()!r})")
     index = [header.index(mapping[c]) for c in RATINGS_COLUMNS]
-    return (_ratings_by_column(text, line_no[-1], index)
+    # csv.reader has read up to the header's last line, so the body starts there
+    return (_ratings_by_column(text[lines.tell():].encode(), line_no[-1], index)
             or _ratings_by_row(reader, line_no, index, mapping))
 
 

@@ -131,6 +131,16 @@ def test_artifacts_read_and_write_as_per_cell_codec(mini_tree, tmp_path):
         assert again.read_bytes() == want.read_bytes(), path.name
 
 
+def test_artifacts_take_the_column_pass(mini_tree, monkeypatch):
+    column_pass, passes = pipeline._loadtxt, []
+    monkeypatch.setattr(pipeline, "_loadtxt",
+                        lambda *args: passes.append(column_pass(*args)) or passes[-1])
+    for path in sorted(mini_tree.glob("*.csv")):
+        passes.clear()
+        read_csv(path)
+        assert len(passes) == 1 and passes[0] is not None, path.name
+
+
 def test_stage_reruns_are_byte_identical(mini_tree):
     tracked = ["curves.csv", "predictions.csv", "report_comparison.csv",
                "manifest_outputs.json"]
@@ -305,7 +315,8 @@ def test_ingest_names_each_row_reject(row, reason, tmp_path):
     ("no_rating", r"lacks the rating column"),
     ("rating_57", r"data row 45 \(participant 5, event 2, clip 5\) holds rating 57, "
                   r"outside 0\.\.10"),
-], ids=["event_999", "rating_5.5", "no_rating", "rating_57"])
+    ("participant_Ǿ", r"column participant_id holds non-integer cells"),
+], ids=["event_999", "rating_5.5", "no_rating", "rating_57", "participant_Ǿ"])
 def test_reconstruct_refuses_ratings_it_cannot_trust(damage, message, tmp_path, caplog):
     ratings = _pair_ratings(tmp_path / "ratings.csv", "drop_row")
     assert main(["ingest", str(ratings), "--out", str(tmp_path)]) == 0
@@ -315,6 +326,8 @@ def test_reconstruct_refuses_ratings_it_cannot_trust(damage, message, tmp_path, 
         lines += [f"1,999,{clip},5" for clip in (1, 2, 3)]
     elif damage in ("rating_5.5", "rating_57"):
         lines[-1] = lines[-1].rpartition(",")[0] + "," + damage.partition("_")[2]
+    elif damage == "participant_Ǿ":  # a letter loadtxt would read as the id 462
+        lines[-1] = "Ǿ," + lines[-1].partition(",")[2]
     else:
         lines[1:] = [line.rpartition(",")[0] for line in lines[1:]]
     valid.write_text("\n".join(lines) + "\n", encoding="utf-8")

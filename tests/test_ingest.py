@@ -241,10 +241,10 @@ def test_a_loadtxt_that_reads_floats_as_ints_falls_back(tmp_path, monkeypatch):
     want = _ingest(path, tmp_path / "oracle", None)  # the oracle never calls loadtxt
 
     def loadtxt_via_float(lines, dtype, usecols, **kwargs):
-        cells = [line.rstrip("\n").split(",") for line in lines]
+        cells = [line.decode().rstrip("\r\n").split(",") for line in lines]
         warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
                       DeprecationWarning)
-        return np.array([[int(float(row[i])) for i in usecols] for row in cells], dtype)
+        return np.array([tuple(int(float(row[i])) for i in usecols) for row in cells], dtype)
 
     monkeypatch.setattr(pipeline.np, "loadtxt", loadtxt_via_float)
     by_row, rows_read = pipeline._ratings_by_row, []

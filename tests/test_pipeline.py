@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,15 @@ TEXTS = {
     "whitespace_cell": "# s\r\nname\r\na\r\n  \r\nb\r\n",
     "only_delimiters": "# s\r\na,b\r\n,\r\n,\r\n",
     "non_ascii": "# s\r\nname,x\r\nÄ b,1\r\nz,١\r\n",
+    # later cells loadtxt reads as numbers where int() and float() raise: a letter it
+    # reads as the digits 462, and the separators \x1c..\x1f, which it reads as white space
+    "late_letter_digit": "# s\nid,x\n1,2.5\nǾ,3.5\n",
+    "late_unit_separator": "# s\nid,x\n1,2.5\n\x1f4,3.5\n",
+    "late_file_separator_int": "# s\r\nid,x\r\n1,0.5\r\n\x1c3,1.5\r\n",
+    "late_file_separator_float": "# s\r\nid,x\r\n1,0.5\r\n2,\x1c3\r\n",
+    "late_record_separator_int": "# s\r\nid,x\r\n1,0.5\r\n3\x1e,1.5\r\n",
+    "late_record_separator_float": "# s\r\nid,x\r\n1,0.5\r\n2,3\x1e\r\n",
+    "comment_row_above_header": "# s\r\n# note\r\nid\r\n1\r\n2\r\n",
     # 17-digit floats, a signed zero, a tiny normal and a subnormal: parsed bit for bit
     "repr_floats": ("# s\r\nid,x\r\n1,0.30000000000000004\r\n2,-0.0\r\n"
                     "3,1e-300\r\n4,5e-324\r\n5,2.2250738585072014e-309\r\n"
@@ -169,7 +179,8 @@ def test_hand_made_tables_read_as_per_cell_oracle(tmp_path, name):
                                   "# s\r\nid,x\r\n1,2,3\r\n",
                                   "# s\r\nid,x\r\n1,2\r\n3\r\n",
                                   "# s\nid,x\n1,2\n\r3,4\n",
-                                  "# s\rid,x\r1,2\r\r3,4\r"])
+                                  "# s\rid,x\r1,2\r\r3,4\r",
+                                  "# s\r\n\r\nid\r\n1\r\n2\r\n"])  # a blank line above the header
 def test_blank_and_ragged_rows_fail_as_per_cell_oracle(tmp_path, text):
     path = tmp_path / "bad.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -178,6 +189,95 @@ def test_blank_and_ragged_rows_fail_as_per_cell_oracle(tmp_path, text):
     with pytest.raises(ValueError) as got:
         read_csv(path)
     assert str(got.value) == str(want.value)
+
+
+# name: an edit of one cell.  Cells loadtxt reads otherwise than int() and float() (a
+# letter it reads as digits, \x1c..\x1f), quotes, which csv.reader reads otherwise than a
+# split at ",", and cells that move a column off the kind of its first row
+CELL_DEFECTS = {
+    "letter_digit": lambda cell: "Ǿ",
+    "unit_separator": "\x1f{}".format,
+    "file_separator": "\x1c{}".format,
+    "record_separator": "{}\x1e".format,
+    "quote": '"{}"'.format,
+    "quoted_comma": '"{},1"'.format,
+    "float": "{}.5".format,
+    "empty": lambda cell: "",
+    "underscore": "1_{}".format,
+    "nan": lambda cell: "nan",
+    "inf": lambda cell: "-inf",
+    "overflow": lambda cell: "1e500",
+}
+LINE_DEFECTS = {"hash_line": "# note", "blank_line": "", "space_line": "  "}
+LINE_ENDS = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
+
+
+def _write_contract_table(path, seed, defects, end):
+    """A stamped table of one to three of an int, a float and a string column, in a
+    random order, carrying ``defects``, each in a random row; a third of the cell
+    defects go to the first data row."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 10))
+    columns = rng.permutation(3)[:rng.integers(1, 4)].tolist()
+    cells = [(str(rng.integers(-50, 50)), f"{rng.normal():.6f}", str(rng.choice(["HB", "a b"])))
+             for _ in range(n)]
+    rows = [[row[c] for c in columns] for row in cells]
+    for name in defects:
+        if name in CELL_DEFECTS:
+            row = 0 if rng.random() < 1 / 3 else int(rng.integers(1, n))
+            col = int(rng.integers(len(columns)))
+            rows[row][col] = CELL_DEFECTS[name](rows[row][col])
+    lines = ["# s", ",".join(["id", "x", "name"][c] for c in columns)]
+    lines += [",".join(row) for row in rows]
+    for name in defects:
+        if name in LINE_DEFECTS:  # anywhere below the stamp, above the header too
+            lines.insert(int(rng.integers(1, len(lines) + 1)), LINE_DEFECTS[name])
+    text = end.join(lines) + (end if rng.random() < 0.8 else "")
+    path.write_bytes(text.encode("utf-8"))
+
+
+def _contract_cases():
+    rng = np.random.default_rng(21)
+    names = [*CELL_DEFECTS, *LINE_DEFECTS]
+    cases = [((), end) for end in LINE_ENDS] + [((name,), "crlf") for name in names]
+    cases += [(tuple(rng.choice(names, size=rng.integers(1, 4), replace=False).tolist()),
+               str(rng.choice(list(LINE_ENDS)))) for _ in range(45)]
+    return [pytest.param(seed, defects, end, id="+".join((*defects, end)))
+            for seed, (defects, end) in enumerate(cases)]
+
+
+def _columns(read, path):
+    """``read(path)`` as (name, dtype, bytes) per column, or the error it raised."""
+    try:
+        return [(name, column.dtype.str, column.tobytes()) for name, column in read(path).items()]
+    except ValueError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("seed,defects,end", _contract_cases())
+def test_read_csv_reads_random_tables_as_the_oracle(seed, defects, end, tmp_path):
+    path = tmp_path / "table.csv"
+    _write_contract_table(path, seed, defects, LINE_ENDS[end])
+    assert _columns(read_csv, path) == _columns(oracle.read_csv, path)
+
+
+def test_a_loadtxt_that_reads_floats_as_ints_falls_back(tmp_path, monkeypatch):
+    """numpy releases whose loadtxt read the int64 cell "2.5" as 2 warned with a
+    DeprecationWarning instead of raising; the column must still read as floats."""
+    path = tmp_path / "hand.csv"
+    path.write_bytes(TEXTS["late_float"].encode("utf-8"))
+
+    def loadtxt_via_float(lines, dtype, **kwargs):
+        cells = [line.decode().rstrip("\r\n") for line in lines]
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        return np.array([(int(float(cell)),) for cell in cells], dtype)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_via_float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # as outside a test run
+        got = read_csv(path)
+    assert got["id"].dtype == np.float64 and got["id"].tolist() == [1.0, 2.5]
 
 
 def test_precise_json_arrays_keep_their_per_element_form(tmp_path):
