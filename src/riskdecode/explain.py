@@ -7,7 +7,9 @@ are attributed by full subset enumeration; larger ones by seeded
 permutation sampling with antithetic pairing.
 
 Attribution targets the raw mean head (before the [0, 10] clamp) so the
-additivity identity phi0 + sum(phi) = f(x) holds exactly per frame.
+additivity identity phi0 + sum(phi) = f(x) holds per frame, up to the
+rounding of the model's dtype: a trained network runs in float32, and its
+rows may round apart by batch.
 
 Threads: ``explain_frames`` holds BLAS at one thread and attributes its frames
 on a pool of one thread per usable core, in chunks of ``FRAME_CHUNK`` frames.
@@ -72,10 +74,10 @@ class ShapResult:
 
 
 def mean_head(weights: MlpWeights) -> ModelFn:
-    """Batch callable (N, D) -> (N,) for the raw mean output."""
+    """Batch callable (N, D) -> (N,) for the raw mean output, in the weights' dtype."""
 
     def model(x: np.ndarray) -> np.ndarray:
-        mean, _ = mlp_forward(weights, np.asarray(x, dtype=float), variance=False)
+        mean, _ = mlp_forward(weights, x, variance=False)
         return mean
 
     return model

@@ -20,6 +20,15 @@ its gradient, and bool masks applied as ``h * mask * (1 / keep)``. The results
 are bit-identical to a plain loop that recomputes every pass
 (tests/test_mlp.py keeps that loop).
 
+Precision: ``mlp_train`` draws the split, the He weights and every dropout
+uniform in float64, then rounds the data, the targets and the initial weights
+to float32 and trains in float32, so it returns float32 weights. A network's
+dtype is the dtype of its weights: ``mlp_forward`` and ``mlp_predict`` cast
+their input to it, so a trained network predicts in float32 while
+``mlp_init`` weights, which ``gradient_check`` and the tests' fixtures use,
+run in float64. float32 rounding (about 1e-7 relative) sits far inside the
+model's error; ``weights_<group>.json`` stores the float32 values exactly.
+
 Threads: ``mlp_train`` runs on the calling thread, plus one helper thread that
 draws each epoch's dropout mask from the seeded generator while the previous
 epoch runs. The helper makes the draws in the loop's order and stops before
@@ -69,7 +78,10 @@ class MlpWeights:
     b2: np.ndarray  # 2
 
     def __post_init__(self):
-        for arr in (self.w1, self.b1, self.w2, self.b2):
+        arrays = (self.w1, self.b1, self.w2, self.b2)
+        if len({arr.dtype for arr in arrays}) != 1 or self.w1.dtype.kind != "f":
+            raise ValueError("weights must share one float dtype")
+        for arr in arrays:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("weights must be finite")
         if (self.w1.ndim != 2 or self.w1.shape[1] != self.b1.size
@@ -79,6 +91,9 @@ class MlpWeights:
     @property
     def input_dim(self) -> int:
         return self.w1.shape[0]
+
+    def astype(self, dtype) -> "MlpWeights":
+        return MlpWeights(*(a.astype(dtype) for a in (self.w1, self.b1, self.w2, self.b2)))
 
 
 @dataclass(frozen=True)
@@ -114,7 +129,8 @@ def _softplus(z):
 
 
 def _check_input(weights: MlpWeights, x) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    """``x`` as a 2-D batch in the weights' dtype."""
+    x = np.atleast_2d(np.asarray(x, dtype=weights.w1.dtype))
     if x.shape[1] != weights.input_dim:
         raise ValueError(
             f"expected {weights.input_dim} features, got {x.shape[1]}")
@@ -141,17 +157,15 @@ def _head_loss(z2, y, loss_mode):
     n = z2.shape[0]
     resid = z2[:, 0] - y
     dz2 = np.zeros_like(z2)
-    # a diverging fit overflows here; the caller's finiteness check reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        if loss_mode == "mse_mean":
-            loss = float(np.mean(resid ** 2))
-            dz2[:, 0] = 2.0 * resid / n
-        else:
-            v = _softplus(z2[:, 1]) + VAR_FLOOR
-            loss = float(np.mean(0.5 * (np.log(v) + resid ** 2 / v)))
-            dz2[:, 0] = resid / v / n
-            dv = 0.5 * (1.0 / v - resid ** 2 / v ** 2) / n
-            dz2[:, 1] = dv * _sigmoid(z2[:, 1])
+    if loss_mode == "mse_mean":
+        loss = float(np.mean(resid ** 2))
+        dz2[:, 0] = 2.0 * resid / n
+    else:
+        v = _softplus(z2[:, 1]) + VAR_FLOOR
+        loss = float(np.mean(0.5 * (np.log(v) + resid ** 2 / v)))
+        dz2[:, 0] = resid / v / n
+        dv = 0.5 * (1.0 / v - resid ** 2 / v ** 2) / n
+        dz2[:, 1] = dv * _sigmoid(z2[:, 1])
     return loss, dz2
 
 
@@ -218,10 +232,7 @@ def _dropout_masks(rng, shape, keep, count):
 
 
 def _rmse(mean, y):
-    # overflow means divergence, which the next loss check or the final
-    # RMSE check in mlp_train reports
-    with np.errstate(over="ignore"):
-        return float(np.sqrt(np.mean((mean - y) ** 2)))
+    return float(np.sqrt(np.mean((mean - y) ** 2)))
 
 
 class TrainingDiverged(RuntimeError):
@@ -276,7 +287,8 @@ def mlp_train(features, targets, config: MlpConfig):
 
     The split shuffles individual samples, not events, so every event is
     represented on both sides.  A loss that stops being finite raises
-    ``TrainingDiverged`` naming the phase and epoch.
+    ``TrainingDiverged`` naming the phase and epoch. The weights are float32
+    (see the module docstring).
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -293,22 +305,26 @@ def mlp_train(features, targets, config: MlpConfig):
     if n_train < 1 or n_train >= x.shape[0]:
         raise ValueError("split leaves an empty train or validation set")
     tr, va = order[:n_train], order[n_train:]
-    x_tr, y_tr = x[tr], y[tr]
-    x_va, y_va = x[va], y[va]
+    x_tr, y_tr, x_va, y_va = (a.astype(np.float32) for a in (x[tr], y[tr], x[va], y[va]))
 
-    weights = mlp_init(config)
+    weights = mlp_init(config).astype(np.float32)
     keep = 1.0 - config.dropout_rate
+    lr, scale = np.float32(config.learning_rate), np.float32(1.0 / keep)
     # the mean phase's masks, then the variance phase's, all from one rng
     masks = _dropout_masks(rng, (n_train, config.hidden), keep, 2 * config.epochs)
-    with closing(masks):
+    # a diverging fit overflows in the epoch products; the finiteness checks report it
+    with closing(masks), np.errstate(over="ignore", invalid="ignore"):
         h, train_hist, val_hist = _fit_mean(weights, x_tr, y_tr, x_va, y_va, config.epochs,
-                                            config.learning_rate, 1.0 / keep, masks)
-        _fit_variance(weights, h, y_tr, config.epochs, config.learning_rate, 1.0 / keep,
-                      masks)
+                                            lr, scale, masks)
+        _fit_variance(weights, h, y_tr, config.epochs, lr, scale, masks)
     # the variance NLL can stay finite after a last mean update that overflows the RMSE
     if not np.isfinite(train_hist[-1]):
         raise TrainingDiverged(f"training RMSE became non-finite at epoch "
                                f"{config.epochs - 1} of the mean phase")
+    # and no loss follows the last variance update
+    if not (np.isfinite(weights.w2).all() and np.isfinite(weights.b2).all()):
+        raise TrainingDiverged(f"variance weights became non-finite at epoch "
+                               f"{config.epochs - 1} of the variance phase")
     return weights, TrainReport(train_hist, val_hist)
 
 

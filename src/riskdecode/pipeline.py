@@ -5,11 +5,11 @@ Only ``read_csv`` and ``write_csv`` know the table format: a stamp line
 with the tool version, the seed and the digest of every file the stage
 read (JSON artifacts carry it as ``meta.inputs``), then the header and
 rows.  Floats are written at 6 decimals; normalization stats and network
-weights, which later stages read back, are JSON at ``repr``.  No stage
-reads the feature tables: train rebuilds each matrix from the catalog for
-the events and feature names in ``normstats.json`` and copies that group's
-entry into the network's ``weights_<group>.json``, from which alone
-predict and explain rebuild it.
+weights (float32 values), which later stages read back, are JSON at
+``repr``.  No stage reads the feature tables: train rebuilds each matrix
+from the catalog for the events and feature names in ``normstats.json``
+and copies that group's entry into the network's ``weights_<group>.json``,
+from which alone predict and explain rebuild it.
 A missing float (NaN) is an empty cell, and cells are quoted as
 ``csv.writer`` quotes them.  ``read_csv`` returns columns keyed by header
 name: int64 if every cell of the column parses as ``int``, else float64 if
@@ -30,6 +30,7 @@ import hashlib
 import io
 import json
 import logging
+import re
 import warnings
 from dataclasses import asdict, dataclass, replace
 from itertools import chain
@@ -210,6 +211,10 @@ def _loadtxt(body: bytes, dtype: np.dtype, usecols: Sequence[int] | None = None)
     return data if len(data) == body.count(b"\n") + (not body.endswith(b"\n")) else None
 
 
+# a line and its end as io.StringIO(newline="") splits them: at \r\n, \r or \n
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
 def read_csv(path: Path) -> dict:
     """Columns of a stamped CSV keyed by header name, skipping the stamp line.
 
@@ -218,10 +223,20 @@ def read_csv(path: Path) -> dict:
     cell off its column's kind, a ragged row) is read cell by cell."""
     raw = Path(path).read_bytes()
     text = raw.decode("utf-8")
-    lines = io.StringIO(text, newline="")
-    rows = csv.reader(ln for ln in lines if not ln.startswith("#"))
+    end = 0  # where the last line split off ends
+
+    def uncommented():
+        """The lines of ``io.StringIO(text, newline="")`` without the "#" lines, split
+        off one at a time."""
+        nonlocal end
+        for line in _LINE.finditer(text):
+            end = line.end()
+            if not line[0].startswith("#"):
+                yield line[0]
+
+    rows = csv.reader(uncommented())
     header = next(rows, None)
-    start = lines.tell()
+    start = end
     first = next(rows, None)
     if first is not None and len(first) == len(header):
         kinds = [(f"f{i}", object if d.kind == "U" else d)  # strings parse as objects
@@ -230,8 +245,7 @@ def read_csv(path: Path) -> dict:
         if data is not None:
             return {name: data[f].astype(str) if data.dtype[f] == object else data[f].copy()
                     for name, f in zip(header, data.dtype.names)}
-    header, *rows = csv.reader(ln for ln in io.StringIO(text, newline="")
-                               if not ln.startswith("#"))
+    header, *rows = csv.reader(uncommented())
     for i, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise ValueError(f"{path}: data row {i} has {len(row)} cells, not {len(header)}")
@@ -664,14 +678,26 @@ def _load_features(event_ids: Sequence[int], manifest: FeatureManifest, stats: N
     return eids, times, matrix, zscore_apply(matrix, stats)
 
 
+def _float32(values, name: str) -> np.ndarray:
+    """``values`` as float32, each of them a float32 value as ``train`` writes it."""
+    wide = np.array(values, dtype=float)
+    with np.errstate(over="ignore"):  # a float32 overflow is inexact, and refused below
+        narrow = wide.astype(np.float32)
+    if not np.array_equal(narrow, wide, equal_nan=True):
+        raise ValueError(f"{name} holds values that are not float32, as earlier versions "
+                         f"wrote them")
+    return narrow
+
+
 def _network(out: Path, group: str) -> tuple:
     """One group's network from its ``weights_<group>.json`` alone: the file's path,
-    the weights, the feature names, then ``_load_features`` of the inputs it was
-    trained on."""
+    the float32 weights, the feature names, then ``_load_features`` of the inputs it
+    was trained on."""
     path = require(out, f"weights_{group}.json", "train")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-        weights = MlpWeights(*(np.array(payload["weights"][k]) for k in ("w1", "b1", "w2", "b2")))
+        weights = MlpWeights(*(_float32(payload["weights"][k], k)
+                               for k in ("w1", "b1", "w2", "b2")))
         event_ids, manifest, stats = _inputs(payload["normstats"], group)
         if len(stats.names) != weights.input_dim:
             raise ValueError(f"{len(stats.names)} feature names for the "

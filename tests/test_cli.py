@@ -194,9 +194,9 @@ def test_diverging_training_fails_cleanly(mini_tree, tmp_path, caplog):
     argv = ["train", "--out", str(scratch), "--seed", "1", "--lr", "1e6", "--epochs", "3"]
     with caplog.at_level(logging.ERROR), np.errstate(all="ignore"):
         assert main(argv) == 1
-    # MB trains first; its mean fit stays finite for three epochs, then the
-    # first variance step overflows
-    message = "group MB: training loss became non-finite at epoch 0 of the variance phase"
+    # MB trains first; in float32 its mean fit stays finite for two epochs, then
+    # the loss of the third overflows
+    message = "group MB: training loss became non-finite at epoch 2 of the mean phase"
     assert message in caplog.text
     # from the command line, stderr holds that one error and no numpy warning
     env = {**os.environ, "PYTHONPATH": str(Path(riskdecode.__file__).parents[1])}
@@ -618,6 +618,36 @@ def test_network_stages_name_a_faulty_input_file(stage, fault, mini_tree, tmp_pa
     assert re.fullmatch(rf"{re.escape(str(path))} holds no usable inputs for group {group} "
                         rf"\(.*{re.escape(detail)}.*\); run the {writer} stage again",
                         caplog.records[0].getMessage())
+
+
+@pytest.mark.parametrize("stage", ["predict", "explain"])
+def test_network_stages_refuse_weights_that_are_not_float32(stage, mini_tree, tmp_path,
+                                                            caplog):
+    # one value off float32, as versions that trained in float64 wrote every value
+    scratch = tmp_path / "tree"
+    shutil.copytree(mini_tree, scratch)
+    path = scratch / "weights_HB.json"
+    payload = json.loads(path.read_text())
+    payload["weights"]["w2"][3][1] = 0.1
+    path.write_text(json.dumps(payload))
+    caplog.clear()
+    with caplog.at_level(logging.ERROR):
+        assert main([stage, "--out", str(scratch), "--seed", "1"]) == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path} holds no usable inputs for group HB (w2 holds values that are not float32, "
+        f"as earlier versions wrote them); run the train stage again"]
+
+
+def test_trained_weights_load_back_bit_for_bit(mini_tree):
+    for group in NETWORK_GROUPS:
+        stored = json.loads((mini_tree / f"weights_{group}.json").read_text())["weights"]
+        weights = pipeline._network(mini_tree, group)[1]
+        for name, values in stored.items():
+            loaded = getattr(weights, name)
+            assert loaded.dtype == np.float32, (group, name)
+            # every stored value is a float32, and the loaded array holds exactly it
+            assert np.array(values).astype(np.float32).astype(float).tolist() == values
+            assert loaded.astype(float).tolist() == values, (group, name)
 
 
 # each damage to an input another stage wrote: the file, the stage that writes it, and

@@ -11,7 +11,7 @@ from riskdecode.explain import (MAX_EXACT_DIM, Baseline, ShapResult,
                                 explain_frames, global_importance,
                                 mean_head, shap_exact,
                                 shap_sampled)
-from riskdecode.mlp import MlpConfig, mlp_init
+from riskdecode.mlp import MlpConfig, mlp_init, mlp_train
 
 LIN_W = np.array([0.5, -1.0, 2.0, 0.0, 0.25, -0.75, 1.5, -0.1])
 
@@ -123,6 +123,25 @@ def test_explain_frames_sampled_mode():
     assert np.array_equal(result.attributions, rerun.attributions)
     with pytest.raises(ValueError):
         explain_frames(model, features[:, :5], base)
+
+
+@pytest.mark.parametrize("d", [8, MAX_EXACT_DIM + 1])
+def test_a_trained_float32_network_stays_additive(d):
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(400, d))
+    y = np.clip(5.0 + x[:, 0] - 0.5 * x[:, 1] * x[:, 2] + 0.3 * rng.normal(size=400), 0.0, 10.0)
+    weights, _ = mlp_train(x, y, MlpConfig(input_dim=d, hidden=64, epochs=30, seed=1,
+                                           learning_rate=0.01))
+    model = mean_head(weights)
+    assert model(x[:2]).dtype == np.float32
+    result = explain_frames(model, x[:20], Baseline.from_training(x), n_permutations=16,
+                            seed=3)
+    # each frame's value comes from the batch that attributes it and again from the
+    # batch of all frames, whose float32 rows may round apart: the bound is two
+    # float32 steps at the largest prediction, about 1.9e-6 here (1e-9 in float64)
+    bound = 2 * np.spacing(np.float32(np.abs(result.predicted).max()))
+    gap = result.base_value + result.attributions.sum(axis=1) - result.predicted
+    assert np.abs(gap).max() <= bound
 
 
 @pytest.mark.parametrize("d,frames", [(11, 20), (MAX_EXACT_DIM + 1, 19)])

@@ -1,6 +1,7 @@
 """Network training: gradients, determinism, overfit capacity, both heads."""
 
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -161,12 +162,34 @@ def test_mask_helper_stops_when_training_diverges():
 def test_divergence_names_its_phase():
     x, y = overfit_problem()
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingDiverged, match="epoch 3 of the mean phase"):
+        with pytest.raises(TrainingDiverged, match="epoch 1 of the mean phase"):
             mlp_train(x, y, MlpConfig(input_dim=5, epochs=5, learning_rate=1e9))
-        # five epochs at this rate leave the mean finite but far off, so the
-        # first variance step already overflows the NLL
+        # three float32 epochs at this rate leave the mean finite but far off, so
+        # the first variance step already overflows the NLL
         with pytest.raises(TrainingDiverged, match="epoch 0 of the variance phase"):
-            mlp_train(x, y, MlpConfig(input_dim=5, epochs=5, learning_rate=1.0))
+            mlp_train(x, y, MlpConfig(input_dim=5, epochs=3, learning_rate=1.0))
+
+
+def test_divergence_is_reported_without_a_numpy_warning():
+    # float32 epoch products overflow at this rate; the divergence report is the one
+    # sign of it, not a RuntimeWarning
+    x, y = overfit_problem()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged, match="epoch 2 of the mean phase"):
+            mlp_train(x, y, MlpConfig(input_dim=5, epochs=3, learning_rate=1e6))
+
+
+def test_divergence_at_the_last_variance_epoch_is_reported(monkeypatch):
+    # the mean phase at a sane rate, then one variance update that overflows, which
+    # no later loss sees
+    fit_mean = mlp._fit_mean
+    monkeypatch.setattr(mlp, "_fit_mean",
+                        lambda *args: fit_mean(*args[:6], np.float32(0.001), *args[7:]))
+    x, y = overfit_problem()
+    with pytest.raises(TrainingDiverged,
+                       match="variance weights became non-finite at epoch 0 of the variance"):
+        mlp_train(x, y, MlpConfig(input_dim=5, epochs=1, learning_rate=1e38))
 
 
 def test_divergence_at_the_last_mean_epoch_is_reported(monkeypatch):
@@ -178,6 +201,28 @@ def test_divergence_at_the_last_mean_epoch_is_reported(monkeypatch):
         with pytest.raises(TrainingDiverged,
                            match="RMSE became non-finite at epoch 0 of the mean phase"):
             mlp_train(x, y, MlpConfig(input_dim=5, epochs=1, learning_rate=1e100))
+
+
+def test_weights_share_one_float_dtype():
+    arrays = np.zeros((3, 8)), np.zeros(8), np.zeros((8, 2)), np.zeros(2)
+    for i in range(4):
+        mixed = [a.astype(np.float32) if j == i else a for j, a in enumerate(arrays)]
+        with pytest.raises(ValueError, match="weights must share one float dtype"):
+            MlpWeights(*mixed)
+    with pytest.raises(ValueError, match="weights must share one float dtype"):
+        MlpWeights(*(a.astype(int) for a in arrays))
+
+
+def test_a_trained_network_runs_in_float32():
+    x, y = overfit_problem()
+    weights, _ = mlp_train(x, y, MlpConfig(input_dim=5, hidden=16, epochs=3, seed=2))
+    assert {a.dtype for a in (weights.w1, weights.b1, weights.w2, weights.b2)} == {
+        np.dtype(np.float32)}
+    pred = mlp_predict(weights, x)
+    assert pred.mean.dtype == pred.variance.dtype == np.float32
+    # a network's dtype is its weights': mlp_init's stay float64
+    init = mlp_init(MlpConfig(input_dim=5, hidden=16, seed=2))
+    assert mlp_predict(init, x).mean.dtype == np.float64
 
 
 def test_predict_clamps_mean_but_keeps_raw():
@@ -197,7 +242,8 @@ def test_report_validation():
 
 # ---------------------------------------------------------------------------
 # bit-exactness oracle: the straightforward training loop, one full forward
-# and backward pass per epoch in both phases plus fresh RMSE forwards
+# and backward pass per epoch in both phases plus fresh RMSE forwards, in float32
+# on the data and He weights rounded to it, as mlp_train trains
 
 
 def reference_forward(weights, x):
@@ -236,20 +282,21 @@ def reference_rmse(weights, x, y):
 
 def reference_epochs(weights, x_tr, y_tr, x_va, y_va, cfg, rng, var_only):
     keep = 1.0 - cfg.dropout_rate
+    lr = np.float32(cfg.learning_rate)
     hist = []
     for _ in range(cfg.epochs):
-        mask = (rng.random((x_tr.shape[0], cfg.hidden)) < keep) / keep
+        mask = (rng.random((x_tr.shape[0], cfg.hidden)) < keep) * np.float32(1.0 / keep)
         loss, (dw1, db1, dw2, db2) = reference_loss_and_grads(
             weights, x_tr, y_tr, "gaussian_nll" if var_only else "mse_mean", mask)
         assert np.isfinite(loss)
         if var_only:
-            weights.w2[:, 1] -= cfg.learning_rate * dw2[:, 1]
-            weights.b2[1] -= cfg.learning_rate * db2[1]
+            weights.w2[:, 1] -= lr * dw2[:, 1]
+            weights.b2[1] -= lr * db2[1]
         else:
-            weights.w1 -= cfg.learning_rate * dw1
-            weights.b1 -= cfg.learning_rate * db1
-            weights.w2 -= cfg.learning_rate * dw2
-            weights.b2 -= cfg.learning_rate * db2
+            weights.w1 -= lr * dw1
+            weights.b1 -= lr * db1
+            weights.w2 -= lr * dw2
+            weights.b2 -= lr * db2
         hist.append((reference_rmse(weights, x_tr, y_tr),
                      reference_rmse(weights, x_va, y_va)))
     return np.array(hist)
@@ -260,7 +307,8 @@ def reference_train(x, y, cfg):
     order = rng.permutation(x.shape[0])
     n_train = int(round(0.8 * x.shape[0]))
     tr, va = order[:n_train], order[n_train:]
-    weights = mlp_init(cfg)
+    x, y = x.astype(np.float32), y.astype(np.float32)
+    weights = mlp_init(cfg).astype(np.float32)
     hist = reference_epochs(weights, x[tr], y[tr], x[va], y[va], cfg, rng, var_only=False)
     reference_epochs(weights, x[tr], y[tr], x[va], y[va], cfg, rng, var_only=True)
     return weights, hist[:, 0], hist[:, 1]
@@ -280,12 +328,15 @@ def test_training_matches_reference_loop_bit_for_bit():
     assert report.val_rmse.tobytes() == val_hist.tobytes()
 
 
-@pytest.mark.parametrize("rows", [1, 2048])
-def test_forward_matches_out_of_place_reference(rows):
-    weights = mlp_init(MlpConfig(input_dim=11, seed=8))
+@pytest.mark.parametrize("rows,dtype", [
+    pytest.param(1, np.float64, id="1"), pytest.param(2048, np.float64, id="2048"),
+    pytest.param(2048, np.float32, id="2048-float32")])
+def test_forward_matches_out_of_place_reference(rows, dtype):
+    weights = mlp_init(MlpConfig(input_dim=11, seed=8)).astype(dtype)
     x = np.random.default_rng(rows).normal(size=(rows, 11))
+    # mlp_forward casts the float64 batch to the weights' dtype
     mean, variance = mlp_forward(weights, x)
-    ref_mean, ref_variance = reference_forward(weights, x)
+    ref_mean, ref_variance = reference_forward(weights, x.astype(dtype))
     assert mean.tobytes() == ref_mean.tobytes()
     assert variance.tobytes() == ref_variance.tobytes()
 
