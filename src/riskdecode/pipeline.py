@@ -1,6 +1,10 @@
 """Stage orchestration and deterministic artifact persistence.
 
 Every stage reads only named upstream files and writes UTF-8 CSV/JSON.
+``STAGES`` names the files each stage writes, and ``_WRITER``, built from it,
+alone knows an artifact's stage: the errors' "run the X stage first/again" and
+the list in ``manifest_outputs.json`` (declared files only) come from it.  Reads
+are not declared; each artifact stamps what its stage read.
 Only ``read_csv`` and ``write_csv`` know the table format: a stamp line
 with the tool version, the seed and the digest of every file the stage
 read (JSON artifacts carry it as ``meta.inputs``), then the header and
@@ -213,6 +217,18 @@ def _loadtxt(body: bytes, dtype: np.dtype, usecols: Sequence[int] | None = None)
 
 # a line and its end as io.StringIO(newline="") splits them: at \r\n, \r or \n
 _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+_LINE_END = re.compile(rb"\r\n?|\n")
+
+
+def _decode(path: Path, raw: bytes) -> str:
+    """``raw`` as UTF-8 text, or one ValueError that names ``path`` and the line (ended at
+    ``\\r\\n``, ``\\r`` or ``\\n``) of the first byte that is not UTF-8."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = 1 + len(_LINE_END.findall(raw, 0, exc.start))
+        raise ValueError(f"{path} line {line} holds the byte {raw[exc.start]:#04x}, "
+                         f"which is not UTF-8 ({exc.reason})") from None
 
 
 def read_csv(path: Path) -> dict:
@@ -222,7 +238,7 @@ def read_csv(path: Path) -> dict:
     cannot take (a quote, a blank or ``#`` line, a character beyond printable ASCII, a
     cell off its column's kind, a ragged row) is read cell by cell."""
     raw = Path(path).read_bytes()
-    text = raw.decode("utf-8")
+    text = _decode(path, raw)
     end = 0  # where the last line split off ends
 
     def uncommented():
@@ -236,6 +252,8 @@ def read_csv(path: Path) -> dict:
 
     rows = csv.reader(uncommented())
     header = next(rows, None)
+    if header is None:
+        raise ValueError(f"{path} holds no header row")
     start = end
     first = next(rows, None)
     if first is not None and len(first) == len(header):
@@ -265,19 +283,23 @@ def _by_event(event_ids: np.ndarray, values: np.ndarray) -> dict:
     return {int(eid): values[event_ids == eid] for eid in np.unique(event_ids)}
 
 
-def require(out: Path, name: str, stage: str) -> Path:
+def require(out: Path, name: str) -> Path:
     path = out / name
     if not path.exists():
         raise FileNotFoundError(
-            f"{name} is missing under {out}; run the {stage} stage first")
+            f"{name} is missing under {out}; run the {_WRITER[name]} stage first")
     return path
 
 
-def _fault(path: Path, what: str, stage: str, exc: Exception) -> ValueError:
-    """One line for a file that does not hold ``what`` as ``stage`` writes it."""
+def _again(path: Path) -> str:
+    """The remedy for an artifact at fault: rerun the stage that writes it."""
+    return f"run the {_WRITER[path.name]} stage again"
+
+
+def _fault(path: Path, what: str, exc: Exception) -> ValueError:
+    """One line for an artifact that does not hold ``what`` as its stage writes it."""
     fault = f"no {exc} key" if isinstance(exc, KeyError) else exc
-    return ValueError(f"{path} holds no usable {what} ({fault}); "
-                      f"run the {stage} stage again")
+    return ValueError(f"{path} holds no usable {what} ({fault}); {_again(path)}")
 
 
 def _row(table: Mapping[str, np.ndarray], i: int) -> str:
@@ -286,37 +308,40 @@ def _row(table: Mapping[str, np.ndarray], i: int) -> str:
     return f"data row {i + 1} (event {table['event_id'][i]}{t})"
 
 
-def _read_event_table(path: Path, stage: str, numbers: Sequence[str],
-                      others: Sequence[str] = ()) -> dict:
-    """``read_csv`` of a table that ``stage`` writes, checked to hold an integer
-    ``event_id`` column, the columns ``numbers`` with a number in every cell, and
-    the columns ``others``."""
-    table = read_csv(path)
-    missing = [c for c in ("event_id", *numbers, *others) if c not in table]
+def _read_event_table(path: Path, numbers: Sequence[str], others: Sequence[str] = (),
+                      ints: Sequence[str] = ("event_id",)) -> dict:
+    """``read_csv`` of an artifact, checked to hold the columns ``ints`` with an integer
+    in every cell, the columns ``numbers`` with a number in every cell, and the columns
+    ``others``; a fault names the stage to rerun."""
+    try:
+        table = read_csv(path)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; {_again(path)}") from None
+    missing = [c for c in (*ints, *numbers, *others) if c not in table]
     if missing:
-        raise ValueError(f"{path} lacks the {missing[0]} column; run the {stage} stage again")
-    if table["event_id"].dtype != np.int64:
-        raise ValueError(f"{path} column event_id holds non-integer cells; "
-                         f"run the {stage} stage again")
+        raise ValueError(f"{path} lacks the {missing[0]} column; {_again(path)}")
+    for name in ints:
+        if table[name].dtype != np.int64:
+            raise ValueError(f"{path} column {name} holds non-integer cells; {_again(path)}")
     for name in numbers:
         if table[name].dtype.kind not in "if":  # a cell no float, such as an empty one
             cells = table[name].tolist()
             row = next(i for i, c in enumerate(cells) if _cast((c,)).dtype.kind == "U")
             raise ValueError(f"{path} {_row(table, row)} holds {cells[row]!r} in column {name}, "
-                             f"not a number; run the {stage} stage again")
+                             f"not a number; {_again(path)}")
     return table
 
 
 def _read_curves(out: Path) -> tuple:
     """``curves.csv``'s path, its columns and its mean curves by event, every mean a
     rating in ``RATING_MIN..RATING_MAX``."""
-    path = require(out, "curves.csv", "reconstruct")
-    curves = _read_event_table(path, "reconstruct", ("t", "mean"), ("p25", "p75"))
+    path = require(out, "curves.csv")
+    curves = _read_event_table(path, ("t", "mean"), ("p25", "p75"))
     mean = curves["mean"]
     off_scale = np.flatnonzero(~((mean >= RATING_MIN) & (mean <= RATING_MAX)))  # NaN too
     if off_scale.size:
         raise ValueError(f"{path} {_row(curves, off_scale[0])} holds mean {mean[off_scale[0]]}, "
-                         f"outside {RATING_MIN:g}..{RATING_MAX:g}; run the reconstruct stage again")
+                         f"outside {RATING_MIN:g}..{RATING_MAX:g}; {_again(path)}")
     return path, curves, _by_event(curves["event_id"], mean)
 
 
@@ -442,40 +467,48 @@ def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
     """Accepted rows as ``RATINGS_COLUMNS`` int64 columns, their line numbers,
     and ``(line_number, reason)`` for every rejected row.
 
-    ``csv.reader`` reads the header.  One ``_loadtxt`` pass parses the four mapped
-    columns below it and array masks check them.  A body that pass must not or cannot
-    take (a quote, a ``#`` or blank line, a character beyond printable ASCII, a cell
-    loadtxt rejects or only warns on, a short row) is read row by row with
-    ``csv.reader`` and ``int()``, to the same result."""
+    ``csv.reader`` reads the header from lines split off one at a time.  One ``_loadtxt``
+    pass parses the four mapped columns below it and array masks check them.  A body
+    that pass must not or cannot take (a quote, a ``#`` or blank line, a character
+    beyond printable ASCII, a cell loadtxt rejects or only warns on, a short row) is
+    read row by row with ``csv.reader`` and ``int()``, to the same result."""
     mapping = {c: c for c in RATINGS_COLUMNS}
     if profile:
         mapping.update(profile)
-    # utf-8-sig drops the byte-order mark spreadsheet exports put before line 1, and
-    # text mode ends lines at \r\n, \r or \n
-    with open(path, encoding="utf-8-sig") as fh:
-        text = fh.read()
+    # as utf-8-sig in text mode reads it: without the byte-order mark spreadsheet exports
+    # put before line 1, and with lines that end at \r\n, \r or \n read as \n
+    text = _decode(path, Path(path).read_bytes()).removeprefix("\ufeff")
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     line_no = []  # the file line number of each line csv.reader reads, "#" lines skipped
-    lines = io.StringIO(text)
+    head = []  # the lines split off up to the header's last
 
-    def uncommented():
+    def uncommented(lines):
+        line_no.clear()
         for number, line in enumerate(lines, start=1):
             if not line.startswith("#"):
                 line_no.append(number)
                 yield line
 
-    reader = csv.reader(uncommented())
-    header = next(reader, None)
+    def split_off():
+        for line in _LINE.finditer(text):
+            head.append(line[0])
+            yield line[0]
+
+    header = next(csv.reader(uncommented(split_off())), None)
     if header is None:
         raise ValueError(f"{path} holds no CSV content")
     missing = [mapping[c] for c in RATINGS_COLUMNS if mapping[c] not in header]
     if missing:
-        first = io.StringIO(text).readlines()[line_no[0] - 1]
         raise ValueError(f"{path} lacks required columns {missing} "
-                         f"(line {line_no[0]}: {first.strip()!r})")
+                         f"(line {line_no[0]}: {head[line_no[0] - 1].strip()!r})")
     index = [header.index(mapping[c]) for c in RATINGS_COLUMNS]
     # csv.reader has read up to the header's last line, so the body starts there
-    return (_ratings_by_column(text[lines.tell():].encode(), line_no[-1], index)
-            or _ratings_by_row(reader, line_no, index, mapping))
+    by_column = _ratings_by_column(text[sum(map(len, head)):].encode(), line_no[-1], index)
+    if by_column is not None:
+        return by_column
+    reader = csv.reader(uncommented(io.StringIO(text)))  # splits lines as fast as any
+    next(reader)  # the header, read again
+    return _ratings_by_row(reader, line_no, index, mapping)
 
 
 def _pair_matrices(table: Mapping[str, np.ndarray]):
@@ -564,28 +597,21 @@ def run_ingest(out: Path, ratings_path: Path, seed: int = 0,
 
 def run_reconstruct(out: Path, seed: int = 0, method: str = "pchip") -> Path:
     out = Path(out)
-    ratings = require(out, "ratings_valid.csv", "ingest")
-    columns = read_csv(ratings)
-    for name in RATINGS_COLUMNS:
-        if name not in columns:
-            raise ValueError(f"{ratings} lacks the {name} column; run the ingest stage again")
-        if columns[name].dtype != np.int64:
-            raise ValueError(f"{ratings} column {name} holds non-integer cells; "
-                             "run the ingest stage again")
+    ratings = require(out, "ratings_valid.csv")
+    columns = _read_event_table(ratings, (), ints=RATINGS_COLUMNS)
     off_scale = np.flatnonzero((columns["rating"] < RATING_MIN) | (columns["rating"] > RATING_MAX))
     if off_scale.size:
         pid, eid, clip, rating = (columns[c][off_scale[0]] for c in RATINGS_COLUMNS)
         raise ValueError(f"{ratings} data row {off_scale[0] + 1} (participant {pid}, event {eid}, "
-                         f"clip {clip}) holds rating {rating}, outside 0..10; "
-                         "run the ingest stage again")
+                         f"clip {clip}) holds rating {rating}, outside 0..10; {_again(ratings)}")
     unknown = np.setdiff1d(columns["event_id"], load_alignment_table().event_ids())
     if unknown.size:
         raise ValueError(f"{ratings} names events without an alignment row: "
-                         f"{unknown.tolist()}; run the ingest stage again")
+                         f"{unknown.tolist()}; {_again(ratings)}")
     matrices, incomplete = _pair_matrices(columns)
     if incomplete:
-        raise ValueError(f"{ratings} holds an incomplete pair, which ingest never keeps: "
-                         f"{incomplete[0][1]}")
+        raise ValueError(f"{ratings} holds an incomplete pair, which "
+                         f"{_WRITER[ratings.name]} never keeps: {incomplete[0][1]}")
     blocks = []
     for eid, (_, sequences) in matrices.items():
         agg = aggregate_curves(reconstruct_event(eid, sequences, method))
@@ -612,14 +638,14 @@ def _group_matrix(event_ids: Sequence[int], manifest: FeatureManifest):
 def run_features(out: Path, seed: int = 0,
                  manifests: Mapping[str, Sequence[str]] | None = None) -> dict:
     out = Path(out)
-    events_json = require(out, "events.json", "generate")
+    events_json = require(out, "events.json")
     try:
         listed = {e["event_id"] for e in
                   json.loads(events_json.read_text(encoding="utf-8"))["events"]}
     except (KeyError, TypeError, ValueError) as exc:
-        raise _fault(events_json, "event list", "generate", exc) from None
+        raise _fault(events_json, "event list", exc) from None
     if not listed:
-        raise ValueError(f"{events_json} lists no events; run the generate stage again")
+        raise ValueError(f"{events_json} lists no events; {_again(events_json)}")
 
     norm_meta, paths = {}, {}
     for group in NETWORK_GROUPS:
@@ -663,7 +689,7 @@ def _load_normstats(path: Path, group: str) -> tuple:
         if group in groups and "event_ids" in groups[group]:  # earlier versions wrote none
             return _inputs(groups[group], group)
     except (KeyError, TypeError, ValueError) as exc:
-        raise _fault(path, f"inputs for group {group}", "features", exc) from None
+        raise _fault(path, f"inputs for group {group}", exc) from None
     fault = f"{path.name} under {path.parent} lists no events for group {group}"
     if group in groups:  # a features rerun over the same events.json lists them
         raise ValueError(f"{fault}; run the features stage with its events listed")
@@ -693,7 +719,7 @@ def _network(out: Path, group: str) -> tuple:
     """One group's network from its ``weights_<group>.json`` alone: the file's path,
     the float32 weights, the feature names, then ``_load_features`` of the inputs it
     was trained on."""
-    path = require(out, f"weights_{group}.json", "train")
+    path = require(out, f"weights_{group}.json")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
         weights = MlpWeights(*(_float32(payload["weights"][k], k)
@@ -703,7 +729,7 @@ def _network(out: Path, group: str) -> tuple:
             raise ValueError(f"{len(stats.names)} feature names for the "
                              f"{weights.input_dim} rows of w1")
     except (KeyError, TypeError, ValueError) as exc:
-        raise _fault(path, f"inputs for group {group}", "train", exc) from None
+        raise _fault(path, f"inputs for group {group}", exc) from None
     return path, weights, stats.names, *_load_features(event_ids, manifest, stats)
 
 
@@ -717,7 +743,7 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
               learning_rate: float | None = None) -> dict:
     out = Path(out)
     curves_path, _, mean_curves = _read_curves(out)
-    normstats_path = require(out, "normstats.json", "features")
+    normstats_path = require(out, "normstats.json")
     read_paths = [normstats_path, curves_path]
 
     chosen = {_GROUP_OF[s.scenario] for s in _events(scenario)}
@@ -729,7 +755,7 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
         try:
             stored[g] = json.loads(path.read_text(encoding="utf-8"))["report"]
         except (KeyError, TypeError, ValueError) as exc:
-            raise _fault(path, f"training report for group {g}", "train", exc) from None
+            raise _fault(path, f"training report for group {g}", exc) from None
     summary, log_blocks = {}, []
     for group in (g for g in NETWORK_GROUPS if g in chosen):
         event_ids, manifest, stats = _load_normstats(normstats_path, group)
@@ -737,7 +763,8 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
         targets = []
         for eid in dict.fromkeys(eids.tolist()):  # in the order of the matrix rows
             if eid not in mean_curves:
-                raise ValueError(f"curves.csv lacks event {eid} needed by {group}")
+                raise ValueError(f"{curves_path} lacks event {eid} needed by {group}; "
+                                 f"{_again(curves_path)}")
             targets.append(mean_curves[eid])
         y = np.concatenate(targets)
 
@@ -879,7 +906,7 @@ def _model_curves(calibrations: Mapping[str, Path], targets: dict) -> dict:
             params = replace(MODEL_DEFAULTS[model](),
                              **json.loads(path.read_text(encoding="utf-8"))["best_params"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise _fault(path, f"{model} parameters", "calibrate", exc) from None
+            raise _fault(path, f"{model} parameters", exc) from None
         raw = MODEL_SERIES[model](table, params)
         outputs[model] = dict(zip(event_ids, table.split(minmax_rescale(raw))))
     return outputs
@@ -888,17 +915,17 @@ def _model_curves(calibrations: Mapping[str, Path], targets: dict) -> dict:
 def run_report(out: Path, seed: int = 0) -> dict:
     out = Path(out)
     curves_path, curves, truth = _read_curves(out)
-    predictions_path = require(out, "predictions.csv", "predict")
-    shap_path = require(out, "shap.csv", "explain")
-    globals_path = require(out, "globals.csv", "explain")
-    calibrations = {model: require(out, f"calibration_{model.lower()}.json", "calibrate")
+    predictions_path = require(out, "predictions.csv")
+    shap_path = require(out, "shap.csv")
+    globals_path = require(out, "globals.csv")
+    calibrations = {model: require(out, f"calibration_{model.lower()}.json")
                     for model in MODEL_DEFAULTS}
 
     write_csv(out / "report_curves.csv",
               {c: curves[c] for c in ("event_id", "t", "mean", "p25", "p75")},
               seed, [curves_path])
 
-    predictions = _read_event_table(predictions_path, "predict", ("mean",))
+    predictions = _read_event_table(predictions_path, ("mean",))
     mlp_curves = _by_event(predictions["event_id"], predictions["mean"])
     report = compare_models(truth, {**_model_curves(calibrations, truth), "MLP": mlp_curves})
     model_inputs = [curves_path, predictions_path, *calibrations.values()]
@@ -914,9 +941,10 @@ def run_report(out: Path, seed: int = 0) -> dict:
               _stack(("model", "bin_lo", "count"), histogram_blocks),
               seed, model_inputs)
 
-    write_csv(out / "report_globals.csv", read_csv(globals_path), seed, [globals_path])
+    write_csv(out / "report_globals.csv", _read_event_table(globals_path, (), ints=()), seed,
+              [globals_path])
 
-    shap = _read_event_table(shap_path, "explain", ("t", "phi"), ("feature",))
+    shap = _read_event_table(shap_path, ("t", "phi"), ("feature",))
     frames = np.rint(shap["t"] / DT)
     predicted = np.full(frames.size, np.nan)  # empty cell where no prediction exists
     outside = []
@@ -928,17 +956,16 @@ def run_report(out: Path, seed: int = 0) -> dict:
             predicted[rows[inside]] = mlp_curves[eid][frames[rows[inside]].astype(np.int64)]
     if outside:
         raise ValueError(f"{shap_path} {_row(shap, min(outside))} lies outside the event's "
-                         "predicted frames; run the explain stage again")
+                         f"predicted frames; {_again(shap_path)}")
     write_csv(out / "report_heatmap.csv",
               {**{c: shap[c] for c in ("event_id", "t", "feature", "phi")},
                "predicted": predicted},
               seed, [shap_path, predictions_path])
 
-    artifacts = sorted(p for p in out.rglob("*")
-                       if p.is_file() and p.name != "manifest_outputs.json")
+    artifacts = sorted(name for name in _WRITER
+                       if name != "manifest_outputs.json" and (out / name).is_file())
     write_json(out / "manifest_outputs.json", {
-        "artifacts": [{"path": str(p.relative_to(out)), "sha256": _digest(p)}
-                      for p in artifacts],
+        "artifacts": [{"path": name, "sha256": _digest(out / name)} for name in artifacts],
     }, seed)
     return {"comparison": report, "artifacts": len(artifacts)}
 
@@ -956,26 +983,37 @@ def _ingest_source(out: Path, seed: int = 0, dataset: Path | None = None,
     return run_ingest(out, dataset, seed, profile)
 
 
-# The stage commands in run order: each one's function and the options it
-# takes by keyword, named as ``--config`` names them.  Every stage also
-# takes ``seed``.  An option left out keeps its default in the function.
+# The stage commands in run order: each one's function, the options it takes
+# by keyword, named as ``--config`` names them, and the files it writes under
+# ``--out`` (ingest writes ratings.csv only when it synthesizes the ratings).
+# Every stage also takes ``seed``; an option left out keeps its default in the
+# function.  Reads are not declared: every artifact stamps the files its stage
+# read, and a table of them would be a second copy that nothing reads.
 STAGES = {
-    "generate": (run_generate, ("scenario",)),
-    "ingest": (_ingest_source, ("dataset", "participants", "profile")),
-    "reconstruct": (run_reconstruct, ("method",)),
-    "features": (run_features, ("manifests",)),
-    "train": (run_train, ("scenario", "epochs", "learning_rate")),
-    "predict": (run_predict, ()),
-    "calibrate": (run_calibrate, ("draws", "bounds")),
-    "explain": (run_explain, ("events", "n_permutations")),
-    "report": (run_report, ()),
+    "generate": (run_generate, ("scenario",), ("events.json",)),
+    "ingest": (_ingest_source, ("dataset", "participants", "profile"),
+               ("ratings.csv", "ratings_valid.csv", "dataset_index.json")),
+    "reconstruct": (run_reconstruct, ("method",), ("curves.csv",)),
+    "features": (run_features, ("manifests",),
+                 (*[f"features_{g}.csv" for g in NETWORK_GROUPS], "normstats.json")),
+    "train": (run_train, ("scenario", "epochs", "learning_rate"),
+              (*[f"weights_{g}.json" for g in NETWORK_GROUPS], "training_log.csv",
+               "train_summary.json")),
+    "predict": (run_predict, (), ("predictions.csv",)),
+    "calibrate": (run_calibrate, ("draws", "bounds"), ("calibration_pcad.json",
+                  "calibration_drf.json", "trace_pcad.csv", "trace_drf.csv")),
+    "explain": (run_explain, ("events", "n_permutations"), ("shap.csv", "globals.csv")),
+    "report": (run_report, (), ("report_curves.csv", "report_comparison.csv",
+               "report_histogram.csv", "report_globals.csv", "report_heatmap.csv",
+               "manifest_outputs.json")),
 }
-OPTIONS = frozenset(name for _, names in STAGES.values() for name in names)
+OPTIONS = frozenset(name for _, names, _ in STAGES.values() for name in names)
+_WRITER = {name: stage for stage, (_, _, writes) in STAGES.items() for name in writes}
 
 
 def run_stage(stage: str, out: Path, options: Mapping):
     """Run one stage with ``seed`` and the options of ``options`` that it takes."""
-    run, names = STAGES[stage]
+    run, names, _ = STAGES[stage]
     return run(out, **{k: options[k] for k in ("seed", *names) if k in options})
 
 

@@ -90,6 +90,33 @@ def test_all_branch_builds_every_artifact(mini_tree):
     assert calib["draws"] == 2
 
 
+def test_each_stage_writes_the_artifacts_it_declares(tmp_path):
+    out = tmp_path / "run"
+    options = {"seed": 1, "participants": 4, "epochs": 2, "draws": 2, "n_permutations": 8}
+    for stage, (_, _, writes) in pipeline.STAGES.items():
+        before = set(os.listdir(out)) if out.exists() else set()
+        pipeline.run_stage(stage, out, options)
+        assert set(os.listdir(out)) - before == set(writes), stage
+    # ingest writes ratings.csv only when it synthesizes the ratings
+    other = tmp_path / "other"
+    other.mkdir()
+    pipeline.run_stage("ingest", other, {"seed": 1, "dataset": out / "ratings.csv"})
+    assert sorted(os.listdir(other)) == ["dataset_index.json", "ratings_valid.csv"]
+
+
+def test_report_lists_no_stray_file(mini_tree, tmp_path, caplog):
+    scratch = tmp_path / "tree"
+    shutil.copytree(mini_tree, scratch)
+    (scratch / "notes.txt").write_text("a stray note\n")
+    (scratch / "old").mkdir()
+    (scratch / "old" / "x.csv").write_text("a,b\n1,2\n")
+    with caplog.at_level(logging.INFO):
+        assert main(["report", "--out", str(scratch), "--seed", "1"]) == 0
+    assert "report bundle complete: 32 artifacts" in caplog.text
+    manifest = scratch / "manifest_outputs.json"
+    assert manifest.read_bytes() == (mini_tree / "manifest_outputs.json").read_bytes()
+
+
 def test_artifact_headers_are_stamped(mini_tree):
     header = (mini_tree / "curves.csv").read_text().splitlines()[0]
     pattern = (rf"^# riskdecode {re.escape(__version__)} seed=1 "
@@ -657,6 +684,11 @@ READ_FAULTS = {
     "curves_nan_mean": ("curves.csv", "reconstruct",
                         r"{row} holds '' in column mean, not a number"),
     "curves_mean_57": ("curves.csv", "reconstruct", r"{row} holds mean 57\.0, outside 0\.\.10"),
+    "curves_empty": ("curves.csv", "reconstruct", r"holds no header row"),
+    # a stray byte on the file's fourth line, its second data row
+    "curves_not_utf8": ("curves.csv", "reconstruct",
+                        r"line 4 holds the byte 0xff, which is not UTF-8 \(invalid start byte\)"),
+    "curves_lacks_event_1": ("curves.csv", "reconstruct", r"lacks event 1 needed by MB"),
     "events_not_json": ("events.json", "generate", r"holds no usable event list \(.+\)"),
     "drf_not_json": ("calibration_drf.json", "calibrate",
                      r"holds no usable DRF parameters \(Expecting property name .+\)"),
@@ -666,6 +698,7 @@ READ_FAULTS = {
     "pcad_no_best_params": ("calibration_pcad.json", "calibrate",
                             r"holds no usable PCAD parameters \(no 'best_params' key\)"),
     "predictions_no_mean": ("predictions.csv", "predict", r"lacks the mean column"),
+    "predictions_stamp_only": ("predictions.csv", "predict", r"holds no header row"),
     "shap_t_400": ("shap.csv", "explain", r"{row} lies outside the event's predicted frames"),
     "shap_t_negative": ("shap.csv", "explain",
                         r"{row} lies outside the event's predicted frames"),
@@ -678,8 +711,10 @@ READ_FAULTS = {
 
 
 @pytest.mark.parametrize("stage,fault", [
-    *[(stage, fault) for fault in ("curves_no_mean", "curves_nan_mean", "curves_mean_57")
+    *[(stage, fault) for fault in ("curves_no_mean", "curves_nan_mean", "curves_mean_57",
+                                   "curves_empty", "curves_not_utf8")
       for stage in ("train", "calibrate", "report")],
+    ("train", "curves_lacks_event_1"),
     ("features", "events_not_json"),
     *[("report", fault) for fault in READ_FAULTS
       if not fault.startswith(("curves", "events", "kept"))],
@@ -694,6 +729,14 @@ def test_stages_name_a_faulty_input_file(stage, fault, mini_tree, tmp_path, capl
     row = 0
     if fault.endswith("not_json"):
         path.write_text("{")
+    elif fault == "curves_empty":
+        path.write_bytes(b"")
+    elif fault == "predictions_stamp_only":
+        path.write_bytes(path.read_bytes().partition(b"\n")[0] + b"\n")
+    elif fault == "curves_not_utf8":
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b",", b"\xff,", 1)
+        path.write_bytes(b"\n".join(lines))
     elif name.endswith(".json"):
         payload = json.loads(path.read_text())
         if fault == "pcad_unknown_param":
@@ -705,6 +748,8 @@ def test_stages_name_a_faulty_input_file(stage, fault, mini_tree, tmp_path, capl
         table = read_csv(path)
         if fault.endswith("no_mean"):
             del table["mean"]
+        elif fault == "curves_lacks_event_1":
+            table = {c: column[table["event_id"] != 1] for c, column in table.items()}
         elif fault.startswith("curves"):
             row = 3
             table["mean"][row] = np.nan if fault == "curves_nan_mean" else 57.0

@@ -270,3 +270,16 @@ def test_a_line_loadtxt_would_misread_is_read_as_csv(at, line, tmp_path):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(pipeline, "_read_ratings_file", ingest_oracles.read_ratings_file)
         assert got == _ingest(path, tmp_path / "oracle", None)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_a_ratings_file_that_is_not_utf8_names_its_line(ending, tmp_path):
+    """A Latin-1 export: one error names the file and the line of the first byte that is
+    not UTF-8, counted in the file's bytes with lines ending at \\r\\n, \\r or \\n."""
+    path = tmp_path / "ratings.csv"
+    _write_messy(path, 0, ())
+    lines = path.read_text().split("\n")
+    lines[2] = "ÿ" + lines[2]  # data row 2, on line 3
+    path.write_bytes(ending.join(lines).encode("latin-1"))
+    assert _ingest(path, tmp_path / "new", None) == (
+        f"{path} line 3 holds the byte 0xff, which is not UTF-8 (invalid start byte)")
