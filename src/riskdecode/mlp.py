@@ -13,11 +13,17 @@ mean-variance scheme of Nix & Weigend, 1994).
 
 Each epoch does its work once. The hidden layer after an update serves both
 that epoch's train RMSE and the next epoch's forward pass. The variance phase
-trains on hidden activations computed once, since the layer below it is
-frozen, and computes only the head's gradient. An epoch reuses its buffers:
-the hidden layer, one n x H buffer that holds the masked hidden layer and then
-its gradient, and bool masks applied as ``h * mask * (1 / keep)``. The results
-are bit-identical to a plain loop that recomputes every pass
+computes only the head's gradient.
+
+Buffers: training holds one n x H float buffer and two n x H bool dropout
+masks. An epoch masks and scales the hidden layer ``h`` in place, as
+``h * mask * (1 / keep)``. The mean phase then writes the gate ``hd > 0`` of
+that masked layer ``hd``, which equals ``(h > 0) & mask``, into the mask it
+was handed, and the hidden gradient into the float buffer; the hidden layer
+after the update is built there again. The variance phase's layer below is
+frozen, so each of its epochs after the first rebuilds ``h`` into the buffer
+with the same call, to the same bits, rather than keep a masked copy. The
+results are bit-identical to a plain loop that recomputes every pass
 (tests/test_mlp.py keeps that loop).
 
 Precision: ``mlp_train`` draws the split, the He weights and every dropout
@@ -169,27 +175,24 @@ def _head_loss(z2, y, loss_mode):
     return loss, dz2
 
 
-def _loss_and_grads(weights, x, h, y, loss_mode, mask=None, scale=1.0, work=None):
+def _loss_and_grads(weights, x, h, y, loss_mode, mask=None, scale=1.0):
     """Loss plus gradients for every parameter, given ``h = _hidden(weights, x)``.
 
-    A bool dropout ``mask`` applies as ``h * mask * scale``. ``work`` is an
-    n x H float and an n x H bool buffer; the float one holds the masked
-    hidden layer, then the hidden gradient.
+    Consumes ``h``: it holds the masked hidden layer, then the hidden gradient. A
+    bool dropout ``mask`` applies as ``h * mask * scale``, and it then holds the
+    gate ``h * mask * scale > 0``, which equals ``(h > 0) & mask`` as ``scale > 0``.
     """
-    buf, active = work or (np.empty_like(h), None)
-    hd = h
     if mask is not None:
-        hd = np.multiply(h, mask, out=buf)
-        hd *= scale
-    loss, dz2 = _head_loss(hd @ weights.w2 + weights.b2, y, loss_mode)
-    dw2 = hd.T @ dz2
+        h *= mask
+        h *= scale
+    gate = np.greater(h, 0.0, out=mask)
+    loss, dz2 = _head_loss(h @ weights.w2 + weights.b2, y, loss_mode)
+    dw2 = h.T @ dz2
     db2 = dz2.sum(axis=0)
-    dz1 = np.matmul(dz2, weights.w2.T, out=buf)
-    if mask is not None:
-        # a mask multiply, not a masked store: a negative gradient becomes -0.0
-        dz1 *= mask
-        dz1 *= scale
-    dz1 *= np.greater(h, 0.0, out=active)
+    dz1 = np.matmul(dz2, weights.w2.T, out=h)
+    # a gate multiply, not a masked store: a negative gradient becomes -0.0
+    dz1 *= gate
+    dz1 *= scale
     dw1 = x.T @ dz1
     db1 = dz1.sum(axis=0)
     return loss, (dw1, db1, dw2, db2)
@@ -207,9 +210,11 @@ def _sigmoid(z):
 def _dropout_masks(rng, shape, keep, count):
     """``count`` bool masks, the draws of ``rng.random(shape) < keep`` in turn.
 
-    A helper thread draws each mask while the one before it is in use; a mask
-    stays valid until the next is requested. Closing the generator waits for
-    the helper's pending draw and stops the helper.
+    A helper thread draws each mask into one of two buffers while the one before
+    it is in use in the other. The caller may overwrite the mask it was handed,
+    until it requests the next; the helper draws only into the other buffer.
+    Closing the generator waits for the helper's pending draw and stops the
+    helper.
     """
     masks = np.empty((2, *shape), dtype=bool)
     scratch = np.empty(min(masks[0].size, DRAW_CHUNK))
@@ -254,10 +259,9 @@ def _fit_mean(weights, x_train, y_train, x_val, y_val, epochs, lr, scale, masks)
     train_hist = np.empty(epochs)
     val_hist = np.empty(epochs)
     h = _hidden(weights, x_train)
-    work = np.empty_like(h), np.empty(h.shape, dtype=bool)
     for epoch in range(epochs):
         loss, (dw1, db1, dw2, db2) = _loss_and_grads(
-            weights, x_train, h, y_train, "mse_mean", next(masks), scale, work)
+            weights, x_train, h, y_train, "mse_mean", next(masks), scale)
         _check_loss(loss, "mean", epoch)
         weights.w1 -= lr * dw1
         weights.b1 -= lr * db1
@@ -269,16 +273,21 @@ def _fit_mean(weights, x_train, y_train, x_val, y_val, epochs, lr, scale, masks)
     return h, train_hist, val_hist
 
 
-def _fit_variance(weights, h, y_train, epochs, lr, scale, masks):
-    """NLL descent on the variance column alone over frozen hidden activations."""
-    hd = np.empty_like(h)
+def _fit_variance(weights, x_train, h, y_train, epochs, lr, scale, masks):
+    """NLL descent on the variance column alone; ``h`` is the hidden layer of ``x_train``.
+
+    The layer below is frozen, so each epoch after the first rebuilds ``h`` with the
+    call that built it, to the same bits, before masking it in place.
+    """
     for epoch in range(epochs):
-        np.multiply(h, next(masks), out=hd)
-        hd *= scale
-        loss, dz2 = _head_loss(hd @ weights.w2 + weights.b2, y_train, "gaussian_nll")
+        if epoch:
+            _hidden(weights, x_train, out=h)
+        h *= next(masks)
+        h *= scale
+        loss, dz2 = _head_loss(h @ weights.w2 + weights.b2, y_train, "gaussian_nll")
         _check_loss(loss, "variance", epoch)
         # the two-column product keeps the bits of the full gradient's column
-        weights.w2[:, 1] -= lr * (hd.T @ dz2)[:, 1]
+        weights.w2[:, 1] -= lr * (h.T @ dz2)[:, 1]
         weights.b2[1] -= lr * dz2.sum(axis=0)[1]
 
 
@@ -316,7 +325,7 @@ def mlp_train(features, targets, config: MlpConfig):
     with closing(masks), np.errstate(over="ignore", invalid="ignore"):
         h, train_hist, val_hist = _fit_mean(weights, x_tr, y_tr, x_va, y_va, config.epochs,
                                             lr, scale, masks)
-        _fit_variance(weights, h, y_tr, config.epochs, lr, scale, masks)
+        _fit_variance(weights, x_tr, h, y_tr, config.epochs, lr, scale, masks)
     # the variance NLL can stay finite after a last mean update that overflows the RMSE
     if not np.isfinite(train_hist[-1]):
         raise TrainingDiverged(f"training RMSE became non-finite at epoch "

@@ -21,8 +21,9 @@ every cell parses as ``float``, else strings.  It guesses each column's
 kind from the first data row and parses the rows in one ``np.loadtxt`` pass
 with those kinds, under the guards of ``_loadtxt``, which ingest shares: a
 table with a quote, a blank or ``#`` line, a character beyond printable ASCII,
-or a cell that pass rejects or only warns on (such as an empty cell in a float
-column, or a ragged row) is read cell by cell.  Re-running a stage with
+a line longer than the ``csv`` module's field limit, or a cell that pass
+rejects or only warns on (such as an empty cell in a float column, or a
+ragged row) is read cell by cell.  Re-running a stage with
 unchanged inputs reproduces its outputs byte for byte; no artifact embeds
 timestamps or machine state.
 """
@@ -194,14 +195,28 @@ def _cast(column: tuple) -> np.ndarray:
 _COLUMN_PASS_CHARS = bytes(c for c in range(32, 127) if chr(c) != '"') + b"\r\n"
 
 
+def _has_long_line(body: bytes, limit: int) -> bool:
+    """Whether a line of ``body`` holds more than ``limit`` bytes before its ``\\n``;
+    a few ``rfind`` calls per ``limit`` bytes, no copy."""
+    start = 0  # a line start, every line before it no longer than limit
+    while len(body) - start > limit:
+        end = body.rfind(b"\n", start, start + limit + 1)
+        if end < 0:
+            return True
+        start = end + 1
+    return False
+
+
 def _loadtxt(body: bytes, dtype: np.dtype, usecols: Sequence[int] | None = None):
     """``body``'s rows as a structured ``dtype`` array from one ``np.loadtxt`` pass, or
     None where it may read them otherwise than ``csv.reader`` and ``int()``/``float()``:
     an empty body, a character beyond ``_COLUMN_PASS_CHARS``, a line that starts with
-    ``#``, a cell loadtxt rejects or warns on, a short row, or a blank line."""
+    ``#``, a line longer than ``csv.reader``'s field limit, a cell loadtxt rejects or
+    warns on, a short row, or a blank line."""
     # csv.reader drops a "#" line; the search for any "#" is the fast one
     if (not body or body.translate(None, _COLUMN_PASS_CHARS)
-            or b"#" in body and (body.startswith(b"#") or b"\n#" in body)):
+            or b"#" in body and (body.startswith(b"#") or b"\n#" in body)
+            or _has_long_line(body, csv.field_size_limit())):
         return None
     try:
         with warnings.catch_warnings():
@@ -231,6 +246,11 @@ def _decode(path: Path, raw: bytes) -> str:
                          f"which is not UTF-8 ({exc.reason})") from None
 
 
+def _not_csv(path: Path, line: int, exc: csv.Error) -> ValueError:
+    """One line for a ``csv.Error``, such as a cell beyond the csv module's field limit."""
+    return ValueError(f"{path} line {line} is not readable as CSV ({exc})")
+
+
 def read_csv(path: Path) -> dict:
     """Columns of a stamped CSV keyed by header name, skipping the stamp line.
 
@@ -239,31 +259,34 @@ def read_csv(path: Path) -> dict:
     cell off its column's kind, a ragged row) is read cell by cell."""
     raw = Path(path).read_bytes()
     text = _decode(path, raw)
-    end = 0  # where the last line split off ends
+    end = number = 0  # where the last line split off ends, and its line number
 
     def uncommented():
         """The lines of ``io.StringIO(text, newline="")`` without the "#" lines, split
         off one at a time."""
-        nonlocal end
-        for line in _LINE.finditer(text):
+        nonlocal end, number
+        for number, line in enumerate(_LINE.finditer(text), start=1):
             end = line.end()
             if not line[0].startswith("#"):
                 yield line[0]
 
-    rows = csv.reader(uncommented())
-    header = next(rows, None)
-    if header is None:
-        raise ValueError(f"{path} holds no header row")
-    start = end
-    first = next(rows, None)
-    if first is not None and len(first) == len(header):
-        kinds = [(f"f{i}", object if d.kind == "U" else d)  # strings parse as objects
-                 for i, d in enumerate(_cast((cell,)).dtype for cell in first)]
-        data = _loadtxt(raw[len(text[:start].encode()):], np.dtype(kinds))  # rows as bytes
-        if data is not None:
-            return {name: data[f].astype(str) if data.dtype[f] == object else data[f].copy()
-                    for name, f in zip(header, data.dtype.names)}
-    header, *rows = csv.reader(uncommented())
+    try:
+        rows = csv.reader(uncommented())
+        header = next(rows, None)
+        if header is None:
+            raise ValueError(f"{path} holds no header row")
+        start = end
+        first = next(rows, None)
+        if first is not None and len(first) == len(header):
+            kinds = [(f"f{i}", object if d.kind == "U" else d)  # strings parse as objects
+                     for i, d in enumerate(_cast((cell,)).dtype for cell in first)]
+            data = _loadtxt(raw[len(text[:start].encode()):], np.dtype(kinds))  # rows as bytes
+            if data is not None:
+                return {name: data[f].astype(str) if data.dtype[f] == object else data[f].copy()
+                        for name, f in zip(header, data.dtype.names)}
+        header, *rows = csv.reader(uncommented())
+    except csv.Error as exc:
+        raise _not_csv(path, number, exc) from None
     for i, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise ValueError(f"{path}: data row {i} has {len(row)} cells, not {len(header)}")
@@ -494,7 +517,10 @@ def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
             head.append(line[0])
             yield line[0]
 
-    header = next(csv.reader(uncommented(split_off())), None)
+    try:
+        header = next(csv.reader(uncommented(split_off())), None)
+    except csv.Error as exc:
+        raise _not_csv(path, line_no[-1], exc) from None
     if header is None:
         raise ValueError(f"{path} holds no CSV content")
     missing = [mapping[c] for c in RATINGS_COLUMNS if mapping[c] not in header]
@@ -508,7 +534,10 @@ def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
         return by_column
     reader = csv.reader(uncommented(io.StringIO(text)))  # splits lines as fast as any
     next(reader)  # the header, read again
-    return _ratings_by_row(reader, line_no, index, mapping)
+    try:
+        return _ratings_by_row(reader, line_no, index, mapping)
+    except csv.Error as exc:
+        raise _not_csv(path, line_no[-1], exc) from None
 
 
 def _pair_matrices(table: Mapping[str, np.ndarray]):
@@ -913,6 +942,8 @@ def _model_curves(calibrations: Mapping[str, Path], targets: dict) -> dict:
 
 
 def run_report(out: Path, seed: int = 0) -> dict:
+    """The report tables and the manifest, written once every input has been read, so a
+    faulty input leaves the report of an earlier run whole."""
     out = Path(out)
     curves_path, curves, truth = _read_curves(out)
     predictions_path = require(out, "predictions.csv")
@@ -921,28 +952,11 @@ def run_report(out: Path, seed: int = 0) -> dict:
     calibrations = {model: require(out, f"calibration_{model.lower()}.json")
                     for model in MODEL_DEFAULTS}
 
-    write_csv(out / "report_curves.csv",
-              {c: curves[c] for c in ("event_id", "t", "mean", "p25", "p75")},
-              seed, [curves_path])
-
     predictions = _read_event_table(predictions_path, ("mean",))
     mlp_curves = _by_event(predictions["event_id"], predictions["mean"])
     report = compare_models(truth, {**_model_curves(calibrations, truth), "MLP": mlp_curves})
     model_inputs = [curves_path, predictions_path, *calibrations.values()]
-
-    comparison_rows = [(*key, *stats) for key, stats in sorted(report.scenario_stats.items())]
-    write_csv(out / "report_comparison.csv",
-              dict(zip(("scenario", "model", "median", "q1", "q3"), zip(*comparison_rows))),
-              seed, model_inputs)
-
-    histogram_blocks = [(np.full(bin_lo.size, model), bin_lo, counts)
-                        for model, (bin_lo, counts) in sorted(report.histograms.items())]
-    write_csv(out / "report_histogram.csv",
-              _stack(("model", "bin_lo", "count"), histogram_blocks),
-              seed, model_inputs)
-
-    write_csv(out / "report_globals.csv", _read_event_table(globals_path, (), ints=()), seed,
-              [globals_path])
+    global_table = _read_event_table(globals_path, (), ints=())
 
     shap = _read_event_table(shap_path, ("t", "phi"), ("feature",))
     frames = np.rint(shap["t"] / DT)
@@ -957,6 +971,20 @@ def run_report(out: Path, seed: int = 0) -> dict:
     if outside:
         raise ValueError(f"{shap_path} {_row(shap, min(outside))} lies outside the event's "
                          f"predicted frames; {_again(shap_path)}")
+
+    write_csv(out / "report_curves.csv",
+              {c: curves[c] for c in ("event_id", "t", "mean", "p25", "p75")},
+              seed, [curves_path])
+    comparison_rows = [(*key, *stats) for key, stats in sorted(report.scenario_stats.items())]
+    write_csv(out / "report_comparison.csv",
+              dict(zip(("scenario", "model", "median", "q1", "q3"), zip(*comparison_rows))),
+              seed, model_inputs)
+    histogram_blocks = [(np.full(bin_lo.size, model), bin_lo, counts)
+                        for model, (bin_lo, counts) in sorted(report.histograms.items())]
+    write_csv(out / "report_histogram.csv",
+              _stack(("model", "bin_lo", "count"), histogram_blocks),
+              seed, model_inputs)
+    write_csv(out / "report_globals.csv", global_table, seed, [globals_path])
     write_csv(out / "report_heatmap.csv",
               {**{c: shap[c] for c in ("event_id", "t", "feature", "phi")},
                "predicted": predicted},

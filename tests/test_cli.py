@@ -773,6 +773,22 @@ def test_stages_name_a_faulty_input_file(stage, fault, mini_tree, tmp_path, capl
             assert (scratch / name).read_bytes() == (mini_tree / name).read_bytes(), name
 
 
+def test_a_failing_report_keeps_the_old_report_tables(mini_tree, tmp_path, caplog):
+    scratch = tmp_path / "tree"
+    shutil.copytree(mini_tree, scratch)
+    # curves.csv one row short, so a report_curves.csv written from it would differ
+    curves = scratch / "curves.csv"
+    curves.write_bytes(curves.read_bytes().rstrip(b"\n").rpartition(b"\n")[0] + b"\n")
+    predictions = scratch / "predictions.csv"
+    predictions.write_bytes(predictions.read_bytes().partition(b"\n")[0] + b"\n")
+    with caplog.at_level(logging.ERROR):
+        assert main(["report", "--out", str(scratch), "--seed", "1"]) == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{predictions} holds no header row; run the predict stage again"]
+    for name in pipeline.STAGES["report"][2]:
+        assert (scratch / name).read_bytes() == (mini_tree / name).read_bytes(), name
+
+
 def test_report_accepts_a_shap_table_without_rows(mini_tree, tmp_path):
     scratch = tmp_path / "tree"
     shutil.copytree(mini_tree, scratch)

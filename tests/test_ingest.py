@@ -283,3 +283,16 @@ def test_a_ratings_file_that_is_not_utf8_names_its_line(ending, tmp_path):
     path.write_bytes(ending.join(lines).encode("latin-1"))
     assert _ingest(path, tmp_path / "new", None) == (
         f"{path} line 3 holds the byte 0xff, which is not UTF-8 (invalid start byte)")
+
+
+@pytest.mark.parametrize("line,column", [(1, "note"), (4, "note"), (4, "rating")])
+def test_a_cell_beyond_the_csv_field_limit_names_its_line(line, column, tmp_path):
+    """A cell csv.reader refuses, in the header, in a column ingest does not read, or in
+    one that overflows int64, stops ingest with one error that names its line."""
+    rows = [["note", *RATINGS_COLUMNS]]
+    rows += [["n", str(pid), "1", str(clip), "5"] for pid in range(1, 4) for clip in range(1, 6)]
+    rows[line - 1][rows[0].index(column)] = "7" * 200_000
+    path = tmp_path / "ratings.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    assert _ingest(path, tmp_path / "new", None) == (
+        f"{path} line {line} is not readable as CSV (field larger than field limit (131072))")

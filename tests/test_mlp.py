@@ -1,7 +1,9 @@
 """Network training: gradients, determinism, overfit capacity, both heads."""
 
 import threading
+import tracemalloc
 import warnings
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -354,3 +356,33 @@ def test_chunked_mask_draws_match_the_reference_loop(monkeypatch):
     for name in ("w1", "b1", "w2", "b2"):
         assert getattr(weights, name).tobytes() == getattr(ref, name).tobytes(), name
     assert report.train_rmse.tobytes() == train_hist.tobytes()
+
+
+def test_a_consumer_may_overwrite_each_mask():
+    # training writes its gate into the mask it was handed; the helper must draw each
+    # next mask into the other buffer, whole
+    shape, keep = (37, 29), 0.7
+    masks = mlp._dropout_masks(np.random.default_rng(6), shape, keep, 5)
+    ref = np.random.default_rng(6)
+    with closing(masks):
+        for mask in masks:
+            assert np.array_equal(mask, ref.random(shape) < keep)
+            mask ^= True
+            mask[::3] = True
+
+
+def test_training_holds_one_float_buffer_per_hidden_layer():
+    # one n x H float32 buffer (4 bytes an element), two bool masks (2) and the
+    # validation forward over a quarter as many rows (1): at most 8 bytes an element
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(4000, 21))
+    y = np.clip(5.0 + x[:, 0] + 0.3 * rng.normal(size=4000), 0.0, 10.0)
+    cfg = MlpConfig(input_dim=21, hidden=500, epochs=2, seed=1)
+    n_train = int(round(mlp.TRAIN_FRACTION * x.shape[0]))
+    tracemalloc.start()
+    try:
+        mlp_train(x, y, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n_train * cfg.hidden + 2 ** 20

@@ -85,6 +85,18 @@ def test_ragged_row_is_named(tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize("row", [1, 3])
+def test_a_cell_beyond_the_csv_field_limit_names_its_line(row, tmp_path):
+    # csv.reader reads data row 1 to learn the kinds; row 3 is in the column pass's body
+    lines = ["# stamp", "event_id,t,name", *(f"{i},0.{i},a" for i in range(1, 6))]
+    lines[1 + row] = f"{row},0.5,{'x' * 200_000}"
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"long\.csv line {2 + row} is not readable as CSV "
+                                         r"\(field larger than field limit \(131072\)\)$"):
+        read_csv(path)
+
+
 def test_columns_of_unequal_length_are_an_error(tmp_path):
     with pytest.raises(ValueError, match=r"short\.csv: column 'b' has 1 rows, "
                                          r"not the 3 of column 'a'"):
