@@ -6,23 +6,28 @@ the hidden activations during training only. Plain full-batch gradient
 descent; everything is seeded and deterministic.
 
 Training has two phases on one seeded point-wise 80/20 split. The mean
-phase trains every parameter on MSE against the average rating curve; the
-variance phase then freezes everything except the variance column and fits
-it by Gaussian negative log-likelihood around the frozen mean (the two-step
-mean-variance scheme of Nix & Weigend, 1994).
+phase trains every parameter on MSE against the average rating curve, with
+dropout. The variance phase then freezes everything except the variance
+column and fits it by Gaussian negative log-likelihood around the frozen mean
+(the two-step mean-variance scheme of Nix & Weigend, 1994). The variance is
+that of the network's mean around the reconstructed mean curve. The column
+starts as the constant variance of the train residuals (zero weights, and
+softplus^-1 of their mean square as bias), so its first steps are small, and
+each epoch is one step on the unmasked hidden layer that the mean phase left.
+``TrainReport`` records the validation NLL of the fitted column and of that
+constant start.
 
-Each epoch does its work once. The hidden layer after an update serves both
-that epoch's train RMSE and the next epoch's forward pass. The variance phase
-computes only the head's gradient.
+Each epoch does its work once. The hidden layer after a mean update serves
+both that epoch's train RMSE and the next epoch's forward pass. The variance
+phase rebuilds nothing: it computes the mean head's squared residuals once, and
+each epoch makes two one-column products on the frozen hidden layer.
 
-Buffers: training holds one n x H float buffer and two n x H bool dropout
-masks. An epoch masks and scales the hidden layer ``h`` in place, as
-``h * mask * (1 / keep)``. The mean phase then writes the gate ``hd > 0`` of
+Buffers: training holds one n x H float buffer and, in the mean phase, two
+n x H bool dropout masks. A mean epoch masks and scales the hidden layer
+``h`` in place, as ``h * mask * (1 / keep)``, writes the gate ``hd > 0`` of
 that masked layer ``hd``, which equals ``(h > 0) & mask``, into the mask it
 was handed, and the hidden gradient into the float buffer; the hidden layer
-after the update is built there again. The variance phase's layer below is
-frozen, so each of its epochs after the first rebuilds ``h`` into the buffer
-with the same call, to the same bits, rather than keep a masked copy. The
+after the update is built there again, and the variance phase reads it. The
 results are bit-identical to a plain loop that recomputes every pass
 (tests/test_mlp.py keeps that loop).
 
@@ -36,10 +41,11 @@ run in float64. float32 rounding (about 1e-7 relative) sits far inside the
 model's error; ``weights_<group>.json`` stores the float32 values exactly.
 
 Threads: ``mlp_train`` runs on the calling thread, plus one helper thread that
-draws each epoch's dropout mask from the seeded generator while the previous
-epoch runs. The helper makes the draws in the loop's order and stops before
-``mlp_train`` returns or raises. The pipeline holds BLAS at one thread
-(``blas.one_thread``), so the weights do not depend on the core count.
+draws each mean epoch's dropout mask from the seeded generator while the
+previous epoch runs. The helper makes the draws in the loop's order and stops
+before the variance phase starts, or before ``mlp_train`` raises. The pipeline
+holds BLAS at one thread (``blas.one_thread``), so the weights do not depend on
+the core count.
 """
 
 from __future__ import annotations
@@ -72,8 +78,10 @@ class MlpConfig:
             raise ValueError("dropout_rate must lie in (0, 1)")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # float32 training rounds a larger rate to inf
+        if not 0.0 < self.learning_rate <= float(np.finfo(np.float32).max):
+            raise ValueError("learning_rate must be positive and at most the largest "
+                             f"float32, 3.4e38 (was {self.learning_rate})")
 
 
 @dataclass
@@ -106,6 +114,8 @@ class MlpWeights:
 class TrainReport:
     train_rmse: np.ndarray  # per epoch, mean head
     val_rmse: np.ndarray
+    val_nll: float  # Gaussian NLL of the variance head on the validation split
+    val_nll_constant: float  # the same for the constant variance it starts from
 
     def __post_init__(self):
         if np.any(self.train_rmse < 0) or np.any(self.val_rmse < 0):
@@ -167,12 +177,20 @@ def _head_loss(z2, y, loss_mode):
         loss = float(np.mean(resid ** 2))
         dz2[:, 0] = 2.0 * resid / n
     else:
-        v = _softplus(z2[:, 1]) + VAR_FLOOR
-        loss = float(np.mean(0.5 * (np.log(v) + resid ** 2 / v)))
+        loss, dz2[:, 1], v = _nll(z2[:, 1], resid ** 2)
         dz2[:, 0] = resid / v / n
-        dv = 0.5 * (1.0 / v - resid ** 2 / v ** 2) / n
-        dz2[:, 1] = dv * _sigmoid(z2[:, 1])
     return loss, dz2
+
+
+def _nll(z, resid2):
+    """Mean Gaussian NLL, without its constant, of the variance logits ``z`` at the
+    squared residuals ``resid2``; with its gradient in ``z`` and the variances.
+
+    The gradient's sigmoid(z) is 1 - exp(-softplus(z)), accurate in both tails."""
+    softplus = _softplus(z)
+    v = softplus + VAR_FLOOR
+    loss = float(np.mean(0.5 * (np.log(v) + resid2 / v)))
+    return loss, 0.5 * (1.0 / v - resid2 / v ** 2) / z.size * -np.expm1(-softplus), v
 
 
 def _loss_and_grads(weights, x, h, y, loss_mode, mask=None, scale=1.0):
@@ -196,15 +214,6 @@ def _loss_and_grads(weights, x, h, y, loss_mode, mask=None, scale=1.0):
     dw1 = x.T @ dz1
     db1 = dz1.sum(axis=0)
     return loss, (dw1, db1, dw2, db2)
-
-
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def _dropout_masks(rng, shape, keep, count):
@@ -244,10 +253,10 @@ class TrainingDiverged(RuntimeError):
     """The training loss stopped being finite (learning rate too large)."""
 
 
-def _check_loss(loss, phase, epoch):
-    if not np.isfinite(loss):
+def _check_finite(value, phase, epoch, what="training loss"):
+    if not np.isfinite(value).all():
         raise TrainingDiverged(
-            f"training loss became non-finite at epoch {epoch} of the {phase} phase")
+            f"{what} became non-finite at epoch {epoch} of the {phase} phase")
 
 
 def _fit_mean(weights, x_train, y_train, x_val, y_val, epochs, lr, scale, masks):
@@ -262,7 +271,7 @@ def _fit_mean(weights, x_train, y_train, x_val, y_val, epochs, lr, scale, masks)
     for epoch in range(epochs):
         loss, (dw1, db1, dw2, db2) = _loss_and_grads(
             weights, x_train, h, y_train, "mse_mean", next(masks), scale)
-        _check_loss(loss, "mean", epoch)
+        _check_finite(loss, "mean", epoch)
         weights.w1 -= lr * dw1
         weights.b1 -= lr * db1
         weights.w2 -= lr * dw2
@@ -270,25 +279,32 @@ def _fit_mean(weights, x_train, y_train, x_val, y_val, epochs, lr, scale, masks)
         _hidden(weights, x_train, out=h)
         train_hist[epoch] = _rmse((h @ weights.w2 + weights.b2)[:, 0], y_train)
         val_hist[epoch] = _rmse(mlp_forward(weights, x_val, variance=False)[0], y_val)
+    # no loss follows the last update, which can overflow the RMSE
+    _check_finite(train_hist[-1], "mean", epochs - 1, "training RMSE")
     return h, train_hist, val_hist
 
 
-def _fit_variance(weights, x_train, h, y_train, epochs, lr, scale, masks):
-    """NLL descent on the variance column alone; ``h`` is the hidden layer of ``x_train``.
+def _fit_variance(weights, h, y_train, h_val, y_val, epochs, lr):
+    """NLL descent on the variance column alone, on the frozen hidden layer ``h``.
 
-    The layer below is frozen, so each epoch after the first rebuilds ``h`` with the
-    call that built it, to the same bits, before masking it in place.
+    The column starts as the constant variance of the mean head's train residuals.
+    Returns the validation NLL of the fitted column and of that start, from the
+    validation split's hidden layer ``h_val``.
     """
+    w, b = weights.w2[:, 1], weights.b2[1:]
+    resid2, val2 = ((layer @ weights.w2[:, 0] + weights.b2[0] - target) ** 2
+                    for layer, target in ((h, y_train), (h_val, y_val)))
+    m = max(float(resid2.mean()), VAR_FLOOR)
+    w[:], b[:] = 0.0, m + np.log(-np.expm1(-m))  # softplus(b) == m
+    constant = _nll(np.full_like(val2, b[0]), val2)[0]
     for epoch in range(epochs):
-        if epoch:
-            _hidden(weights, x_train, out=h)
-        h *= next(masks)
-        h *= scale
-        loss, dz2 = _head_loss(h @ weights.w2 + weights.b2, y_train, "gaussian_nll")
-        _check_loss(loss, "variance", epoch)
-        # the two-column product keeps the bits of the full gradient's column
-        weights.w2[:, 1] -= lr * (h.T @ dz2)[:, 1]
-        weights.b2[1] -= lr * dz2.sum(axis=0)[1]
+        loss, dz, _ = _nll(h @ w + b, resid2)
+        _check_finite(loss, "variance", epoch)
+        w -= lr * (h.T @ dz)
+        b -= lr * dz.sum()
+    # no loss follows the last update either
+    _check_finite(np.append(w, b), "variance", epochs - 1, "variance weights")
+    return _nll(h_val @ w + b, val2)[0], constant
 
 
 def mlp_train(features, targets, config: MlpConfig):
@@ -319,22 +335,15 @@ def mlp_train(features, targets, config: MlpConfig):
     weights = mlp_init(config).astype(np.float32)
     keep = 1.0 - config.dropout_rate
     lr, scale = np.float32(config.learning_rate), np.float32(1.0 / keep)
-    # the mean phase's masks, then the variance phase's, all from one rng
-    masks = _dropout_masks(rng, (n_train, config.hidden), keep, 2 * config.epochs)
+    masks = _dropout_masks(rng, (n_train, config.hidden), keep, config.epochs)
     # a diverging fit overflows in the epoch products; the finiteness checks report it
-    with closing(masks), np.errstate(over="ignore", invalid="ignore"):
-        h, train_hist, val_hist = _fit_mean(weights, x_tr, y_tr, x_va, y_va, config.epochs,
-                                            lr, scale, masks)
-        _fit_variance(weights, x_tr, h, y_tr, config.epochs, lr, scale, masks)
-    # the variance NLL can stay finite after a last mean update that overflows the RMSE
-    if not np.isfinite(train_hist[-1]):
-        raise TrainingDiverged(f"training RMSE became non-finite at epoch "
-                               f"{config.epochs - 1} of the mean phase")
-    # and no loss follows the last variance update
-    if not (np.isfinite(weights.w2).all() and np.isfinite(weights.b2).all()):
-        raise TrainingDiverged(f"variance weights became non-finite at epoch "
-                               f"{config.epochs - 1} of the variance phase")
-    return weights, TrainReport(train_hist, val_hist)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with closing(masks):  # freed before the validation layer is built
+            h, train_hist, val_hist = _fit_mean(weights, x_tr, y_tr, x_va, y_va,
+                                                config.epochs, lr, scale, masks)
+        val_nlls = _fit_variance(weights, h, y_tr, _hidden(weights, x_va), y_va,
+                                 config.epochs, lr)
+    return weights, TrainReport(train_hist, val_hist, *val_nlls)
 
 
 def gradient_check(weights: MlpWeights, x, y, step: float = 1e-5) -> float:

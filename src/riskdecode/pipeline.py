@@ -810,6 +810,8 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
                                    f"(was {config.learning_rate})") from None
         summary[group] = {"final_train_rmse": report.final_train_rmse,
                           "final_val_rmse": report.final_val_rmse,
+                          "val_nll": report.val_nll,
+                          "val_nll_constant": report.val_nll_constant,
                           "input_dim": x.shape[1], "n_rows": x.shape[0]}
         n_epochs = report.train_rmse.size
         log_blocks.append((np.full(n_epochs, group), np.arange(1, n_epochs + 1),

@@ -234,6 +234,24 @@ def test_diverging_training_fails_cleanly(mini_tree, tmp_path, caplog):
         f"ERROR riskdecode: {message}; lower the learning rate (was 1000000.0)"]
 
 
+@pytest.mark.parametrize("lr", ["nan", "1e39"])
+def test_an_unusable_learning_rate_prints_one_line(mini_tree, tmp_path, lr):
+    # float32 training would take nan as it is and round 1e39 to inf, with a numpy
+    # overflow warning; the config refuses both before any group trains
+    scratch = tmp_path / "tree"
+    shutil.copytree(mini_tree, scratch)
+    env = {**os.environ, "PYTHONPATH": str(Path(riskdecode.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-m", "riskdecode.cli", "train", "--out",
+                          str(scratch), "--lr", lr], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 1
+    assert run.stderr.splitlines() == [
+        "ERROR riskdecode: learning_rate must be positive and at most the largest "
+        f"float32, 3.4e38 (was {float(lr)})"]
+    assert (scratch / "weights_MB.json").read_bytes() == (
+        mini_tree / "weights_MB.json").read_bytes()
+
+
 def test_network_artifacts_do_not_depend_on_blas_threads(mini_tree, tmp_path):
     # the network stages hold BLAS at one thread, so the thread count the
     # environment asks for changes no byte of what they write

@@ -38,6 +38,10 @@ def test_config_validation():
     ("epochs", 0, "epochs must be at least 1"),
     ("learning_rate", 0.0, "learning_rate must be positive"),
     ("learning_rate", -1.0, "learning_rate must be positive"),
+    # float32 training would round these to nan or inf
+    ("learning_rate", float("nan"), "learning_rate must be positive"),
+    ("learning_rate", float("inf"), "learning_rate must be positive"),
+    ("learning_rate", 1e39, "learning_rate must be positive"),
 ])
 def test_config_rejects_empty_or_ascending_training(field, value, message):
     with pytest.raises(ValueError, match=message):
@@ -129,6 +133,48 @@ def test_variance_head_tracks_residual_spread():
     assert 0.3 < report.final_train_rmse < 0.7
 
 
+def test_the_variance_phase_moves_only_the_variance_column(monkeypatch):
+    x, y = overfit_problem()
+    cfg = MlpConfig(input_dim=5, hidden=16, epochs=5, seed=2)
+    counts = []
+    draw = mlp._dropout_masks
+    monkeypatch.setattr(mlp, "_dropout_masks",
+                        lambda *args: counts.append(args[-1]) or draw(*args))
+    weights, report = mlp_train(x, y, cfg)
+    monkeypatch.setattr(mlp, "_fit_variance", lambda *args: (0.0, 0.0))
+    mean_only, mean_report = mlp_train(x, y, cfg)
+    # the mean phase alone draws dropout masks, one per epoch
+    assert counts == [cfg.epochs, cfg.epochs]
+    for name in ("w1", "b1"):
+        assert getattr(weights, name).tobytes() == getattr(mean_only, name).tobytes()
+    assert weights.w2[:, 0].tobytes() == mean_only.w2[:, 0].tobytes()
+    assert weights.b2[0] == mean_only.b2[0] and weights.b2[1] != mean_only.b2[1]
+    assert report.val_rmse.tobytes() == mean_report.val_rmse.tobytes()
+
+
+def test_the_variance_column_starts_at_the_constant_residual_variance():
+    # at a rate of nearly 0 the column stays at its start: weights of 0, and the
+    # softplus bias that gives the mean squared train residual
+    x, y = overfit_problem()
+    cfg = MlpConfig(input_dim=5, hidden=16, epochs=3, seed=2, learning_rate=1e-30)
+    weights, report = mlp_train(x, y, cfg)
+    assert np.abs(weights.w2[:, 1]).max() < 1e-25
+    _, variance = mlp_forward(weights, x)
+    assert variance == pytest.approx(report.final_train_rmse ** 2 + VAR_FLOOR, rel=1e-5)
+    assert report.val_nll == pytest.approx(report.val_nll_constant, abs=1e-6)
+
+
+def test_the_rehearsal_variances_beat_a_constant_and_lie_on_the_rating_scale(rehearsal):
+    from riskdecode.pipeline import NETWORK_GROUPS, read_csv
+    train = rehearsal.train
+    assert sorted(train) == sorted(NETWORK_GROUPS)
+    for group, entry in train.items():
+        assert entry["val_nll"] < entry["val_nll_constant"], group
+    # a rating on 0..10 has a variance of at most 25 (Popoviciu's inequality)
+    variance = read_csv(rehearsal.out / "predictions.csv")["variance"]
+    assert variance.min() > 0.0 and variance.max() <= 25.0
+
+
 def test_train_input_validation():
     x, y = overfit_problem()
     cfg = MlpConfig(input_dim=5)
@@ -161,15 +207,31 @@ def test_mask_helper_stops_when_training_diverges():
     assert caught.traceback and threading.active_count() == before
 
 
-def test_divergence_names_its_phase():
+def frozen_mean_fit(monkeypatch):
+    """Targets that the initial network fits, and a mean phase that keeps it there.
+
+    The variance column then starts at the floor, where its gradient is about a
+    quarter of the hidden layer's mean (up to about 4 here): one step at a rate
+    near the largest float32 overflows it.
+    """
+    fit_mean = mlp._fit_mean
+    monkeypatch.setattr(mlp, "_fit_mean",
+                        lambda *args: fit_mean(*args[:6], np.float32(0.0), *args[7:]))
+    x = 10.0 * np.random.default_rng(4).normal(size=(400, 5))
+    mean, _ = mlp_forward(mlp_init(MlpConfig(input_dim=5)).astype(np.float32), x)
+    fits = (mean >= 0.0) & (mean <= 10.0)
+    return x[fits], mean[fits]
+
+
+def test_divergence_names_its_phase(monkeypatch):
     x, y = overfit_problem()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged, match="epoch 1 of the mean phase"):
             mlp_train(x, y, MlpConfig(input_dim=5, epochs=5, learning_rate=1e9))
-        # three float32 epochs at this rate leave the mean finite but far off, so
-        # the first variance step already overflows the NLL
-        with pytest.raises(TrainingDiverged, match="epoch 0 of the variance phase"):
-            mlp_train(x, y, MlpConfig(input_dim=5, epochs=3, learning_rate=1.0))
+    # the first variance step overflows the column, and the second loss sees it
+    x, y = frozen_mean_fit(monkeypatch)
+    with pytest.raises(TrainingDiverged, match="epoch 1 of the variance phase"):
+        mlp_train(x, y, MlpConfig(input_dim=5, epochs=2, learning_rate=3e38))
 
 
 def test_divergence_is_reported_without_a_numpy_warning():
@@ -183,26 +245,22 @@ def test_divergence_is_reported_without_a_numpy_warning():
 
 
 def test_divergence_at_the_last_variance_epoch_is_reported(monkeypatch):
-    # the mean phase at a sane rate, then one variance update that overflows, which
-    # no later loss sees
-    fit_mean = mlp._fit_mean
-    monkeypatch.setattr(mlp, "_fit_mean",
-                        lambda *args: fit_mean(*args[:6], np.float32(0.001), *args[7:]))
-    x, y = overfit_problem()
+    # one variance update that overflows, which no later loss sees
+    x, y = frozen_mean_fit(monkeypatch)
     with pytest.raises(TrainingDiverged,
                        match="variance weights became non-finite at epoch 0 of the variance"):
-        mlp_train(x, y, MlpConfig(input_dim=5, epochs=1, learning_rate=1e38))
+        mlp_train(x, y, MlpConfig(input_dim=5, epochs=1, learning_rate=3e38))
 
 
-def test_divergence_at_the_last_mean_epoch_is_reported(monkeypatch):
-    # the one update overflows the train RMSE; with the variance phase patched out,
-    # no later loss sees it, so only the final RMSE check can report it
-    monkeypatch.setattr(mlp, "_fit_variance", lambda *args: None)
+def test_divergence_at_the_last_mean_epoch_is_reported():
+    # the one update overflows the train RMSE and no mean loss follows it, so the RMSE
+    # check reports it, before the variance phase starts on an overflowed layer
     x, y = overfit_problem()
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(TrainingDiverged,
                            match="RMSE became non-finite at epoch 0 of the mean phase"):
-            mlp_train(x, y, MlpConfig(input_dim=5, epochs=1, learning_rate=1e100))
+            mlp_train(x, y, MlpConfig(input_dim=5, epochs=1, learning_rate=1e20))
 
 
 def test_weights_share_one_float_dtype():
@@ -239,13 +297,15 @@ def test_predict_clamps_mean_but_keeps_raw():
 
 def test_report_validation():
     with pytest.raises(ValueError):
-        TrainReport(np.array([0.5, -0.1]), np.array([0.5, 0.4]))
+        TrainReport(np.array([0.5, -0.1]), np.array([0.5, 0.4]), 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# bit-exactness oracle: the straightforward training loop, one full forward
-# and backward pass per epoch in both phases plus fresh RMSE forwards, in float32
-# on the data and He weights rounded to it, as mlp_train trains
+# bit-exactness oracle: the straightforward training loop in float32, on the data
+# and He weights rounded to it, as mlp_train trains. The mean phase makes one full
+# forward and backward pass per epoch plus fresh RMSE forwards; the variance phase
+# starts its column at the constant variance of the train residuals and steps it
+# on the unmasked hidden layer
 
 
 def reference_forward(weights, x):
@@ -254,27 +314,16 @@ def reference_forward(weights, x):
     return z[:, 0], np.logaddexp(0.0, z[:, 1]) + VAR_FLOOR
 
 
-def reference_loss_and_grads(weights, x, y, loss_mode, mask):
-    n = x.shape[0]
+def reference_mse_and_grads(weights, x, y, mask):
     z1 = x @ weights.w1 + weights.b1
     hd = np.maximum(z1, 0.0) * mask
     z2 = hd @ weights.w2 + weights.b2
-    v = np.logaddexp(0.0, z2[:, 1]) + VAR_FLOOR
     resid = z2[:, 0] - y
     dz2 = np.zeros_like(z2)
-    if loss_mode == "mse_mean":
-        loss = float(np.mean(resid ** 2))
-        dz2[:, 0] = 2.0 * resid / n
-    else:
-        loss = float(np.mean(0.5 * (np.log(v) + resid ** 2 / v)))
-        dz2[:, 0] = resid / v / n
-        dv = 0.5 * (1.0 / v - resid ** 2 / v ** 2) / n
-        s = z2[:, 1]
-        sig = np.where(s >= 0, 1.0 / (1.0 + np.exp(-np.abs(s))),
-                       np.exp(-np.abs(s)) / (1.0 + np.exp(-np.abs(s))))
-        dz2[:, 1] = dv * sig
+    dz2[:, 0] = 2.0 * resid / x.shape[0]
     dz1 = (dz2 @ weights.w2.T) * mask * (z1 > 0.0)
-    return loss, (x.T @ dz1, dz1.sum(axis=0), hd.T @ dz2, dz2.sum(axis=0))
+    return float(np.mean(resid ** 2)), (x.T @ dz1, dz1.sum(axis=0), hd.T @ dz2,
+                                        dz2.sum(axis=0))
 
 
 def reference_rmse(weights, x, y):
@@ -282,26 +331,38 @@ def reference_rmse(weights, x, y):
     return float(np.sqrt(np.mean((mean - y) ** 2)))
 
 
-def reference_epochs(weights, x_tr, y_tr, x_va, y_va, cfg, rng, var_only):
+def reference_mean_phase(weights, x_tr, y_tr, x_va, y_va, cfg, rng):
     keep = 1.0 - cfg.dropout_rate
     lr = np.float32(cfg.learning_rate)
     hist = []
     for _ in range(cfg.epochs):
         mask = (rng.random((x_tr.shape[0], cfg.hidden)) < keep) * np.float32(1.0 / keep)
-        loss, (dw1, db1, dw2, db2) = reference_loss_and_grads(
-            weights, x_tr, y_tr, "gaussian_nll" if var_only else "mse_mean", mask)
+        loss, (dw1, db1, dw2, db2) = reference_mse_and_grads(weights, x_tr, y_tr, mask)
         assert np.isfinite(loss)
-        if var_only:
-            weights.w2[:, 1] -= lr * dw2[:, 1]
-            weights.b2[1] -= lr * db2[1]
-        else:
-            weights.w1 -= lr * dw1
-            weights.b1 -= lr * db1
-            weights.w2 -= lr * dw2
-            weights.b2 -= lr * db2
+        weights.w1 -= lr * dw1
+        weights.b1 -= lr * db1
+        weights.w2 -= lr * dw2
+        weights.b2 -= lr * db2
         hist.append((reference_rmse(weights, x_tr, y_tr),
                      reference_rmse(weights, x_va, y_va)))
     return np.array(hist)
+
+
+def reference_variance_phase(weights, x_tr, y_tr, cfg):
+    lr = np.float32(cfg.learning_rate)
+    h = np.maximum(x_tr @ weights.w1 + weights.b1, 0.0)
+    resid2 = (h @ weights.w2[:, 0] + weights.b2[0] - y_tr) ** 2
+    m = max(float(resid2.mean()), VAR_FLOOR)
+    weights.w2[:, 1] = 0.0
+    weights.b2[1] = m + np.log(-np.expm1(-m))  # softplus(b2[1]) == m
+    for _ in range(cfg.epochs):
+        s = h @ weights.w2[:, 1] + weights.b2[1]
+        v = np.logaddexp(0.0, s) + VAR_FLOOR
+        assert np.isfinite(np.mean(0.5 * (np.log(v) + resid2 / v)))
+        sig = -np.expm1(-np.logaddexp(0.0, s))  # 1 - 1 / (1 + exp(s))
+        ds = 0.5 * (1.0 / v - resid2 / v ** 2) / h.shape[0] * sig
+        weights.w2[:, 1] -= lr * (h.T @ ds)
+        weights.b2[1] -= lr * ds.sum()
 
 
 def reference_train(x, y, cfg):
@@ -311,8 +372,8 @@ def reference_train(x, y, cfg):
     tr, va = order[:n_train], order[n_train:]
     x, y = x.astype(np.float32), y.astype(np.float32)
     weights = mlp_init(cfg).astype(np.float32)
-    hist = reference_epochs(weights, x[tr], y[tr], x[va], y[va], cfg, rng, var_only=False)
-    reference_epochs(weights, x[tr], y[tr], x[va], y[va], cfg, rng, var_only=True)
+    hist = reference_mean_phase(weights, x[tr], y[tr], x[va], y[va], cfg, rng)
+    reference_variance_phase(weights, x[tr], y[tr], cfg)
     return weights, hist[:, 0], hist[:, 1]
 
 
