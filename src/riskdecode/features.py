@@ -244,6 +244,9 @@ class NormStats:
     def __post_init__(self):
         if not (len(self.names) == self.mean.size == self.std.size):
             raise ValueError("names, mean and std must agree in length")
+        for name in ("mean", "std"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite for every feature")
         if np.any(self.std <= 0):
             raise ValueError("std must be positive for every feature")
 

@@ -14,8 +14,10 @@ that of the network's mean around the reconstructed mean curve. The column
 starts as the constant variance of the train residuals (zero weights, and
 softplus^-1 of their mean square as bias), so its first steps are small, and
 each epoch is one step on the unmasked hidden layer that the mean phase left.
-``TrainReport`` records the validation NLL of the fitted column and of that
-constant start.
+A fitted column whose validation NLL is higher than that of the constant start
+gives way to the start, so the head never does worse on validation than a
+constant variance. ``TrainReport`` records the validation NLL of the column
+kept and of that constant start.
 
 Each epoch does its work once. The hidden layer after a mean update serves
 both that epoch's train RMSE and the next epoch's forward pass. The variance
@@ -114,7 +116,7 @@ class MlpWeights:
 class TrainReport:
     train_rmse: np.ndarray  # per epoch, mean head
     val_rmse: np.ndarray
-    val_nll: float  # Gaussian NLL of the variance head on the validation split
+    val_nll: float  # Gaussian NLL of the variance head kept, on the validation split
     val_nll_constant: float  # the same for the constant variance it starts from
 
     def __post_init__(self):
@@ -287,15 +289,17 @@ def _fit_mean(weights, x_train, y_train, x_val, y_val, epochs, lr, scale, masks)
 def _fit_variance(weights, h, y_train, h_val, y_val, epochs, lr):
     """NLL descent on the variance column alone, on the frozen hidden layer ``h``.
 
-    The column starts as the constant variance of the mean head's train residuals.
-    Returns the validation NLL of the fitted column and of that start, from the
-    validation split's hidden layer ``h_val``.
+    The column starts as the constant variance of the mean head's train residuals,
+    and goes back to it when the fitted column's NLL on the validation split's hidden
+    layer ``h_val`` is higher.  Returns the validation NLL of the column kept and of
+    that start.
     """
     w, b = weights.w2[:, 1], weights.b2[1:]
     resid2, val2 = ((layer @ weights.w2[:, 0] + weights.b2[0] - target) ** 2
                     for layer, target in ((h, y_train), (h_val, y_val)))
     m = max(float(resid2.mean()), VAR_FLOOR)
-    w[:], b[:] = 0.0, m + np.log(-np.expm1(-m))  # softplus(b) == m
+    start = m + np.log(-np.expm1(-m))  # softplus(start) == m
+    w[:], b[:] = 0.0, start
     constant = _nll(np.full_like(val2, b[0]), val2)[0]
     for epoch in range(epochs):
         loss, dz, _ = _nll(h @ w + b, resid2)
@@ -304,7 +308,10 @@ def _fit_variance(weights, h, y_train, h_val, y_val, epochs, lr):
         b -= lr * dz.sum()
     # no loss follows the last update either
     _check_finite(np.append(w, b), "variance", epochs - 1, "variance weights")
-    return _nll(h_val @ w + b, val2)[0], constant
+    fitted = _nll(h_val @ w + b, val2)[0]
+    if fitted > constant:  # the column overfitted the train split
+        w[:], b[:] = 0.0, start
+    return min(fitted, constant), constant
 
 
 def mlp_train(features, targets, config: MlpConfig):

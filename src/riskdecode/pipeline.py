@@ -627,20 +627,16 @@ def run_ingest(out: Path, ratings_path: Path, seed: int = 0,
 def run_reconstruct(out: Path, seed: int = 0, method: str = "pchip") -> Path:
     out = Path(out)
     ratings = require(out, "ratings_valid.csv")
-    columns = _read_event_table(ratings, (), ints=RATINGS_COLUMNS)
-    off_scale = np.flatnonzero((columns["rating"] < RATING_MIN) | (columns["rating"] > RATING_MAX))
-    if off_scale.size:
-        pid, eid, clip, rating = (columns[c][off_scale[0]] for c in RATINGS_COLUMNS)
-        raise ValueError(f"{ratings} data row {off_scale[0] + 1} (participant {pid}, event {eid}, "
-                         f"clip {clip}) holds rating {rating}, outside 0..10; {_again(ratings)}")
-    unknown = np.setdiff1d(columns["event_id"], load_alignment_table().event_ids())
-    if unknown.size:
-        raise ValueError(f"{ratings} names events without an alignment row: "
-                         f"{unknown.tolist()}; {_again(ratings)}")
-    matrices, incomplete = _pair_matrices(columns)
-    if incomplete:
-        raise ValueError(f"{ratings} holds an incomplete pair, which "
-                         f"{_WRITER[ratings.name]} never keeps: {incomplete[0][1]}")
+    try:  # read as ingest reads a ratings file; a row ingest would drop is refused
+        accepted, lines, rejected = _read_ratings_file(ratings, None)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; {_again(ratings)}") from None
+    matrices, incomplete = _pair_matrices(accepted)
+    # a rejected row breaks its pair too, and is named by its own line
+    faults = rejected or [(int(lines[row]), reason) for row, reason in incomplete]
+    if faults:
+        line, reason = min(faults)
+        raise ValueError(f"{ratings} line {line}: {reason}; {_again(ratings)}")
     blocks = []
     for eid, (_, sequences) in matrices.items():
         agg = aggregate_curves(reconstruct_event(eid, sequences, method))
@@ -669,12 +665,18 @@ def run_features(out: Path, seed: int = 0,
     out = Path(out)
     events_json = require(out, "events.json")
     try:
-        listed = {e["event_id"] for e in
-                  json.loads(events_json.read_text(encoding="utf-8"))["events"]}
+        ids = [e["event_id"] for e in json.loads(events_json.read_text(encoding="utf-8"))["events"]]
+        listed = set(ids)
     except (KeyError, TypeError, ValueError) as exc:
         raise _fault(events_json, "event list", exc) from None
     if not listed:
         raise ValueError(f"{events_json} lists no events; {_again(events_json)}")
+    known = {s.event_id for s in enumerate_events()}
+    # JSON's true and 2.0 would pass as the ids 1 and 2
+    foreign = [e for e in ids if type(e) is not int or e not in known]
+    if foreign:
+        raise ValueError(f"{events_json} lists ids that are not catalog events: {foreign}; "
+                         f"{_again(events_json)}")
 
     norm_meta, paths = {}, {}
     for group in NETWORK_GROUPS:
@@ -933,13 +935,13 @@ def _model_curves(calibrations: Mapping[str, Path], targets: dict) -> dict:
     table = PairTable([catalog_trajectory(eid) for eid in event_ids])
     outputs = {}
     for model, path in calibrations.items():
-        try:
+        try:  # parameters whose output is not finite, or constant, are at fault too
             params = replace(MODEL_DEFAULTS[model](),
                              **json.loads(path.read_text(encoding="utf-8"))["best_params"])
+            rescaled = minmax_rescale(MODEL_SERIES[model](table, params))
         except (KeyError, TypeError, ValueError) as exc:
             raise _fault(path, f"{model} parameters", exc) from None
-        raw = MODEL_SERIES[model](table, params)
-        outputs[model] = dict(zip(event_ids, table.split(minmax_rescale(raw))))
+        outputs[model] = dict(zip(event_ids, table.split(rescaled)))
     return outputs
 
 

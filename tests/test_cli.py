@@ -354,35 +354,66 @@ def test_ingest_names_each_row_reject(row, reason, tmp_path):
     assert index["invalid_rows"] == 5
 
 
+# ingest keeps 45 rows of _pair_ratings' "drop_row" file, on lines 3..47 of
+# ratings_valid.csv below its stamp and header; the last pair (participant 5, event 2)
+# starts on line 43
 @pytest.mark.parametrize("damage,message", [
-    ("event_999", r"names events without an alignment row: \[999\]"),
-    ("rating_5.5", r"column rating holds non-integer cells"),
-    ("no_rating", r"lacks the rating column"),
-    ("rating_57", r"data row 45 \(participant 5, event 2, clip 5\) holds rating 57, "
-                  r"outside 0\.\.10"),
-    ("participant_Ǿ", r"column participant_id holds non-integer cells"),
-], ids=["event_999", "rating_5.5", "no_rating", "rating_57", "participant_Ǿ"])
+    ("event_999", "line 48: unknown event_id 999"),
+    ("rating_5.5", "line 47: invalid literal for int() with base 10: '5.5'"),
+    ("no_rating", "lacks required columns ['rating'] "
+                  "(line 2: 'participant_id,event_id,clip_index')"),
+    # the row breaks its pair too, but it is named by its own line
+    ("rating_57", "line 47: rating must be an integer in 0..10, got 57"),
+    ("participant_Ǿ", "line 47: invalid literal for int() with base 10: 'Ǿ'"),
+    ("clip_9", "line 47: clip_index 9 outside event 2's slots"),
+    ("last_row_gone", "line 43: participant 5 event 2 dropped: clip 5 missing"),
+], ids=["event_999", "rating_5.5", "no_rating", "rating_57", "participant_Ǿ", "clip_9",
+        "last_row_gone"])
 def test_reconstruct_refuses_ratings_it_cannot_trust(damage, message, tmp_path, caplog):
     ratings = _pair_ratings(tmp_path / "ratings.csv", "drop_row")
     assert main(["ingest", str(ratings), "--out", str(tmp_path)]) == 0
     valid = tmp_path / "ratings_valid.csv"
     lines = valid.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 47 and lines[42].startswith("5,2,1,")
     if damage == "event_999":
         lines += [f"1,999,{clip},5" for clip in (1, 2, 3)]
     elif damage in ("rating_5.5", "rating_57"):
         lines[-1] = lines[-1].rpartition(",")[0] + "," + damage.partition("_")[2]
     elif damage == "participant_Ǿ":  # a letter loadtxt would read as the id 462
         lines[-1] = "Ǿ," + lines[-1].partition(",")[2]
+    elif damage == "clip_9":
+        pid, eid, _, rating = lines[-1].split(",")
+        lines[-1] = f"{pid},{eid},9,{rating}"
+    elif damage == "last_row_gone":
+        del lines[-1]
     else:
         lines[1:] = [line.rpartition(",")[0] for line in lines[1:]]
     valid.write_text("\n".join(lines) + "\n", encoding="utf-8")
     caplog.clear()
     with caplog.at_level(logging.ERROR):
         assert main(["reconstruct", "--out", str(tmp_path)]) == 1
-    assert [r.levelno for r in caplog.records] == [logging.ERROR]
-    assert re.fullmatch(rf"{re.escape(str(valid))} {message}; run the ingest stage again",
-                        caplog.records[0].getMessage())
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{valid} {message}; run the ingest stage again"]
     assert not (tmp_path / "curves.csv").exists()
+
+
+@pytest.mark.parametrize("damage", ["byte_order_mark", "blank_line", "cr_line_ends"])
+def test_reconstruct_reads_ratings_as_ingest_does(damage, tmp_path):
+    # a byte-order mark, a blank line or \r line ends leave the rows, and so the curves
+    ratings = _pair_ratings(tmp_path / "ratings.csv", "drop_row")
+    clean, damaged = tmp_path / "clean", tmp_path / "damaged"
+    assert main(["ingest", str(ratings), "--out", str(clean)]) == 0
+    assert main(["reconstruct", "--out", str(clean)]) == 0
+    damaged.mkdir()
+    written = (clean / "ratings_valid.csv").read_bytes()
+    body = {"byte_order_mark": codecs.BOM_UTF8 + written,  # before the stamp line
+            "blank_line": written.replace(b"\r\n5,1,", b"\r\n\r\n5,1,", 1),
+            "cr_line_ends": written.replace(b"\r\n", b"\r").replace(b"\n", b"\r")}[damage]
+    assert body != written
+    (damaged / "ratings_valid.csv").write_bytes(body)
+    assert main(["reconstruct", "--out", str(damaged)]) == 0
+    curves = [(out / "curves.csv").read_bytes().partition(b"\n")[2] for out in (clean, damaged)]
+    assert curves[0] == curves[1] and curves[0].count(b"\n") > 1
 
 
 def test_ingest_reject_names_its_line_after_a_blank_line(tmp_path):
@@ -614,6 +645,8 @@ NETWORK_INPUT_FAULTS = {
     "event_999": "event ids [999] are not {group} catalog events",
     "event_twice": "event ids [{first}] are listed more than once",
     "zero_std": "std must be positive for every feature",
+    "nan_mean": "mean must be finite for every feature",
+    "inf_std": "std must be finite for every feature",
     "unknown_name": "names outside the feature vocabulary: ['speed']",
     "short_b1": "inconsistent layer shapes",
     "nan_w1": "weights must be finite",
@@ -623,7 +656,7 @@ NETWORK_INPUT_FAULTS = {
 
 @pytest.mark.parametrize("stage,fault", [
     *[("train", fault) for fault in ("not_json", "no_std", "event_999", "event_twice",
-                                     "zero_std", "unknown_name")],
+                                     "zero_std", "nan_mean", "inf_std", "unknown_name")],
     *[(stage, fault) for stage in ("predict", "explain")
       for fault in NETWORK_INPUT_FAULTS if fault != "no_std"],
 ])
@@ -645,6 +678,10 @@ def test_network_stages_name_a_faulty_input_file(stage, fault, mini_tree, tmp_pa
         entry["event_ids"][-1] = entry["event_ids"][0]
     elif fault == "zero_std":
         entry["std"][0] = 0.0
+    elif fault == "nan_mean":  # json writes NaN and Infinity, and reads them back
+        entry["mean"][0] = float("nan")
+    elif fault == "inf_std":
+        entry["std"][0] = float("inf")
     elif fault == "unknown_name":
         entry["names"][0] = "speed"
     elif fault == "short_b1":
@@ -708,11 +745,19 @@ READ_FAULTS = {
                         r"line 4 holds the byte 0xff, which is not UTF-8 \(invalid start byte\)"),
     "curves_lacks_event_1": ("curves.csv", "reconstruct", r"lacks event 1 needed by MB"),
     "events_not_json": ("events.json", "generate", r"holds no usable event list \(.+\)"),
+    "events_999": ("events.json", "generate",
+                   r"lists ids that are not catalog events: \[999\]"),
+    "events_str_1": ("events.json", "generate",
+                     r"lists ids that are not catalog events: \['1'\]"),
+    "events_true": ("events.json", "generate",
+                    r"lists ids that are not catalog events: \[True\]"),
     "drf_not_json": ("calibration_drf.json", "calibrate",
                      r"holds no usable DRF parameters \(Expecting property name .+\)"),
     "pcad_unknown_param": ("calibration_pcad.json", "calibrate",
                            r"holds no usable PCAD parameters "
                            r"\(.*unexpected keyword argument 'speed'\)"),
+    "pcad_nan_param": ("calibration_pcad.json", "calibrate",
+                       r"holds no usable PCAD parameters \(model outputs must be finite\)"),
     "pcad_no_best_params": ("calibration_pcad.json", "calibrate",
                             r"holds no usable PCAD parameters \(no 'best_params' key\)"),
     "predictions_no_mean": ("predictions.csv", "predict", r"lacks the mean column"),
@@ -733,7 +778,8 @@ READ_FAULTS = {
                                    "curves_empty", "curves_not_utf8")
       for stage in ("train", "calibrate", "report")],
     ("train", "curves_lacks_event_1"),
-    ("features", "events_not_json"),
+    *[("features", fault) for fault in ("events_not_json", "events_999", "events_str_1",
+                                        "events_true")],
     *[("report", fault) for fault in READ_FAULTS
       if not fault.startswith(("curves", "events", "kept"))],
     ("train", "kept_not_json"),
@@ -757,8 +803,13 @@ def test_stages_name_a_faulty_input_file(stage, fault, mini_tree, tmp_path, capl
         path.write_bytes(b"\n".join(lines))
     elif name.endswith(".json"):
         payload = json.loads(path.read_text())
-        if fault == "pcad_unknown_param":
+        if fault.startswith("events"):  # in place of event 1, which MB's network would lose
+            payload["events"][0]["event_id"] = {"events_999": 999, "events_str_1": "1",
+                                                "events_true": True}[fault]
+        elif fault == "pcad_unknown_param":
             payload["best_params"]["speed"] = 1.0
+        elif fault == "pcad_nan_param":
+            payload["best_params"]["alpha"] = float("nan")
         else:
             del payload["report" if fault == "kept_no_report" else "best_params"]
         path.write_text(json.dumps(payload))

@@ -164,6 +164,22 @@ def test_the_variance_column_starts_at_the_constant_residual_variance():
     assert report.val_nll == pytest.approx(report.val_nll_constant, abs=1e-6)
 
 
+@pytest.mark.parametrize("epochs", [50, 200, 800])
+def test_an_overfitted_variance_column_gives_way_to_its_constant_start(epochs):
+    # 26 train rows and 500 free weights: the fitted column loses to the constant on
+    # validation, so the head keeps the constant variance it started from
+    x, y = overfit_problem()
+    cfg = MlpConfig(input_dim=5, epochs=epochs, seed=0, learning_rate=0.005)
+    weights, report = mlp_train(x, y, cfg)
+    assert report.val_nll == report.val_nll_constant
+    assert not weights.w2[:, 1].any()
+    _, variance = mlp_forward(weights, x)
+    assert np.ptp(variance) == 0.0
+    ref, _, _ = reference_train(x, y, cfg)
+    for name in ("w1", "b1", "w2", "b2"):
+        assert getattr(weights, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
 def test_the_rehearsal_variances_beat_a_constant_and_lie_on_the_rating_scale(rehearsal):
     from riskdecode.pipeline import NETWORK_GROUPS, read_csv
     train = rehearsal.train
@@ -304,8 +320,9 @@ def test_report_validation():
 # bit-exactness oracle: the straightforward training loop in float32, on the data
 # and He weights rounded to it, as mlp_train trains. The mean phase makes one full
 # forward and backward pass per epoch plus fresh RMSE forwards; the variance phase
-# starts its column at the constant variance of the train residuals and steps it
-# on the unmasked hidden layer
+# starts its column at the constant variance of the train residuals, steps it on the
+# unmasked hidden layer, and goes back to the start if the start's validation NLL is
+# lower
 
 
 def reference_forward(weights, x):
@@ -348,13 +365,19 @@ def reference_mean_phase(weights, x_tr, y_tr, x_va, y_va, cfg, rng):
     return np.array(hist)
 
 
-def reference_variance_phase(weights, x_tr, y_tr, cfg):
+def reference_val_nll(weights, x_va, y_va):
+    mean, variance = reference_forward(weights, x_va)
+    return float(np.mean(0.5 * (np.log(variance) + (mean - y_va) ** 2 / variance)))
+
+
+def reference_variance_phase(weights, x_tr, y_tr, x_va, y_va, cfg):
     lr = np.float32(cfg.learning_rate)
     h = np.maximum(x_tr @ weights.w1 + weights.b1, 0.0)
     resid2 = (h @ weights.w2[:, 0] + weights.b2[0] - y_tr) ** 2
     m = max(float(resid2.mean()), VAR_FLOOR)
     weights.w2[:, 1] = 0.0
     weights.b2[1] = m + np.log(-np.expm1(-m))  # softplus(b2[1]) == m
+    start, constant = weights.b2[1], reference_val_nll(weights, x_va, y_va)
     for _ in range(cfg.epochs):
         s = h @ weights.w2[:, 1] + weights.b2[1]
         v = np.logaddexp(0.0, s) + VAR_FLOOR
@@ -363,6 +386,8 @@ def reference_variance_phase(weights, x_tr, y_tr, cfg):
         ds = 0.5 * (1.0 / v - resid2 / v ** 2) / h.shape[0] * sig
         weights.w2[:, 1] -= lr * (h.T @ ds)
         weights.b2[1] -= lr * ds.sum()
+    if reference_val_nll(weights, x_va, y_va) > constant:  # keep the constant start
+        weights.w2[:, 1], weights.b2[1] = 0.0, start
 
 
 def reference_train(x, y, cfg):
@@ -373,7 +398,7 @@ def reference_train(x, y, cfg):
     x, y = x.astype(np.float32), y.astype(np.float32)
     weights = mlp_init(cfg).astype(np.float32)
     hist = reference_mean_phase(weights, x[tr], y[tr], x[va], y[va], cfg, rng)
-    reference_variance_phase(weights, x[tr], y[tr], cfg)
+    reference_variance_phase(weights, x[tr], y[tr], x[va], y[va], cfg)
     return weights, hist[:, 0], hist[:, 1]
 
 
