@@ -15,11 +15,15 @@ Threads: ``explain_frames`` holds BLAS at one thread and attributes its frames
 on a pool of one thread per usable core, in chunks of ``FRAME_CHUNK`` frames.
 Frames are independent and each sampled frame keeps its own seed, so the
 attributions do not depend on the number of threads. With another BLAS than
-numpy's bundled OpenBLAS, every frame runs on the calling thread.
+numpy's bundled OpenBLAS, every frame runs on the calling thread. A frame's
+composites go through ``mlp_forward`` in one call, which runs them in blocks
+of ``mlp.FORWARD_ROWS`` rows, so each pool thread holds one block of hidden
+layer (1 MB at H = 500 in float32), not one frame's whole batch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -92,12 +96,23 @@ def _check_frame(x, baseline: Baseline) -> np.ndarray:
     return x
 
 
-def _subset_weights(d: int) -> np.ndarray:
-    """w[s] = s! (d - s - 1)! / d! for subset sizes s = 0 .. d-1."""
+@functools.lru_cache(maxsize=None)
+def _subsets(d: int) -> tuple:
+    """The (2^D, D) subset matrix, row m marking the features of bit mask m, and the
+    (2^D, D) Shapley coefficients: feature i's value is ``values @ coef[:, i]``.
+
+    A subset S that holds i enters phi_i as +w(|S| - 1) and one without it as
+    -w(|S|), where w(s) = s! (D - s - 1)! / D!.  Both are read-only: frames on
+    several threads share them."""
+    bits = ((np.arange(2 ** d)[:, None] >> np.arange(d)) & 1).astype(bool)
+    sizes = bits.sum(axis=1)
     total = math.factorial(d)
-    return np.array(
-        [math.factorial(s) * math.factorial(d - s - 1) / total for s in range(d)]
-    )
+    # w(s) for s = 0 .. D; w(D) is never read, w(-1) indexes it for the empty subset
+    w = np.array([math.factorial(s) * math.factorial(d - s - 1) / total
+                  for s in range(d)] + [0.0])
+    coef = np.where(bits, w[sizes - 1, None], -w[sizes, None])
+    bits.flags.writeable = coef.flags.writeable = False
+    return bits, coef
 
 
 def shap_exact(model: ModelFn, x, baseline: Baseline) -> np.ndarray:
@@ -106,20 +121,9 @@ def shap_exact(model: ModelFn, x, baseline: Baseline) -> np.ndarray:
     d = baseline.dim
     if d > MAX_EXACT_DIM:
         raise ValueError(f"exact enumeration supports D <= {MAX_EXACT_DIM}; use shap_sampled")
-
-    masks = np.arange(2 ** d, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(d)) & 1
-    composites = np.where(bits.astype(bool), x, baseline.values)
-    values = np.asarray(model(composites), dtype=float)
-    sizes = bits.sum(axis=1)
-    weights = _subset_weights(d)
-
-    phi = np.empty(d)
-    for i in range(d):
-        without = masks[bits[:, i] == 0]
-        gain = values[without + (1 << i)] - values[without]
-        phi[i] = np.sum(weights[sizes[without]] * gain)
-    return phi
+    bits, coef = _subsets(d)
+    values = np.asarray(model(np.where(bits, x, baseline.values)), dtype=float)
+    return values @ coef
 
 
 def shap_sampled(model: ModelFn, x, baseline: Baseline, n_permutations: int, seed):

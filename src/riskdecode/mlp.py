@@ -20,9 +20,12 @@ constant variance. ``TrainReport`` records the validation NLL of the column
 kept and of that constant start.
 
 Each epoch does its work once. The hidden layer after a mean update serves
-both that epoch's train RMSE and the next epoch's forward pass. The variance
-phase rebuilds nothing: it computes the mean head's squared residuals once, and
-each epoch makes two one-column products on the frozen hidden layer.
+both that epoch's train RMSE and the next epoch's forward pass. The mean phase
+never reads the variance column, so its loss forward, its ``dw2`` and the train
+RMSE are one-column products; only ``dz1 = dz2 @ w2.T`` stays two columns wide,
+as it is faster so. The variance phase rebuilds nothing: it computes the mean
+head's squared residuals once, and each epoch makes two one-column products on
+the frozen hidden layer.
 
 Buffers: training holds one n x H float buffer and, in the mean phase, two
 n x H bool dropout masks. A mean epoch masks and scales the hidden layer
@@ -31,7 +34,11 @@ that masked layer ``hd``, which equals ``(h > 0) & mask``, into the mask it
 was handed, and the hidden gradient into the float buffer; the hidden layer
 after the update is built there again, and the variance phase reads it. The
 results are bit-identical to a plain loop that recomputes every pass
-(tests/test_mlp.py keeps that loop).
+(tests/test_mlp.py keeps that loop). ``mlp_forward`` (predict, explain and the
+mean phase's validation RMSE) runs its batch in blocks of ``FORWARD_ROWS`` rows,
+each cast to the weights' dtype on its own, through one block-sized hidden
+buffer into one preallocated head output: at H = 500 in float32 a pass holds
+1 MB of hidden layer and no cast copy of its batch, whatever the batch's size.
 
 Precision: ``mlp_train`` draws the split, the He weights and every dropout
 uniform in float64, then rounds the data, the targets and the initial weights
@@ -41,6 +48,10 @@ their input to it, so a trained network predicts in float32 while
 ``mlp_init`` weights, which ``gradient_check`` and the tests' fixtures use,
 run in float64. float32 rounding (about 1e-7 relative) sits far inside the
 model's error; ``weights_<group>.json`` stores the float32 values exactly.
+A forward row's bits depend on its input, the weights, its place in its block
+of ``FORWARD_ROWS`` rows and the size of that block, and on whether the
+variance is asked for: the mean column alone is a matrix-vector product, which
+rounds apart from the two-column product.
 
 Threads: ``mlp_train`` runs on the calling thread, plus one helper thread that
 draws each mean epoch's dropout mask from the seeded generator while the
@@ -62,6 +73,7 @@ VAR_FLOOR = 1e-6
 VAR_BIAS_INIT = 0.5413  # softplus(0.5413) ~ 1.0: unit initial variance
 TRAIN_FRACTION = 0.8
 DRAW_CHUNK = 1 << 16  # uniforms drawn per call when filling a dropout mask
+FORWARD_ROWS = 512  # rows per block of a forward pass
 
 
 @dataclass(frozen=True)
@@ -147,8 +159,8 @@ def _softplus(z):
 
 
 def _check_input(weights: MlpWeights, x) -> np.ndarray:
-    """``x`` as a 2-D batch in the weights' dtype."""
-    x = np.atleast_2d(np.asarray(x, dtype=weights.w1.dtype))
+    """``x`` as a 2-D batch, not yet in the weights' dtype."""
+    x = np.atleast_2d(np.asarray(x))
     if x.shape[1] != weights.input_dim:
         raise ValueError(
             f"expected {weights.input_dim} features, got {x.shape[1]}")
@@ -164,24 +176,42 @@ def _hidden(weights: MlpWeights, x: np.ndarray, out=None) -> np.ndarray:
 
 
 def mlp_forward(weights: MlpWeights, x, variance: bool = True):
-    """(mean, variance) for a batch, without dropout; variance None if not asked for."""
-    h = _hidden(weights, _check_input(weights, x))
-    z = h @ weights.w2 + weights.b2
-    return z[:, 0], _softplus(z[:, 1]) + VAR_FLOOR if variance else None
+    """(mean, variance) for a batch, without dropout; variance None if not asked for.
+
+    The batch runs in blocks of ``FORWARD_ROWS`` rows, each cast to the weights' dtype
+    and passed through one hidden-layer buffer, into one preallocated head output.
+    Without the variance, the head is the mean column alone."""
+    x, dtype = _check_input(weights, x), weights.w1.dtype
+    w2, b2 = (weights.w2, weights.b2) if variance else (weights.w2[:, 0], weights.b2[0])
+    z = np.empty((len(x), *w2.shape[1:]), dtype=dtype)
+    h = np.empty((min(len(x), FORWARD_ROWS), weights.b1.size), dtype=dtype)
+    for start in range(0, len(x), FORWARD_ROWS):
+        xb = x[start:start + FORWARD_ROWS].astype(dtype, copy=False)
+        z[start:start + len(xb)] = _hidden(weights, xb, out=h[:len(xb)]) @ w2 + b2
+    if not variance:
+        return z, None
+    return z[:, 0], _softplus(z[:, 1]) + VAR_FLOOR
 
 
-def _head_loss(z2, y, loss_mode):
-    """Loss and its gradient with respect to the head outputs ``z2``."""
-    n = z2.shape[0]
-    resid = z2[:, 0] - y
-    dz2 = np.zeros_like(z2)
+def _head_loss(h, weights, y, loss_mode):
+    """Loss, and its gradients in the head outputs and the head weights, on the hidden
+    layer ``h``.  MSE reads no variance column, so its products are one column wide and
+    the variance column's gradients are 0."""
+    n = h.shape[0]
+    dz2 = np.zeros((n, 2), dtype=h.dtype)
     if loss_mode == "mse_mean":
+        resid = h @ weights.w2[:, 0] + weights.b2[0] - y
         loss = float(np.mean(resid ** 2))
-        dz2[:, 0] = 2.0 * resid / n
+        dz2[:, 0] = grad = 2.0 * resid / n
+        dw2 = np.zeros_like(weights.w2)
+        dw2[:, 0] = h.T @ grad
     else:
+        z2 = h @ weights.w2 + weights.b2
+        resid = z2[:, 0] - y
         loss, dz2[:, 1], v = _nll(z2[:, 1], resid ** 2)
         dz2[:, 0] = resid / v / n
-    return loss, dz2
+        dw2 = h.T @ dz2
+    return loss, dz2, dw2
 
 
 def _nll(z, resid2):
@@ -206,8 +236,7 @@ def _loss_and_grads(weights, x, h, y, loss_mode, mask=None, scale=1.0):
         h *= mask
         h *= scale
     gate = np.greater(h, 0.0, out=mask)
-    loss, dz2 = _head_loss(h @ weights.w2 + weights.b2, y, loss_mode)
-    dw2 = h.T @ dz2
+    loss, dz2, dw2 = _head_loss(h, weights, y, loss_mode)
     db2 = dz2.sum(axis=0)
     dz1 = np.matmul(dz2, weights.w2.T, out=h)
     # a gate multiply, not a masked store: a negative gradient becomes -0.0
@@ -279,7 +308,7 @@ def _fit_mean(weights, x_train, y_train, x_val, y_val, epochs, lr, scale, masks)
         weights.w2 -= lr * dw2
         weights.b2 -= lr * db2
         _hidden(weights, x_train, out=h)
-        train_hist[epoch] = _rmse((h @ weights.w2 + weights.b2)[:, 0], y_train)
+        train_hist[epoch] = _rmse(h @ weights.w2[:, 0] + weights.b2[0], y_train)
         val_hist[epoch] = _rmse(mlp_forward(weights, x_val, variance=False)[0], y_val)
     # no loss follows the last update, which can overflow the RMSE
     _check_finite(train_hist[-1], "mean", epochs - 1, "training RMSE")
@@ -359,7 +388,7 @@ def gradient_check(weights: MlpWeights, x, y, step: float = 1e-5) -> float:
     Dropout is disabled; the NLL loss exercises both output heads. Meant for
     a down-scaled network where the finite-difference sweep is cheap.
     """
-    x = _check_input(weights, x)
+    x = _check_input(weights, x).astype(weights.w1.dtype, copy=False)
     y = np.asarray(y, dtype=float)
 
     def loss_and_grads():

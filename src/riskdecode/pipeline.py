@@ -499,9 +499,12 @@ def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
     if profile:
         mapping.update(profile)
     # as utf-8-sig in text mode reads it: without the byte-order mark spreadsheet exports
-    # put before line 1, and with lines that end at \r\n, \r or \n read as \n
+    # put before line 1, and with lines that end at \r\n, \r or \n read as \n. The
+    # readers below split lines at \r\n and \n alike, so only a lone \r, or a line end
+    # that a quoted cell may hold, needs the text rewritten
     text = _decode(path, Path(path).read_bytes()).removeprefix("\ufeff")
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if '"' in text or text.count("\r") != text.count("\r\n"):
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     line_no = []  # the file line number of each line csv.reader reads, "#" lines skipped
     head = []  # the lines split off up to the header's last
 

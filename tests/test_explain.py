@@ -1,7 +1,9 @@
 """Shapley attribution: additivity, linear exactness, sampling behaviour."""
 
+import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +59,48 @@ def test_exact_matches_linear_coefficients(frame_and_baseline):
     assert np.allclose(phi, LIN_W * (x - base.values), atol=1e-12)
     # the zero-coefficient feature gets exactly zero credit
     assert phi[3] == pytest.approx(0.0, abs=1e-12)
+
+
+def shap_exact_loop(model, x, baseline):
+    """Exact Shapley values feature by feature: phi_i sums w(|S|) (v(S + i) - v(S)) over
+    the subsets S without i, w(s) = s! (D - s - 1)! / D!."""
+    d = baseline.dim
+    masks = np.arange(2 ** d)
+    bits = (masks[:, None] >> np.arange(d)) & 1
+    values = np.asarray(model(np.where(bits == 1, x, baseline.values)), dtype=float)
+    sizes = bits.sum(axis=1)
+    w = np.array([math.factorial(s) * math.factorial(d - s - 1) / math.factorial(d)
+                  for s in range(d)])
+    phi = np.empty(d)
+    for i in range(d):
+        without = masks[bits[:, i] == 0]
+        phi[i] = np.sum(w[sizes[without]] * (values[without + (1 << i)] - values[without]))
+    return phi
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_exact_matches_the_per_feature_loop(d):
+    model = mean_head(mlp_init(MlpConfig(input_dim=d, hidden=32, seed=d)))
+    rng = np.random.default_rng(d)
+    x, base = rng.normal(size=d), Baseline(rng.normal(size=d))
+    assert np.max(np.abs(shap_exact(model, x, base) - shap_exact_loop(model, x, base))) <= 1e-12
+
+
+def test_an_exact_frame_holds_one_block_of_the_hidden_layer():
+    # 2^12 composites at H = 500 would be an 8 MB float32 hidden layer; the forward
+    # pass's blocks keep an exact frame, its subset tables included, within 3 MB
+    d = 12
+    model = mean_head(mlp_init(MlpConfig(input_dim=d, seed=3)).astype(np.float32))
+    rng = np.random.default_rng(3)
+    x, base = rng.normal(size=d), Baseline(rng.normal(size=d))
+    explain._subsets.cache_clear()
+    tracemalloc.start()
+    try:
+        shap_exact(model, x, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2 ** 20
 
 
 def test_exact_dimension_cap():

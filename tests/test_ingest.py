@@ -272,6 +272,30 @@ def test_a_line_loadtxt_would_misread_is_read_as_csv(at, line, tmp_path):
         assert got == _ingest(path, tmp_path / "oracle", None)
 
 
+@pytest.mark.parametrize("quoted", [False, True], ids=["column_pass", "row_loop"])
+def test_line_ends_do_not_change_what_is_read(quoted, tmp_path):
+    """One ratings body with lines that end at \\n, \\r\\n, \\r or a mix of them: the
+    same accepted rows, line numbers and rejects, as the oracle reads them."""
+    rows = [f"{pid},1,{clip},{2 + clip + pid % 3}" for pid in range(1, 6) for clip in range(1, 6)]
+    rows[7] = "2,1,3,12"  # rejected: a rating beyond 10
+    if quoted:  # a rejected cell that holds a line end, on lines 5-6, takes the row loop
+        rows[3] = '1,1,4,"x\n"'
+    lines = "\n".join(["participant_id,event_id,clip_index,rating", *rows, ""]).split("\n")
+    results = {}
+    for name, ends in {"lf": ["\n"], "crlf": ["\r\n"], "cr": ["\r"],
+                       "lf_and_crlf": ["\n", "\r\n"], "mixed": ["\r\n", "\r", "\n"]}.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes("".join(line + ends[i % len(ends)]
+                                 for i, line in enumerate(lines[:-1])).encode())
+        columns, line_no, invalid = pipeline._read_ratings_file(path, None)
+        want = ingest_oracles.read_ratings_file(path, None)
+        results[name] = [c.tolist() for c in (*columns.values(), line_no)], invalid
+        assert results[name] == (
+            [c.tolist() for c in (*want[0].values(), want[1])], want[2]), name
+    assert all(result == results["lf"] for result in results.values())
+    assert [line for line, _ in results["lf"][1]] == ([5, 10] if quoted else [9])
+
+
 @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
 def test_a_ratings_file_that_is_not_utf8_names_its_line(ending, tmp_path):
     """A Latin-1 export: one error names the file and the line of the first byte that is

@@ -319,32 +319,40 @@ def test_report_validation():
 # ---------------------------------------------------------------------------
 # bit-exactness oracle: the straightforward training loop in float32, on the data
 # and He weights rounded to it, as mlp_train trains. The mean phase makes one full
-# forward and backward pass per epoch plus fresh RMSE forwards; the variance phase
-# starts its column at the constant variance of the train residuals, steps it on the
-# unmasked hidden layer, and goes back to the start if the start's validation NLL is
-# lower
+# forward and backward pass per epoch, with a one-column head, plus fresh RMSE
+# forwards; the variance phase starts its column at the constant variance of the
+# train residuals, steps it on the unmasked hidden layer, and goes back to the start
+# if the start's validation NLL is lower
 
 
-def reference_forward(weights, x):
-    h = np.maximum(x @ weights.w1 + weights.b1, 0.0)
-    z = h @ weights.w2 + weights.b2
-    return z[:, 0], np.logaddexp(0.0, z[:, 1]) + VAR_FLOOR
+def reference_forward(weights, x, variance=True):
+    """Out of place, block by block of ``FORWARD_ROWS`` rows, as ``mlp_forward``."""
+    means, variances = [np.empty(0, x.dtype)], [np.empty(0, x.dtype)]
+    for start in range(0, x.shape[0], mlp.FORWARD_ROWS):
+        h = np.maximum(x[start:start + mlp.FORWARD_ROWS] @ weights.w1 + weights.b1, 0.0)
+        if variance:
+            z = h @ weights.w2 + weights.b2
+            means.append(z[:, 0])
+            variances.append(np.logaddexp(0.0, z[:, 1]) + VAR_FLOOR)
+        else:
+            means.append(h @ weights.w2[:, 0] + weights.b2[0])
+    return np.concatenate(means), np.concatenate(variances) if variance else None
 
 
 def reference_mse_and_grads(weights, x, y, mask):
     z1 = x @ weights.w1 + weights.b1
     hd = np.maximum(z1, 0.0) * mask
-    z2 = hd @ weights.w2 + weights.b2
-    resid = z2[:, 0] - y
-    dz2 = np.zeros_like(z2)
-    dz2[:, 0] = 2.0 * resid / x.shape[0]
+    resid = hd @ weights.w2[:, 0] + weights.b2[0] - y
+    grad = 2.0 * resid / x.shape[0]
+    dz2 = np.zeros((x.shape[0], 2), dtype=x.dtype)
+    dz2[:, 0] = grad
+    dw2 = np.zeros_like(weights.w2)
+    dw2[:, 0] = hd.T @ grad
     dz1 = (dz2 @ weights.w2.T) * mask * (z1 > 0.0)
-    return float(np.mean(resid ** 2)), (x.T @ dz1, dz1.sum(axis=0), hd.T @ dz2,
-                                        dz2.sum(axis=0))
+    return float(np.mean(resid ** 2)), (x.T @ dz1, dz1.sum(axis=0), dw2, dz2.sum(axis=0))
 
 
-def reference_rmse(weights, x, y):
-    mean, _ = reference_forward(weights, x)
+def reference_rmse(mean, y):
     return float(np.sqrt(np.mean((mean - y) ** 2)))
 
 
@@ -360,8 +368,10 @@ def reference_mean_phase(weights, x_tr, y_tr, x_va, y_va, cfg, rng):
         weights.b1 -= lr * db1
         weights.w2 -= lr * dw2
         weights.b2 -= lr * db2
-        hist.append((reference_rmse(weights, x_tr, y_tr),
-                     reference_rmse(weights, x_va, y_va)))
+        # the train RMSE reads the whole train hidden layer, the validation RMSE a forward
+        h = np.maximum(x_tr @ weights.w1 + weights.b1, 0.0)
+        hist.append((reference_rmse(h @ weights.w2[:, 0] + weights.b2[0], y_tr),
+                     reference_rmse(reference_forward(weights, x_va, False)[0], y_va)))
     return np.array(hist)
 
 
@@ -417,16 +427,41 @@ def test_training_matches_reference_loop_bit_for_bit():
 
 
 @pytest.mark.parametrize("rows,dtype", [
-    pytest.param(1, np.float64, id="1"), pytest.param(2048, np.float64, id="2048"),
-    pytest.param(2048, np.float32, id="2048-float32")])
+    pytest.param(rows, dtype, id=f"{rows}{'' if dtype is np.float64 else '-float32'}")
+    for rows in (0, 1, 511, 512, 513, 2048) for dtype in (np.float64, np.float32)])
 def test_forward_matches_out_of_place_reference(rows, dtype):
+    # FORWARD_ROWS = 512: no block, one short block, one full, one and a row, four
     weights = mlp_init(MlpConfig(input_dim=11, seed=8)).astype(dtype)
     x = np.random.default_rng(rows).normal(size=(rows, 11))
     # mlp_forward casts the float64 batch to the weights' dtype
     mean, variance = mlp_forward(weights, x)
     ref_mean, ref_variance = reference_forward(weights, x.astype(dtype))
+    assert mean.dtype == variance.dtype == dtype and mean.shape == (rows,)
     assert mean.tobytes() == ref_mean.tobytes()
     assert variance.tobytes() == ref_variance.tobytes()
+    # the mean column alone: a matrix-vector product, which rounds apart from the
+    # two-column one by the dtype's rounding of the sum of its terms' magnitudes
+    alone, none = mlp_forward(weights, x, variance=False)
+    assert none is None
+    assert alone.tobytes() == reference_forward(weights, x.astype(dtype), False)[0].tobytes()
+    h = np.maximum(x.astype(dtype) @ weights.w1 + weights.b1, 0.0)
+    terms = np.abs(h) @ np.abs(weights.w2[:, 0]) + abs(weights.b2[0])
+    assert np.all(np.abs(alone - mean) <= 4 * np.finfo(dtype).eps * terms)
+
+
+def test_a_forward_pass_holds_one_block_of_the_hidden_layer():
+    # 20,000 rows at H = 500 would be a 40 MB float32 hidden layer; blocked, the pass
+    # holds its two outputs, one FORWARD_ROWS x H block and small change
+    weights = mlp_init(MlpConfig(input_dim=11, seed=8)).astype(np.float32)
+    x = np.random.default_rng(24).normal(size=(20_000, 11)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        mlp_forward(weights, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs, block = 2 * 4 * x.shape[0], 4 * mlp.FORWARD_ROWS * weights.b1.size
+    assert peak <= outputs + block + 2 ** 20
 
 
 def test_chunked_mask_draws_match_the_reference_loop(monkeypatch):
