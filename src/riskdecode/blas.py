@@ -4,7 +4,7 @@ A multi-threaded gemm splits its work by the thread count, and the split
 changes the order of its sums, so the network weights, predictions and
 attributions would depend on the cores of the machine. The network stages
 run under ``one_thread`` and put the other cores to work themselves
-(``explain.explain_frames``, ``mlp.mlp_train``), in ways that change no bit.
+(``explain.explain_jobs``, ``mlp.mlp_train``), in ways that change no bit.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ under --out, and ``all`` runs every entry in order.  A stage option comes
 from its flag, else from the --config JSON, else from the default in the
 stage's function.  A flag that sets no option of the stage is an error.
 The config may set every stage option except the --scenario and --events
-selections; any other key is an error.  ``ingest``
+selections; any other key is an error, and so is a count (draws, epochs,
+n_permutations, participants) that is not a positive integer or a
+learning_rate that is not a positive finite number.  ``ingest``
 and ``all`` read ratings from the positional path, else the config's
 ``dataset``, else ``$RISKDECODE_DATA_DIR/ratings.csv``; --synthetic writes
 rehearsal ratings instead.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -29,6 +32,8 @@ log = logging.getLogger("riskdecode")
 CONFIG_KEYS = pipeline.OPTIONS - {"scenario", "events"}
 # the flags that set a stage option of the same name (--lr sets learning_rate)
 OPTION_FLAGS = ("seed", "scenario", "draws", "epochs", "learning_rate", "events")
+# config keys that count something; a JSON true or 2.5 would reach the stages as a count
+COUNT_KEYS = ("draws", "epochs", "n_permutations", "participants")
 
 
 def _load_config(path: str | None) -> dict:
@@ -45,6 +50,15 @@ def _load_config(path: str | None) -> dict:
     if unknown:
         raise ValueError(f"config {path} has unknown keys {unknown}; "
                          f"known keys: {sorted(CONFIG_KEYS)}")
+    for key in COUNT_KEYS:
+        value = config.get(key, 1)
+        if type(value) is not int or value < 1:
+            raise ValueError(f"config {path}: {key} must be a positive integer "
+                             f"(was {json.dumps(value)})")
+    rate = config.get("learning_rate", 1.0)
+    if type(rate) not in (int, float) or not 0 < rate < math.inf:
+        raise ValueError(f"config {path}: learning_rate must be a positive finite number "
+                         f"(was {json.dumps(rate)})")
     return config
 
 

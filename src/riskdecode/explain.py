@@ -11,18 +11,27 @@ additivity identity phi0 + sum(phi) = f(x) holds per frame, up to the
 rounding of the model's dtype: a trained network runs in float32, and its
 rows may round apart by batch.
 
-Threads: ``explain_frames`` holds BLAS at one thread and attributes its frames
-on a pool of one thread per usable core, in chunks of ``FRAME_CHUNK`` frames.
-Frames are independent and each sampled frame keeps its own seed, so the
-attributions do not depend on the number of threads. With another BLAS than
-numpy's bundled OpenBLAS, every frame runs on the calling thread. A frame's
-composites go through ``mlp_forward`` in one call, which runs them in blocks
-of ``mlp.FORWARD_ROWS`` rows, so each pool thread holds one block of hidden
-layer (1 MB at H = 500 in float32), not one frame's whole batch.
+Threads: ``explain_jobs`` attributes the frames of every (network, event) job
+of a stage under one scheduler, with BLAS held at one thread. A frame whose
+model batch fills at least one forward block (``mlp.FORWARD_ROWS`` rows; 2^D
+exact, 2P(D + 1) sampled) spends most of its time in BLAS and numpy loops,
+which release the GIL: those frames go onto one queue, in chunks of
+``FRAME_CHUNK`` frames, that the calling thread and one helper thread per
+further usable core drain. Smaller frames hold the GIL for much of their time,
+so the calling thread runs them afterwards, alone: beside another thread they
+would contend for the GIL and cost CPU time without saving wall time. Frames
+are independent and each sampled frame keeps its own seed, so the attributions
+do not depend on the number of threads. With one usable core, with another
+BLAS than numpy's bundled OpenBLAS, or with a frame function replaced from
+outside, every frame runs on the calling thread in job order. A frame's
+composites go through ``mlp_forward`` in one call, which runs them in blocks of
+``mlp.FORWARD_ROWS`` rows, so each thread holds one block of hidden layer
+(1 MB at H = 500 in float32), not one frame's whole batch.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import os
@@ -33,10 +42,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import blas
-from .mlp import MlpWeights, mlp_forward
+from .mlp import FORWARD_ROWS, MlpWeights, mlp_forward
 
 MAX_EXACT_DIM = 15
-FRAME_CHUNK = 8  # frames per pool task
+FRAME_CHUNK = 8  # frames per queued task
 
 ModelFn = Callable[[np.ndarray], np.ndarray]
 
@@ -75,6 +84,9 @@ class ShapResult:
     attributions: np.ndarray
     predicted: np.ndarray
     std_errors: np.ndarray | None = None
+
+
+Job = tuple[ModelFn, np.ndarray, Baseline]  # a model, its (T, D) frames and its baseline
 
 
 def mean_head(weights: MlpWeights) -> ModelFn:
@@ -138,79 +150,124 @@ def shap_sampled(model: ModelFn, x, baseline: Baseline, n_permutations: int, see
         raise ValueError("need at least one permutation")
     d = baseline.dim
     rng = np.random.default_rng(seed)
-    perms = np.stack([rng.permutation(d) for _ in range(n_permutations)])
+    # one call draws what n_permutations rng.permutation(d) calls would, in their order
+    perms = rng.permuted(np.arange(d)[None].repeat(n_permutations, axis=0), axis=1)
     walks = np.concatenate([perms, perms[:, ::-1]])
 
     # mask[j, k, f] marks feature f as revealed after k steps of walk j
-    positions = np.argsort(walks, axis=1)
+    positions = walks.argsort(axis=1)
     revealed = positions[:, None, :] < np.arange(d + 1)[None, :, None]
     composites = np.where(revealed, x, baseline.values)
     values = np.asarray(model(composites.reshape(-1, d)), dtype=float)
     values = values.reshape(walks.shape[0], d + 1)
 
-    contrib = np.empty((walks.shape[0], d))
-    np.put_along_axis(contrib, walks, np.diff(values, axis=1), axis=1)
-    pair_means = 0.5 * (contrib[:n_permutations] + contrib[n_permutations:])
-    phi = pair_means.mean(axis=0)
-    if n_permutations > 1:
-        std_err = pair_means.std(axis=0, ddof=1) / math.sqrt(n_permutations)
-    else:
-        std_err = np.zeros(d)
-    return phi, std_err
+    contrib = np.empty(walks.shape)
+    contrib[np.arange(walks.shape[0])[:, None], walks] = values[:, 1:] - values[:, :-1]
+    # pair means, their mean and their std(ddof=1), in numpy's own order of operations
+    pairs = contrib[:n_permutations]
+    pairs += contrib[n_permutations:]
+    pairs *= 0.5
+    phi = pairs.sum(axis=0)
+    phi /= n_permutations
+    if n_permutations == 1:
+        return phi, np.zeros(d)
+    pairs -= phi
+    pairs *= pairs
+    variance = pairs.sum(axis=0)
+    variance /= n_permutations - 1
+    return phi, np.sqrt(variance) / math.sqrt(n_permutations)
 
 
 _FRAME_FUNCTIONS = (shap_exact, shap_sampled)
 
 
 def _workers() -> int:
-    """Threads ``explain_frames`` may use: one per core this process can run on."""
+    """Threads ``explain_jobs`` may use: one per core this process can run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def explain_frames(model: ModelFn, features, baseline: Baseline,
-                   n_permutations: int = 200, seed: int = 0) -> ShapResult:
-    """Attribute every row of a (T, D) feature matrix independently.
+def _frame_rows(d: int, n_permutations: int) -> int:
+    """Model rows one frame evaluates: 2^D exact, 2P(D + 1) sampled."""
+    return 2 ** d if d <= MAX_EXACT_DIM else 2 * n_permutations * (d + 1)
+
+
+def explain_jobs(jobs: Sequence[Job], n_permutations: int = 200,
+                 seed: int = 0) -> list[ShapResult]:
+    """Attribute every row of each job's (T, D) feature matrix independently; one
+    ``ShapResult`` per ``(model, features, baseline)`` job, in job order.
 
     Frames are attributed exactly when D <= ``MAX_EXACT_DIM``; wider ones are
-    sampled with ``n_permutations`` antithetic pairs, frame k seeded by the
-    k-th child of ``seed``, and carry standard errors. ``model`` is called
-    from pool threads (see the module docstring), one frame's batch per call.
+    sampled with ``n_permutations`` antithetic pairs, frame k of every job seeded
+    by the k-th child of ``seed``, and carry standard errors. ``model`` may be
+    called from helper threads (see the module docstring), one frame's batch per
+    call.
     """
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2 or features.shape[1] != baseline.dim:
-        raise ValueError(f"feature matrix must be (T, {baseline.dim})")
+    checked = []
+    for model, features, baseline in jobs:
+        features = np.asarray(features, dtype=float)
+        if features.ndim != 2 or features.shape[1] != baseline.dim:
+            raise ValueError(f"feature matrix must be (T, {baseline.dim})")
+        checked.append((model, features, baseline))
+    attributions = [np.empty(features.shape) for _, features, _ in checked]
+    std_errors = [None if baseline.dim <= MAX_EXACT_DIM else np.empty(features.shape)
+                  for _, features, baseline in checked]
 
-    n_frames = features.shape[0]
-    attributions = np.empty((n_frames, baseline.dim))
-    exact = baseline.dim <= MAX_EXACT_DIM
-    std_errors = None if exact else np.empty_like(attributions)
-    children = None if exact else np.random.SeedSequence(seed).spawn(n_frames)
-
-    def attribute(frames: range) -> None:
+    def attribute(job: int, frames: range) -> None:
+        model, features, baseline = checked[job]
         for k in frames:
-            if exact:
-                attributions[k] = shap_exact(model, features[k], baseline)
+            if std_errors[job] is None:
+                attributions[job][k] = shap_exact(model, features[k], baseline)
             else:
-                attributions[k], std_errors[k] = shap_sampled(
-                    model, features[k], baseline, n_permutations, children[k])
+                attributions[job][k], std_errors[job][k] = shap_sampled(
+                    model, features[k], baseline, n_permutations,
+                    np.random.SeedSequence(seed, spawn_key=(k,)))
 
-    chunks = [range(k, min(k + FRAME_CHUNK, n_frames))
-              for k in range(0, n_frames, FRAME_CHUNK)]
+    def drain() -> None:
+        try:
+            while True:
+                try:
+                    job, frames = chunks.popleft()
+                except IndexError:
+                    return
+                attribute(job, frames)
+        except BaseException:
+            chunks.clear()  # the other threads stop after their current chunk
+            raise
+
     with blas.one_thread() as pinned:
-        base_value = float(model(baseline.values[None, :])[0])
-        predicted = np.asarray(model(features), dtype=float)
         # frame functions replaced from outside (a call recorder, say) need not be
-        # thread-safe, so they run here in frame order
+        # thread-safe, so they run here in job and frame order
         native = (shap_exact, shap_sampled) == _FRAME_FUNCTIONS
-        workers = min(_workers(), len(chunks)) if pinned and native else 1
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(attribute, chunks))
-        else:
-            attribute(range(n_frames))
-    return ShapResult(base_value, attributions, predicted, std_errors)
+        helpers = _workers() - 1 if pinned and native else 0
+        queued = [job for job, (_, _, baseline) in enumerate(checked) if helpers
+                  and _frame_rows(baseline.dim, n_permutations) >= FORWARD_ROWS]
+        chunks = collections.deque(
+            (job, range(k, min(k + FRAME_CHUNK, len(checked[job][1]))))
+            for job in queued for k in range(0, len(checked[job][1]), FRAME_CHUNK))
+        helpers = min(helpers, len(chunks))
+        if helpers:
+            with ThreadPoolExecutor(max_workers=helpers) as pool:
+                running = [pool.submit(drain) for _ in range(helpers)]
+                drain()
+                for future in running:
+                    future.result()
+        # the smaller frames run here alone, once the queue is empty (module docstring)
+        results = []
+        for job, (model, features, baseline) in enumerate(checked):
+            results.append((float(model(baseline.values[None, :])[0]),
+                            np.asarray(model(features), dtype=float)))
+            if job not in queued:
+                attribute(job, range(len(features)))
+    return [ShapResult(base_value, attributions[job], predicted, std_errors[job])
+            for job, (base_value, predicted) in enumerate(results)]
+
+
+def explain_frames(model: ModelFn, features, baseline: Baseline,
+                   n_permutations: int = 200, seed: int = 0) -> ShapResult:
+    """Attribute every row of a (T, D) feature matrix: ``explain_jobs`` with one job."""
+    return explain_jobs([(model, features, baseline)], n_permutations, seed)[0]
 
 
 def global_importance(attributions, names: Sequence[str]):

@@ -47,7 +47,7 @@ import numpy as np
 from . import __version__, blas
 from .calibration import (MODEL_DEFAULTS, MODEL_SERIES, CalibrationJob, calibrate,
                           compare_models, minmax_rescale)
-from .explain import Baseline, explain_frames, global_importance, mean_head
+from .explain import Baseline, explain_jobs, global_importance, mean_head
 from .features import (DEFAULT_MANIFESTS, FeatureManifest, NormStats, build_features,
                        zscore_apply, zscore_fit)
 from .mlp import MlpConfig, MlpWeights, TrainingDiverged, mlp_predict, mlp_train
@@ -889,7 +889,7 @@ def run_explain(out: Path, seed: int = 0, events: Sequence[int] | None = None,
                 n_permutations: int = 200) -> Path:
     out = Path(out)
     chosen = set(events) if events else None
-    shap_blocks, globals_blocks, input_paths = [], [], []
+    jobs, placed, input_paths = [], [], []
     for group in sorted(NETWORK_GROUPS):
         if chosen is not None and chosen.isdisjoint(s.event_id for s in _events(group)):
             continue  # the selection names none of this network's events
@@ -902,18 +902,25 @@ def run_explain(out: Path, seed: int = 0, events: Sequence[int] | None = None,
             continue
         model = mean_head(weights)
         baseline = Baseline.from_training(x)
-        collected = []
+        frames = []
         for eid in targets:
             sel = eids == eid
-            raw = matrix[sel]
-            result = explain_frames(model, x[sel], baseline,
-                                    n_permutations=n_permutations, seed=seed)
+            jobs.append((model, x[sel], baseline))
+            frames.append((eid, times[sel], matrix[sel]))
+        placed.append((group, names, frames))
+
+    # every network's frames under one scheduler: one queue for the block-sized ones
+    results = iter(explain_jobs(jobs, n_permutations=n_permutations, seed=seed))
+    shap_blocks, globals_blocks = [], []
+    for group, names, frames in placed:
+        collected = []
+        for eid, t, raw in frames:
+            result = next(results)
             collected.append(result.attributions)
             n, d = raw.shape
             err = np.full((n, d), np.nan) if result.std_errors is None else result.std_errors
-            shap_blocks.append((np.full(n * d, eid), np.repeat(times[sel], d),
-                                np.tile(names, n), result.attributions.ravel(),
-                                raw.ravel(), err.ravel()))
+            shap_blocks.append((np.full(n * d, eid), np.repeat(t, d), np.tile(names, n),
+                                result.attributions.ravel(), raw.ravel(), err.ravel()))
         ranked, scores = zip(*global_importance(np.vstack(collected), names))
         globals_blocks.append((np.full(len(ranked), group), ranked, scores,
                                np.arange(1, len(ranked) + 1)))

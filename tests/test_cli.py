@@ -1006,3 +1006,29 @@ def test_bad_selector_and_config(tmp_path, caplog):
     for option in ("n_permutation", "scenario"):
         with pytest.raises(TypeError, match=rf"run_all takes no options \['{option}'\]"):
             run_all(tmp_path, **{option: 8})
+
+
+@pytest.mark.parametrize("argv,entry,message", [
+    (["explain"], '"n_permutations": 2.5', "n_permutations must be a positive integer (was 2.5)"),
+    (["explain"], '"n_permutations": 0', "n_permutations must be a positive integer (was 0)"),
+    (["train"], '"epochs": "3"', 'epochs must be a positive integer (was "3")'),
+    (["calibrate"], '"draws": true', "draws must be a positive integer (was true)"),
+    (["ingest", "--synthetic"], '"participants": -2',
+     "participants must be a positive integer (was -2)"),
+    (["train"], '"learning_rate": 0', "learning_rate must be a positive finite number (was 0)"),
+    (["train"], '"learning_rate": "0.01"',
+     'learning_rate must be a positive finite number (was "0.01")'),
+    (["train"], '"learning_rate": NaN', "learning_rate must be a positive finite number (was NaN)"),
+    (["train"], '"learning_rate": true',
+     "learning_rate must be a positive finite number (was true)"),
+], ids=["fractional_count", "zero_count", "string_count", "boolean_count", "negative_count",
+        "zero_rate", "string_rate", "nan_rate", "boolean_rate"])
+def test_a_config_value_of_the_wrong_type_is_one_error_line(argv, entry, message, tmp_path,
+                                                            caplog):
+    # a count or rate of the wrong JSON type once ended in a TypeError traceback, ran
+    # one draw for true, or was refused without naming the config file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{" + entry + "}", encoding="utf-8")
+    with caplog.at_level(logging.ERROR):
+        assert main([*argv, "--out", str(tmp_path / "run"), "--config", str(cfg)]) == 1
+    assert [r.getMessage() for r in caplog.records] == [f"config {cfg}: {message}"]

@@ -10,10 +10,10 @@ import pytest
 
 from riskdecode import blas, explain
 from riskdecode.explain import (MAX_EXACT_DIM, Baseline, ShapResult,
-                                explain_frames, global_importance,
+                                explain_frames, explain_jobs, global_importance,
                                 mean_head, shap_exact,
                                 shap_sampled)
-from riskdecode.mlp import MlpConfig, mlp_init, mlp_train
+from riskdecode.mlp import FORWARD_ROWS, MlpConfig, mlp_init, mlp_train
 
 LIN_W = np.array([0.5, -1.0, 2.0, 0.0, 0.25, -0.75, 1.5, -0.1])
 
@@ -188,12 +188,54 @@ def test_a_trained_float32_network_stays_additive(d):
     assert np.abs(gap).max() <= bound
 
 
+def shap_sampled_loop(model, x, baseline, n_permutations, seed):
+    """The sampled frame as a loop of ``rng.permutation`` draws, ``put_along_axis`` and
+    numpy's ``mean`` and ``std``."""
+    d = baseline.dim
+    rng = np.random.default_rng(seed)
+    perms = np.stack([rng.permutation(d) for _ in range(n_permutations)])
+    walks = np.concatenate([perms, perms[:, ::-1]])
+    positions = np.argsort(walks, axis=1)
+    revealed = positions[:, None, :] < np.arange(d + 1)[None, :, None]
+    composites = np.where(revealed, x, baseline.values)
+    values = np.asarray(model(composites.reshape(-1, d)), dtype=float)
+    values = values.reshape(walks.shape[0], d + 1)
+    contrib = np.empty((walks.shape[0], d))
+    np.put_along_axis(contrib, walks, np.diff(values, axis=1), axis=1)
+    pair_means = 0.5 * (contrib[:n_permutations] + contrib[n_permutations:])
+    phi = pair_means.mean(axis=0)
+    if n_permutations > 1:
+        std_err = pair_means.std(axis=0, ddof=1) / math.sqrt(n_permutations)
+    else:
+        std_err = np.zeros(d)
+    return phi, std_err
+
+
+@pytest.mark.parametrize("d", [16, 21, 32])
+@pytest.mark.parametrize("n_permutations", [1, 2, 6, 200])
+def test_sampled_matches_the_permutation_loop_bit_for_bit(d, n_permutations):
+    model = mean_head(mlp_init(MlpConfig(input_dim=d, hidden=32, seed=d)).astype(np.float32))
+    rng = np.random.default_rng(d)
+    x, base = rng.normal(size=d), Baseline(rng.normal(size=d))
+    # a Generator given as the seed is used as it is, so both leave it where they stop
+    lean, loop = np.random.default_rng(n_permutations), np.random.default_rng(n_permutations)
+    phi, std_err = shap_sampled(model, x, base, n_permutations, lean)
+    want_phi, want_std_err = shap_sampled_loop(model, x, base, n_permutations, loop)
+    assert phi.tobytes() == want_phi.tobytes()
+    assert std_err.tobytes() == want_std_err.tobytes()
+    assert lean.bit_generator.state == loop.bit_generator.state
+
+
 @pytest.mark.parametrize("d,frames", [(11, 20), (MAX_EXACT_DIM + 1, 19)])
 def test_explain_frames_do_not_depend_on_the_worker_count(d, frames, monkeypatch):
     model = mean_head(mlp_init(MlpConfig(input_dim=d, hidden=32, seed=6)))
     rng = np.random.default_rng(d)
     base = Baseline(rng.normal(size=d) * 0.1)
     features = rng.normal(size=(frames, d))
+    # an exact D = 11 frame (2,048 rows) fills a forward block; a sampled D = 16
+    # frame at 6 permutations (204 rows) does not, so it stays on the calling thread
+    blocked = explain._frame_rows(d, 6) >= FORWARD_ROWS
+    assert blocked == (d == 11)
     results, callers = [], set()
 
     def recorded(x):
@@ -210,14 +252,77 @@ def test_explain_frames_do_not_depend_on_the_worker_count(d, frames, monkeypatch
         finally:
             sys.setswitchinterval(interval)
         if blas._openblas() is not None:
-            # frames reach pool threads only when there is more than one worker
-            assert (len(callers) > 1) == (workers > 1)
+            # block-sized frames reach pool threads only when there is more than one worker
+            assert (len(callers) > 1) == (blocked and workers > 1)
     serial, pooled = results
     assert serial.attributions.tobytes() == pooled.attributions.tobytes()
     if d > MAX_EXACT_DIM:
         assert serial.std_errors.tobytes() == pooled.std_errors.tobytes()
     else:
         assert serial.std_errors is None and pooled.std_errors is None
+
+
+def test_explain_jobs_do_not_depend_on_the_worker_count(monkeypatch):
+    # at 8 permutations, an exact D = 11 frame (2,048 rows) and a sampled D = 32 frame
+    # (528 rows) fill a forward block; a sampled D = 21 frame (352 rows) does not
+    frames, n_permutations = 20, 8
+    jobs, blocked = [], []
+    for d in (11, 21, 32):
+        model = mean_head(mlp_init(MlpConfig(input_dim=d, hidden=32, seed=d)))
+        rng = np.random.default_rng(d)
+        jobs.append((model, rng.normal(size=(frames, d)), Baseline(rng.normal(size=d) * 0.1)))
+        blocked.append(explain._frame_rows(d, n_permutations) >= FORWARD_ROWS)
+    assert blocked == [True, False, True]
+    main = threading.get_ident()
+    calls = [[] for _ in jobs]
+
+    def recorded(job):
+        model = jobs[job][0]
+
+        def record(x):
+            if len(x) == explain._frame_rows(jobs[job][2].dim, n_permutations):
+                calls[job].append(threading.get_ident())
+            return model(x)
+        return record
+
+    watched = [(recorded(job), features, base) for job, (_, features, base) in enumerate(jobs)]
+    bad = [list(job) for job in watched]
+    bad[2][1] = bad[2][1].copy()
+    bad[2][1][13, 4] = np.nan
+    pinned = blas._openblas() is not None
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(explain, "_workers", lambda: workers)
+        for made in calls:
+            made.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so the chunks interleave
+        try:
+            results.append(explain_jobs(watched, n_permutations, seed=2))
+            before = blas._openblas()[0]() if pinned else None
+            # a frame that fails on a helper thread raises here, BLAS restored
+            with pytest.raises(ValueError, match="finite"):
+                explain_jobs(bad, n_permutations, seed=2)
+            assert not pinned or blas._openblas()[0]() == before
+        finally:
+            sys.setswitchinterval(interval)
+        on_helpers = [any(ident != main for ident in made) for made in calls]
+        # block-sized frames reach a helper when there is one; smaller ones never do
+        assert not on_helpers[1]
+        assert (on_helpers[0] or on_helpers[2]) == (pinned and workers > 1)
+    for result in results:
+        for job, want in enumerate(results[0]):
+            assert result[job].base_value == want.base_value
+            assert result[job].predicted.tobytes() == want.predicted.tobytes()
+            assert result[job].attributions.tobytes() == want.attributions.tobytes()
+            if job == 0:
+                assert result[job].std_errors is None
+            else:
+                assert result[job].std_errors.tobytes() == want.std_errors.tobytes()
+    # one job at a time gives the same bytes as all jobs under one scheduler
+    for (model, features, base), want in zip(jobs, results[0]):
+        alone = explain_frames(model, features, base, n_permutations, seed=2)
+        assert alone.attributions.tobytes() == want.attributions.tobytes()
 
 
 def test_explain_frames_restore_the_blas_thread_count(monkeypatch):
