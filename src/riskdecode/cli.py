@@ -157,6 +157,8 @@ def main(argv=None) -> int:
     out = Path(args.out)
 
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer (was {args.seed})")
         options = {**_load_config(args.config), **flags}
         if "ingest" in stages:
             options["dataset"] = _dataset(args, options)

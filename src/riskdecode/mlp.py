@@ -46,8 +46,10 @@ to float32 and trains in float32, so it returns float32 weights. A network's
 dtype is the dtype of its weights: ``mlp_forward`` and ``mlp_predict`` cast
 their input to it, so a trained network predicts in float32 while
 ``mlp_init`` weights, which ``gradient_check`` and the tests' fixtures use,
-run in float64. float32 rounding (about 1e-7 relative) sits far inside the
-model's error; ``weights_<group>.json`` stores the float32 values exactly.
+run in float64. ``gradient_check`` differences the two losses that training
+descends, the mean phase's masked MSE and the variance column's NLL. float32
+rounding (about 1e-7 relative) sits far inside the model's error;
+``weights_<group>.json`` stores the float32 values exactly.
 A forward row's bits depend on its input, the weights, its place in its block
 of ``FORWARD_ROWS`` rows and the size of that block, and on whether the
 variance is asked for: the mean column alone is a matrix-vector product, which
@@ -193,50 +195,34 @@ def mlp_forward(weights: MlpWeights, x, variance: bool = True):
     return z[:, 0], _softplus(z[:, 1]) + VAR_FLOOR
 
 
-def _head_loss(h, weights, y, loss_mode):
-    """Loss, and its gradients in the head outputs and the head weights, on the hidden
-    layer ``h``.  MSE reads no variance column, so its products are one column wide and
-    the variance column's gradients are 0."""
-    n = h.shape[0]
-    dz2 = np.zeros((n, 2), dtype=h.dtype)
-    if loss_mode == "mse_mean":
-        resid = h @ weights.w2[:, 0] + weights.b2[0] - y
-        loss = float(np.mean(resid ** 2))
-        dz2[:, 0] = grad = 2.0 * resid / n
-        dw2 = np.zeros_like(weights.w2)
-        dw2[:, 0] = h.T @ grad
-    else:
-        z2 = h @ weights.w2 + weights.b2
-        resid = z2[:, 0] - y
-        loss, dz2[:, 1], v = _nll(z2[:, 1], resid ** 2)
-        dz2[:, 0] = resid / v / n
-        dw2 = h.T @ dz2
-    return loss, dz2, dw2
-
-
 def _nll(z, resid2):
     """Mean Gaussian NLL, without its constant, of the variance logits ``z`` at the
-    squared residuals ``resid2``; with its gradient in ``z`` and the variances.
+    squared residuals ``resid2``, and its gradient in ``z``.
 
     The gradient's sigmoid(z) is 1 - exp(-softplus(z)), accurate in both tails."""
     softplus = _softplus(z)
     v = softplus + VAR_FLOOR
     loss = float(np.mean(0.5 * (np.log(v) + resid2 / v)))
-    return loss, 0.5 * (1.0 / v - resid2 / v ** 2) / z.size * -np.expm1(-softplus), v
+    return loss, 0.5 * (1.0 / v - resid2 / v ** 2) / z.size * -np.expm1(-softplus)
 
 
-def _loss_and_grads(weights, x, h, y, loss_mode, mask=None, scale=1.0):
-    """Loss plus gradients for every parameter, given ``h = _hidden(weights, x)``.
+def _mean_grads(weights, x, h, y, mask, scale):
+    """The mean column's MSE under dropout, and its gradients in every parameter (the
+    variance column's are 0), given ``h = _hidden(weights, x)``.
 
-    Consumes ``h``: it holds the masked hidden layer, then the hidden gradient. A
-    bool dropout ``mask`` applies as ``h * mask * scale``, and it then holds the
-    gate ``h * mask * scale > 0``, which equals ``(h > 0) & mask`` as ``scale > 0``.
+    Consumes ``h``: it holds ``h * mask * scale``, then the hidden gradient. The bool
+    dropout ``mask`` then holds the gate ``h * mask * scale > 0``, which equals
+    ``(h > 0) & mask`` as ``scale > 0``.
     """
-    if mask is not None:
-        h *= mask
-        h *= scale
+    h *= mask
+    h *= scale
     gate = np.greater(h, 0.0, out=mask)
-    loss, dz2, dw2 = _head_loss(h, weights, y, loss_mode)
+    dz2 = np.zeros((len(h), 2), dtype=h.dtype)
+    resid = h @ weights.w2[:, 0] + weights.b2[0] - y
+    loss = float(np.mean(resid ** 2))
+    dz2[:, 0] = grad = 2.0 * resid / len(h)
+    dw2 = np.zeros_like(weights.w2)
+    dw2[:, 0] = h.T @ grad
     db2 = dz2.sum(axis=0)
     dz1 = np.matmul(dz2, weights.w2.T, out=h)
     # a gate multiply, not a masked store: a negative gradient becomes -0.0
@@ -245,6 +231,13 @@ def _loss_and_grads(weights, x, h, y, loss_mode, mask=None, scale=1.0):
     dw1 = x.T @ dz1
     db1 = dz1.sum(axis=0)
     return loss, (dw1, db1, dw2, db2)
+
+
+def _variance_grads(h, w, b, resid2):
+    """``_nll`` of the variance column ``h @ w + b`` at ``resid2``, and its gradients in
+    ``w`` and ``b``; ``h`` is the frozen hidden layer."""
+    loss, dz = _nll(h @ w + b, resid2)
+    return loss, (h.T @ dz, dz.sum())
 
 
 def _dropout_masks(rng, shape, keep, count):
@@ -300,8 +293,8 @@ def _fit_mean(weights, x_train, y_train, x_val, y_val, epochs, lr, scale, masks)
     val_hist = np.empty(epochs)
     h = _hidden(weights, x_train)
     for epoch in range(epochs):
-        loss, (dw1, db1, dw2, db2) = _loss_and_grads(
-            weights, x_train, h, y_train, "mse_mean", next(masks), scale)
+        loss, (dw1, db1, dw2, db2) = _mean_grads(weights, x_train, h, y_train,
+                                                 next(masks), scale)
         _check_finite(loss, "mean", epoch)
         weights.w1 -= lr * dw1
         weights.b1 -= lr * db1
@@ -331,10 +324,10 @@ def _fit_variance(weights, h, y_train, h_val, y_val, epochs, lr):
     w[:], b[:] = 0.0, start
     constant = _nll(np.full_like(val2, b[0]), val2)[0]
     for epoch in range(epochs):
-        loss, dz, _ = _nll(h @ w + b, resid2)
+        loss, (dw, db) = _variance_grads(h, w, b, resid2)
         _check_finite(loss, "variance", epoch)
-        w -= lr * (h.T @ dz)
-        b -= lr * dz.sum()
+        w -= lr * dw
+        b -= lr * db
     # no loss follows the last update either
     _check_finite(np.append(w, b), "variance", epochs - 1, "variance weights")
     fitted = _nll(h_val @ w + b, val2)[0]
@@ -383,33 +376,38 @@ def mlp_train(features, targets, config: MlpConfig):
 
 
 def gradient_check(weights: MlpWeights, x, y, step: float = 1e-5) -> float:
-    """Max relative error of analytic vs central-difference NLL gradients.
+    """Max relative error of analytic vs central-difference gradients of training's
+    two losses; the weights come back bit for bit.
 
-    Dropout is disabled; the NLL loss exercises both output heads. Meant for
-    a down-scaled network where the finite-difference sweep is cheap.
+    The mean phase's masked MSE is checked in every parameter under one fixed seeded
+    dropout mask at the default rate, the variance phase's NLL in the variance column
+    on the unmasked hidden layer. Meant for a down-scaled network.
     """
     x = _check_input(weights, x).astype(weights.w1.dtype, copy=False)
     y = np.asarray(y, dtype=float)
-
-    def loss_and_grads():
-        return _loss_and_grads(weights, x, _hidden(weights, x), y, "gaussian_nll")
-
-    _, grads = loss_and_grads()
-    arrays = (weights.w1, weights.b1, weights.w2, weights.b2)
+    keep = 1.0 - MlpConfig.dropout_rate
+    mask = np.random.default_rng(0).random((len(x), weights.b1.size)) < keep
+    h = _hidden(weights, x)
+    resid2 = (h @ weights.w2[:, 0] + weights.b2[0] - y) ** 2
+    w, b = weights.w2[:, 1], weights.b2[1:]
+    checks = ((lambda: _mean_grads(weights, x, _hidden(weights, x), y, mask.copy(), 1 / keep),
+               (weights.w1, weights.b1, weights.w2, weights.b2)),
+              (lambda: _variance_grads(h, w, b, resid2), (w, b)))
     worst = 0.0
-    for arr, grad in zip(arrays, grads):
-        flat = arr.ravel()
-        gflat = grad.ravel()
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + step
-            up, _ = loss_and_grads()
-            flat[i] = keep - step
-            down, _ = loss_and_grads()
-            flat[i] = keep
-            numeric = (up - down) / (2.0 * step)
-            denom = max(abs(numeric), abs(gflat[i]), 1e-12)
-            worst = max(worst, abs(numeric - gflat[i]) / denom)
+    for loss_and_grads, arrays in checks:
+        _, grads = loss_and_grads()
+        for arr, grad in zip(arrays, grads):
+            gflat = np.ravel(grad)
+            for i in range(arr.size):
+                value = arr.flat[i]  # arr may be a strided view, such as w2[:, 1]
+                arr.flat[i] = value + step
+                up, _ = loss_and_grads()
+                arr.flat[i] = value - step
+                down, _ = loss_and_grads()
+                arr.flat[i] = value
+                numeric = (up - down) / (2.0 * step)
+                denom = max(abs(numeric), abs(gflat[i]), 1e-12)
+                worst = max(worst, abs(numeric - gflat[i]) / denom)
     return worst
 
 

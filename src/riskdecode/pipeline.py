@@ -968,6 +968,11 @@ def run_report(out: Path, seed: int = 0) -> dict:
 
     predictions = _read_event_table(predictions_path, ("mean",))
     mlp_curves = _by_event(predictions["event_id"], predictions["mean"])
+    for eid in truth:
+        rows, n_frames = len(mlp_curves.get(eid, ())), event_by_id(eid).n_frames
+        if rows != n_frames:
+            raise ValueError(f"{predictions_path} lacks event {eid} at its {n_frames} frames "
+                             f"(it holds {rows} rows of it); {_again(predictions_path)}")
     report = compare_models(truth, {**_model_curves(calibrations, truth), "MLP": mlp_curves})
     model_inputs = [curves_path, predictions_path, *calibrations.values()]
     global_table = _read_event_table(globals_path, (), ints=())

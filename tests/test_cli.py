@@ -486,6 +486,15 @@ def test_all_rejects_a_scenario(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [["generate"], ["all", "--synthetic"]])
+def test_a_negative_seed_stops_before_any_stage(argv, tmp_path, caplog):
+    with caplog.at_level(logging.INFO):
+        assert main([*argv, "--seed", "-1", "--out", str(tmp_path)]) == 1
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.ERROR, "--seed must be a non-negative integer (was -1)")]
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("stage,argv,flag", [
     ("generate", ["--epochs", "3"], "--epochs"),
     ("generate", ["--draws", "9"], "--draws"),
@@ -732,6 +741,7 @@ def test_trained_weights_load_back_bit_for_bit(mini_tree):
             assert loaded.astype(float).tolist() == values, (group, name)
 
 
+N_FRAMES_1 = scenarios.event_by_id(1).n_frames
 # each damage to an input another stage wrote: the file, the stage that writes it, and
 # what the one ERROR line says of it; {row} is the damaged data row, by event and time
 READ_FAULTS = {
@@ -762,6 +772,12 @@ READ_FAULTS = {
                             r"holds no usable PCAD parameters \(no 'best_params' key\)"),
     "predictions_no_mean": ("predictions.csv", "predict", r"lacks the mean column"),
     "predictions_stamp_only": ("predictions.csv", "predict", r"holds no header row"),
+    "predictions_lack_event_1": ("predictions.csv", "predict",
+                                 rf"lacks event 1 at its {N_FRAMES_1} frames "
+                                 r"\(it holds 0 rows of it\)"),
+    "predictions_event_1_short": ("predictions.csv", "predict",
+                                  rf"lacks event 1 at its {N_FRAMES_1} frames "
+                                  rf"\(it holds {N_FRAMES_1 - 1} rows of it\)"),
     "shap_t_400": ("shap.csv", "explain", r"{row} lies outside the event's predicted frames"),
     "shap_t_negative": ("shap.csv", "explain",
                         r"{row} lies outside the event's predicted frames"),
@@ -817,8 +833,11 @@ def test_stages_name_a_faulty_input_file(stage, fault, mini_tree, tmp_path, capl
         table = read_csv(path)
         if fault.endswith("no_mean"):
             del table["mean"]
-        elif fault == "curves_lacks_event_1":
+        elif fault in ("curves_lacks_event_1", "predictions_lack_event_1"):
             table = {c: column[table["event_id"] != 1] for c, column in table.items()}
+        elif fault == "predictions_event_1_short":  # its last frame dropped
+            last = np.flatnonzero(table["event_id"] == 1)[-1]
+            table = {c: np.delete(column, last) for c, column in table.items()}
         elif fault.startswith("curves"):
             row = 3
             table["mean"][row] = np.nan if fault == "curves_nan_mean" else 57.0

@@ -90,12 +90,47 @@ def test_forward_shapes_and_determinism():
         mlp_forward(weights, np.zeros((3, 5)))
 
 
-def test_gradients_match_finite_differences():
+def gradient_problem():
+    """Criterion 7's down-scaled network and batch for ``gradient_check``."""
     rng = np.random.default_rng(9)
     weights = mlp_init(MlpConfig(input_dim=3, hidden=8, seed=4))
     x = rng.normal(size=(12, 3))
     y = np.clip(rng.normal(5.0, 1.0, size=12), 0.0, 10.0)
-    assert gradient_check(weights, x, y) < 1e-6
+    return weights, x, y
+
+
+def test_gradients_match_finite_differences():
+    assert gradient_check(*gradient_problem()) < 1e-6
+
+
+def test_gradient_check_hands_back_the_weights_bit_for_bit():
+    weights, x, y = gradient_problem()
+    given = [a.copy() for a in (weights.w1, weights.b1, weights.w2, weights.b2)]
+    gradient_check(weights, x, y)
+    after = (weights.w1, weights.b1, weights.w2, weights.b2)
+    assert [a.tobytes() for a in after] == [a.tobytes() for a in given]
+
+
+def test_gradient_check_sees_a_mean_gradient_without_the_dropout_scale(monkeypatch):
+    mean_grads = mlp._mean_grads
+
+    def unscaled(weights, x, h, y, mask, scale):
+        loss, (dw1, db1, dw2, db2) = mean_grads(weights, x, h, y, mask, scale)
+        return loss, (dw1 / scale, db1 / scale, dw2, db2)
+
+    monkeypatch.setattr(mlp, "_mean_grads", unscaled)
+    assert gradient_check(*gradient_problem()) > 1e-4
+
+
+def test_gradient_check_sees_a_variance_gradient_off_by_a_thousandth(monkeypatch):
+    variance_grads = mlp._variance_grads
+
+    def skewed(h, w, b, resid2):
+        loss, (dw, db) = variance_grads(h, w, b, resid2)
+        return loss, (dw * 1.001, db)
+
+    monkeypatch.setattr(mlp, "_variance_grads", skewed)
+    assert gradient_check(*gradient_problem()) > 1e-4
 
 
 def test_overfits_small_noiseless_problem():
