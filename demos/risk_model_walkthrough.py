@@ -9,8 +9,8 @@ matplotlib installed the curves are also saved as risk_models.png.
 
 import numpy as np
 
-from riskdecode.calibration import joint_rescale
-from riskdecode.risk_models import (DrfParams, PcadParams, drf_risk_series,
+from riskdecode.calibration import minmax_rescale
+from riskdecode.risk_models import (DrfParams, PairTable, PcadParams, drf_risk_series,
                                     pcad_risk_series)
 from riskdecode.scenarios import event_by_id, simulate_event
 
@@ -24,8 +24,8 @@ EVENTS = {
 
 def rescaled_series(trajectories, series_fn, params):
     """Model output per event, min-max scaled jointly across all of them."""
-    return joint_rescale({label: series_fn(traj, params)
-                          for label, traj in trajectories.items()})
+    table = PairTable(list(trajectories.values()))
+    return dict(zip(trajectories, table.split(minmax_rescale(series_fn(table, params)))))
 
 
 def main():

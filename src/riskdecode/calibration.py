@@ -2,11 +2,12 @@
 
 Raw PCAD and DRF outputs live on arbitrary scales, so every evaluation
 first applies a joint min-max rescale to [0, 10] across all events before
-scoring against the target risk curves.  Calibration is a seeded random
-search: parameter records are drawn uniformly within bounds (log-uniform
-for strictly positive scale parameters), the default record is always
-evaluated as draw 0, and the best record by RMSE wins with ties broken
-by the lowest draw index.
+scoring against the target risk curves: ``minmax_rescale`` of one vector
+that holds every event's frames in catalog order.  Calibration is a
+seeded random search: parameter records are drawn uniformly within bounds
+(log-uniform for strictly positive scale parameters), the default record
+is always evaluated as draw 0, and the best record by RMSE wins with ties
+broken by the lowest draw index.
 
 ``c_sev`` is deliberately absent from the default DRF bounds: the joint
 rescale cancels any pure output scale, so the parameter is unidentifiable
@@ -21,11 +22,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .reconstruction import RATING_MAX, RATING_MIN
 from .risk_models import DrfParams, PairTable, PcadParams, drf_risk_series, pcad_risk_series
 from .scenarios import CATALOG, catalog_trajectory, event_by_id
 
-RISK_MIN = 0.0
-RISK_MAX = 10.0
 HISTOGRAM_BIN_WIDTH = 0.25
 
 # Scale parameters are sampled log-uniformly, so their lower bounds must
@@ -83,14 +83,7 @@ def minmax_rescale(values) -> np.ndarray:
     hi = values.max()
     if hi <= lo:
         raise ValueError("constant model output cannot be min-max rescaled")
-    return (values - lo) / (hi - lo) * RISK_MAX
-
-
-def joint_rescale(raw: Mapping[int, np.ndarray]) -> dict:
-    """``minmax_rescale`` over every series jointly, split back per key."""
-    series = [np.asarray(raw[key], dtype=float) for key in raw]
-    flat = minmax_rescale(np.concatenate(series))
-    return dict(zip(raw, np.split(flat, np.cumsum([s.size for s in series])[:-1])))
+    return (values - lo) / (hi - lo) * RATING_MAX
 
 
 def _validate_bounds(bounds: Mapping[str, tuple], params_cls) -> None:
@@ -142,7 +135,7 @@ class CalibrationResult:
     trace: tuple
 
 
-def _check_catalog_coverage(targets: Mapping[int, np.ndarray]) -> list:
+def check_catalog_coverage(targets: Mapping[int, np.ndarray]) -> list:
     """Ensure full family coverage and exact frame counts; return sorted ids."""
     event_ids = sorted(targets)
     families = {event_by_id(eid).family for eid in event_ids}
@@ -179,7 +172,7 @@ def calibrate(job: CalibrationJob, trajectories: Mapping[int, object] | None = N
     one row per draw with the drawn values and the scored RMSE.  Every draw
     is scored with one model call over a pair table of all target events.
     """
-    event_ids = _check_catalog_coverage(job.targets)
+    event_ids = check_catalog_coverage(job.targets)
     if trajectories is None:
         trajectories = {eid: catalog_trajectory(eid) for eid in event_ids}
     table = PairTable([trajectories[eid] for eid in event_ids])
@@ -227,18 +220,23 @@ class ComparisonReport:
     bin_width: float = HISTOGRAM_BIN_WIDTH
 
 
-def _check_series(name: str, eid: int, series: np.ndarray, n_expected: int) -> np.ndarray:
-    series = np.asarray(series, dtype=float)
-    if series.shape != (n_expected,):
-        raise ValueError(
-            f"{name} series for event {eid} has shape {series.shape}, "
-            f"expected ({n_expected},)"
-        )
-    if not np.all(np.isfinite(series)):
-        raise ValueError(f"{name} series for event {eid} must be finite")
-    if series.min() < RISK_MIN - 1e-9 or series.max() > RISK_MAX + 1e-9:
-        raise ValueError(f"{name} series for event {eid} leaves [0, 10]")
-    return series
+def _flat_series(name: str, series: Mapping[int, np.ndarray], specs: Sequence) -> np.ndarray:
+    """``series`` of the events ``specs`` as one vector, each event's series checked to
+    lie on its 10 Hz grid and the rating scale."""
+    flat = []
+    for spec in specs:
+        if spec.event_id not in series:
+            raise ValueError(f"{name} output missing event {spec.event_id}")
+        values = np.asarray(series[spec.event_id], dtype=float)
+        at = f"{name} series for event {spec.event_id}"
+        if values.shape != (spec.n_frames,):
+            raise ValueError(f"{at} has shape {values.shape}, expected ({spec.n_frames},)")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{at} must be finite")
+        if values.min() < RATING_MIN - 1e-9 or values.max() > RATING_MAX + 1e-9:
+            raise ValueError(f"{at} leaves [{RATING_MIN:g}, {RATING_MAX:g}]")
+        flat.append(values)
+    return np.concatenate(flat)
 
 
 def compare_models(truth: Mapping[int, np.ndarray],
@@ -246,43 +244,28 @@ def compare_models(truth: Mapping[int, np.ndarray],
     """Absolute-error comparison of rescaled model outputs against truth.
 
     All series must share the event's 10 Hz grid and already live in
-    [0, 10]; a length mismatch anywhere is rejected.
+    [0, 10]; a length mismatch anywhere is rejected.  Each model's errors
+    form one vector over the events in id order, pooled per family by a mask.
     """
     if not truth:
         raise ValueError("comparison needs truth curves")
     if not outputs:
         raise ValueError("comparison needs at least one model")
-    event_ids = sorted(truth)
+    specs = [event_by_id(eid) for eid in sorted(truth)]
+    truth_vec = _flat_series("truth", truth, specs)
+    abs_errors = {model: np.abs(_flat_series(model, outputs[model], specs) - truth_vec)
+                  for model in sorted(outputs)}
 
-    truth_checked = {}
-    for eid in event_ids:
-        truth_checked[eid] = _check_series("truth", eid, truth[eid],
-                                           event_by_id(eid).n_frames)
-
-    abs_errors: dict = {}
-    for model in sorted(outputs):
-        per_event = {}
-        for eid in event_ids:
-            if eid not in outputs[model]:
-                raise ValueError(f"{model} output missing event {eid}")
-            series = _check_series(model, eid, outputs[model][eid], truth_checked[eid].size)
-            per_event[eid] = np.abs(series - truth_checked[eid])
-        abs_errors[model] = per_event
-
+    family = np.repeat([s.family for s in specs], [s.n_frames for s in specs])
     scenario_stats = {}
-    families = sorted({event_by_id(eid).family for eid in event_ids})
-    for family in families:
-        family_ids = [eid for eid in event_ids if event_by_id(eid).family == family]
-        for model in sorted(outputs):
-            pooled = np.concatenate([abs_errors[model][eid] for eid in family_ids])
+    for name in sorted({s.family for s in specs}):
+        in_family = family == name
+        for model, errors in abs_errors.items():
+            pooled = errors[in_family]
             q1, q3 = np.percentile(pooled, [25.0, 75.0])
-            scenario_stats[(family, model)] = (float(np.median(pooled)), float(q1), float(q3))
+            scenario_stats[(name, model)] = (float(np.median(pooled)), float(q1), float(q3))
 
-    edges = np.arange(RISK_MIN, RISK_MAX + HISTOGRAM_BIN_WIDTH, HISTOGRAM_BIN_WIDTH)
-    histograms = {}
-    for model in sorted(outputs):
-        pooled = np.concatenate([abs_errors[model][eid] for eid in event_ids])
-        counts, _ = np.histogram(pooled, bins=edges)
-        histograms[model] = (edges[:-1].copy(), counts)
-
+    edges = np.arange(RATING_MIN, RATING_MAX + HISTOGRAM_BIN_WIDTH, HISTOGRAM_BIN_WIDTH)
+    histograms = {model: (edges[:-1].copy(), np.histogram(errors, bins=edges)[0])
+                  for model, errors in abs_errors.items()}
     return ComparisonReport(scenario_stats, histograms)

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import __version__, blas
 from .calibration import (MODEL_DEFAULTS, MODEL_SERIES, CalibrationJob, calibrate,
-                          compare_models, minmax_rescale)
+                          check_catalog_coverage, compare_models, minmax_rescale)
 from .explain import Baseline, explain_jobs, global_importance, mean_head
 from .features import (DEFAULT_MANIFESTS, FeatureManifest, NormStats, build_features,
                        zscore_apply, zscore_fit)
@@ -301,11 +301,6 @@ def _stack(names: Sequence[str], blocks: list) -> dict:
     return {name: np.concatenate(parts) for name, parts in zip(names, zip(*blocks))}
 
 
-def _by_event(event_ids: np.ndarray, values: np.ndarray) -> dict:
-    """Rows of ``values`` split by event id, in id order."""
-    return {int(eid): values[event_ids == eid] for eid in np.unique(event_ids)}
-
-
 def require(out: Path, name: str) -> Path:
     path = out / name
     if not path.exists():
@@ -355,9 +350,28 @@ def _read_event_table(path: Path, numbers: Sequence[str], others: Sequence[str] 
     return table
 
 
+def _means_by_event(path: Path, table: Mapping[str, np.ndarray], event_ids=None) -> dict:
+    """The ``mean`` column of the event table read from ``path``, split by event id in id
+    order.  Each of ``event_ids`` (by default every event it holds) must be a catalog
+    event held at its catalog frame count."""
+    ids = table["event_id"]
+    means = {int(eid): table["mean"][ids == eid] for eid in np.unique(ids)}
+    for eid in means if event_ids is None else event_ids:
+        try:
+            n_frames = event_by_id(eid).n_frames
+        except KeyError:
+            raise ValueError(f"{path} holds rows of event {eid}, which is not a catalog event; "
+                             f"{_again(path)}") from None
+        rows = len(means.get(eid, ()))
+        if rows != n_frames:
+            raise ValueError(f"{path} lacks event {eid} at its {n_frames} frames "
+                             f"(it holds {rows} rows of it); {_again(path)}")
+    return means
+
+
 def _read_curves(out: Path) -> tuple:
-    """``curves.csv``'s path, its columns and its mean curves by event, every mean a
-    rating in ``RATING_MIN..RATING_MAX``."""
+    """``curves.csv``'s path, its columns and its mean curves by event, each a catalog
+    event at its frame count and every mean a rating in ``RATING_MIN..RATING_MAX``."""
     path = require(out, "curves.csv")
     curves = _read_event_table(path, ("t", "mean"), ("p25", "p75"))
     mean = curves["mean"]
@@ -365,7 +379,7 @@ def _read_curves(out: Path) -> tuple:
     if off_scale.size:
         raise ValueError(f"{path} {_row(curves, off_scale[0])} holds mean {mean[off_scale[0]]}, "
                          f"outside {RATING_MIN:g}..{RATING_MAX:g}; {_again(path)}")
-    return path, curves, _by_event(curves["event_id"], mean)
+    return path, curves, _means_by_event(path, curves)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +448,7 @@ def _rating_fault(pid: int, eid: int, clip: int, rating: int, slot_counts: Seque
     if not 1 <= clip <= n_slots:
         return f"clip_index {clip} outside event {eid}'s slots"
     if not RATING_MIN <= rating <= RATING_MAX:
-        return f"rating must be an integer in 0..10, got {rating}"
+        return f"rating must be an integer in {RATING_MIN:g}..{RATING_MAX:g}, got {rating}"
     if not -2**63 <= pid < 2**63:
         return f"participant_id {pid} does not fit in 64 bits"
     return None
@@ -793,14 +807,12 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
     summary, log_blocks = {}, []
     for group in (g for g in NETWORK_GROUPS if g in chosen):
         event_ids, manifest, stats = _load_normstats(normstats_path, group)
-        eids, _, _, x = _load_features(event_ids, manifest, stats)
-        targets = []
-        for eid in dict.fromkeys(eids.tolist()):  # in the order of the matrix rows
-            if eid not in mean_curves:
-                raise ValueError(f"{curves_path} lacks event {eid} needed by {group}; "
-                                 f"{_again(curves_path)}")
-            targets.append(mean_curves[eid])
-        y = np.concatenate(targets)
+        _, _, _, x = _load_features(event_ids, manifest, stats)
+        lacking = [eid for eid in event_ids if eid not in mean_curves]
+        if lacking:
+            raise ValueError(f"{curves_path} lacks event {lacking[0]} needed by {group}; "
+                             f"{_again(curves_path)}")
+        y = np.concatenate([mean_curves[eid] for eid in event_ids])  # the matrix's row order
 
         config = MlpConfig(input_dim=x.shape[1],
                            seed=seed + sorted(NETWORK_GROUPS).index(group))
@@ -862,6 +874,10 @@ def run_calibrate(out: Path, seed: int = 0, draws: int = 500,
                   bounds: Mapping[str, Mapping[str, tuple]] | None = None) -> dict:
     out = Path(out)
     curves_path, _, targets = _read_curves(out)
+    try:
+        check_catalog_coverage(targets)
+    except ValueError as exc:
+        raise _fault(curves_path, "calibration targets", exc) from None
 
     results = {}
     for offset, model in enumerate(MODEL_DEFAULTS):
@@ -967,12 +983,7 @@ def run_report(out: Path, seed: int = 0) -> dict:
                     for model in MODEL_DEFAULTS}
 
     predictions = _read_event_table(predictions_path, ("mean",))
-    mlp_curves = _by_event(predictions["event_id"], predictions["mean"])
-    for eid in truth:
-        rows, n_frames = len(mlp_curves.get(eid, ())), event_by_id(eid).n_frames
-        if rows != n_frames:
-            raise ValueError(f"{predictions_path} lacks event {eid} at its {n_frames} frames "
-                             f"(it holds {rows} rows of it); {_again(predictions_path)}")
+    mlp_curves = _means_by_event(predictions_path, predictions, truth)
     report = compare_models(truth, {**_model_curves(calibrations, truth), "MLP": mlp_curves})
     model_inputs = [curves_path, predictions_path, *calibrations.values()]
     global_table = _read_event_table(globals_path, (), ints=())

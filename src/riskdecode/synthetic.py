@@ -1,12 +1,14 @@
 """Synthetic rehearsal ratings for running the pipeline offline.
 
 The planted ground truth blends a non-default avoidance-difficulty signal
-with a smoothed braking-demand term, so neither baseline model family can
-reproduce it exactly while a network fed per-frame features can.  Raters
-see the truth at each clip's canonical rating moment through a
-per-(participant, event) offset plus independent noise, rounded to the
-integer 0..10 scale.  The ratings come out as the four ``RATINGS_COLUMNS``
-int64 arrays that ``pipeline.write_csv`` writes as ``ratings.csv``.
+with smoothed braking-demand and in-lane proximity terms, so neither
+baseline model family can reproduce it exactly while a network fed
+per-frame features can.  Each signal is ``minmax_rescale`` of one vector
+over the catalog's frames.  Raters see the truth at each clip's canonical
+rating moment through a per-(participant, event) offset plus independent
+noise, rounded to the integer 0..10 scale.  The ratings come out as the
+four ``RATINGS_COLUMNS`` int64 arrays that ``pipeline.write_csv`` writes
+as ``ratings.csv``.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .calibration import joint_rescale
+from .calibration import minmax_rescale
 from .features import FeatureManifest, build_features
-from .reconstruction import RATINGS_COLUMNS, load_alignment_table, reconstruct_event
+from .reconstruction import (RATING_MAX, RATING_MIN, RATINGS_COLUMNS, load_alignment_table,
+                             reconstruct_event)
 from .risk_models import PcadParams, pcad_risk_series
 from .scenarios import CATALOG, DT, catalog_trajectory
 
@@ -48,40 +51,36 @@ def _smooth(series: np.ndarray, window: int) -> np.ndarray:
 
 def planted_truth() -> dict:
     """Ground-truth risk curve per catalog event; its signals rescale over the whole catalog."""
-    pcad_raw, brake_raw, proximity_raw = {}, {}, {}
+    pcad_raw, brake_raw, proximity_raw = [], [], []
     for spec in CATALOG:
-        eid = spec.event_id
-        trajectory = catalog_trajectory(eid)
-        pcad_raw[eid] = pcad_risk_series(trajectory, TRUTH_PCAD)
-        manifest = FeatureManifest(spec.family, ("dx", "dy", "drac_r_x"))
-        cols = build_features(trajectory, manifest)
+        trajectory = catalog_trajectory(spec.event_id)
+        pcad_raw.append(pcad_risk_series(trajectory, TRUTH_PCAD))
+        cols = build_features(trajectory, FeatureManifest(spec.family, ("dx", "dy", "drac_r_x")))
         # gate the braking demand on lateral overlap: a neighbour sliding past
         # in the adjacent lane closes the x-axis gap without being on a
         # collision course, and its clamped-gap DRAC spike would otherwise
         # alias against the fixed rating moments
         in_lane = np.abs(cols[:, 1]) < LANE_OVERLAP
-        brake_raw[eid] = _smooth(cols[:, 2] * in_lane, BRAKE_SMOOTH_FRAMES)
+        brake_raw.append(_smooth(cols[:, 2] * in_lane, BRAKE_SMOOTH_FRAMES))
         # in-lane closeness; the squared lateral discount keeps adjacent-lane
         # pass-bys (dy ~ 3.5) well below in-lane following at the same range
         lateral = (1.0 - np.minimum(cols[:, 1], 5.0) / 5.0) ** 2
-        proximity_raw[eid] = lateral * 10.0 / (cols[:, 0] + 4.0 * cols[:, 1] + 5.0)
+        proximity_raw.append(lateral * 10.0 / (cols[:, 0] + 4.0 * cols[:, 1] + 5.0))
 
-    pcad_scaled = joint_rescale(pcad_raw)
-    brake_scaled = joint_rescale(brake_raw)
-    proximity_scaled = joint_rescale(proximity_raw)
+    blend = (TRUTH_PCAD_GAIN * minmax_rescale(np.concatenate(pcad_raw))
+             + TRUTH_BRAKE_GAIN * minmax_rescale(np.concatenate(brake_raw))
+             + TRUTH_PROXIMITY_GAIN * minmax_rescale(np.concatenate(proximity_raw)))
+    warped = RATING_MAX * (blend / RATING_MAX) ** TRUTH_WARP
 
     # Sample the warped blend at each slot's canonical rating moment and
     # reconstruct it as one rater's clip ratings: the truth then lives in the
     # reconstruction's own function class, so clean ratings reproduce it
     # instead of smearing fast transients between moments.
     truth = {}
-    for spec in CATALOG:
-        eid = spec.event_id
-        blend = (TRUTH_PCAD_GAIN * pcad_scaled[eid]
-                 + TRUTH_BRAKE_GAIN * brake_scaled[eid]
-                 + TRUTH_PROXIMITY_GAIN * proximity_scaled[eid])
-        warped = 10.0 * (blend / 10.0) ** TRUTH_WARP
-        truth[eid] = reconstruct_event(eid, _at_canonical_moments(warped, eid)[None, :]).value[0]
+    cuts = np.cumsum([spec.n_frames for spec in CATALOG])[:-1]
+    for spec, curve in zip(CATALOG, np.split(warped, cuts)):
+        readings = _at_canonical_moments(curve, spec.event_id)[None, :]
+        truth[spec.event_id] = reconstruct_event(spec.event_id, readings).value[0]
     return truth
 
 
@@ -115,5 +114,5 @@ def synthetic_ratings(truth: Mapping[int, np.ndarray],
         noisy = values + PARTICIPANT_SIGMA * z[:, :1] + RATER_SIGMA * z[:, 1:]
         blocks.append((np.repeat(np.arange(1, n_participants + 1), len(slots)),
                        np.full(noisy.size, eid), np.tile(slots, n_participants),
-                       np.clip(np.rint(noisy), 0, 10).astype(np.int64).ravel()))
+                       np.clip(np.rint(noisy), RATING_MIN, RATING_MAX).astype(np.int64).ravel()))
     return {name: np.concatenate(parts) for name, parts in zip(RATINGS_COLUMNS, zip(*blocks))}

@@ -4,16 +4,22 @@ These are the straightforward forms the per-event matrix path in
 ``riskdecode.reconstruction`` replaced: one rater's clip ratings become an
 anchor list, the anchor list is deduplicated and sorted, each interpolator
 walks its knots in a Python loop, and the aggregate stacks a list of curves.
-The synthetic ratings and the planted truth's last step read a curve one
-slot at a time and build the truth from an anchor list.  Tests require the
-library to match them bit for bit.
+The planted truth's blend is built per event, each signal rescaled by a
+concatenate-rescale-split round trip, and its last step reads the blend one
+slot at a time and builds the truth from an anchor list; the synthetic
+ratings read a curve one slot at a time too.  Tests require the library to
+match them bit for bit.
 """
 
 import numpy as np
 
+from riskdecode import synthetic
+from riskdecode.calibration import minmax_rescale
+from riskdecode.features import FeatureManifest, build_features
 from riskdecode.reconstruction import (RATING_MAX, RATING_MIN, RATINGS_COLUMNS, AggregateCurve,
                                        RiskCurve, _prepare_anchors, curve_from_anchors)
-from riskdecode.scenarios import DT, event_by_id
+from riskdecode.risk_models import pcad_risk_series
+from riskdecode.scenarios import CATALOG, DT, catalog_trajectory, event_by_id
 from riskdecode.synthetic import PARTICIPANT_SIGMA, RATER_SIGMA
 
 
@@ -113,6 +119,35 @@ def curve_at(curve, moment):
     """A 10 Hz curve read at one moment."""
     grid = np.arange(curve.size) * DT
     return float(np.interp(moment, grid, curve))
+
+
+def joint_rescale(raw):
+    """``minmax_rescale`` over every series of a dict jointly, split back per key."""
+    series = [np.asarray(raw[key], dtype=float) for key in raw]
+    flat = minmax_rescale(np.concatenate(series))
+    return dict(zip(raw, np.split(flat, np.cumsum([s.size for s in series])[:-1])))
+
+
+def planted_blend():
+    """The planted truth's warped blend per catalog event: each event's three
+    signals kept in a dict by event, each dict rescaled with ``joint_rescale``."""
+    pcad_raw, brake_raw, proximity_raw = {}, {}, {}
+    for spec in CATALOG:
+        eid = spec.event_id
+        trajectory = catalog_trajectory(eid)
+        pcad_raw[eid] = pcad_risk_series(trajectory, synthetic.TRUTH_PCAD)
+        cols = build_features(trajectory, FeatureManifest(spec.family, ("dx", "dy", "drac_r_x")))
+        in_lane = np.abs(cols[:, 1]) < synthetic.LANE_OVERLAP
+        brake_raw[eid] = synthetic._smooth(cols[:, 2] * in_lane, synthetic.BRAKE_SMOOTH_FRAMES)
+        lateral = (1.0 - np.minimum(cols[:, 1], 5.0) / 5.0) ** 2
+        proximity_raw[eid] = lateral * 10.0 / (cols[:, 0] + 4.0 * cols[:, 1] + 5.0)
+    pcad, brake, proximity = map(joint_rescale, (pcad_raw, brake_raw, proximity_raw))
+    warped = {}
+    for eid in pcad:
+        blend = (synthetic.TRUTH_PCAD_GAIN * pcad[eid] + synthetic.TRUTH_BRAKE_GAIN * brake[eid]
+                 + synthetic.TRUTH_PROXIMITY_GAIN * proximity[eid])
+        warped[eid] = 10.0 * (blend / 10.0) ** synthetic.TRUTH_WARP
+    return warped
 
 
 def planted_truth_from_anchors(warped, table):

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from risk_oracles import drf_series, pcad_series
 
-from riskdecode.calibration import (DRF_BOUNDS, LOG_UNIFORM_PARAMS, MODEL_DEFAULTS, PCAD_BOUNDS,
-                                    CalibrationJob, calibrate, compare_models, minmax_rescale,
-                                    rmse)
+from riskdecode.calibration import (DRF_BOUNDS, HISTOGRAM_BIN_WIDTH, LOG_UNIFORM_PARAMS,
+                                    MODEL_DEFAULTS, PCAD_BOUNDS, CalibrationJob, calibrate,
+                                    compare_models, minmax_rescale, rmse)
 from riskdecode.risk_models import PcadParams, pcad_risk_series
-from riskdecode.scenarios import enumerate_events, simulate_event
+from riskdecode.scenarios import enumerate_events, event_by_id, simulate_event
 
 N_MB = 301
 N_LC = 361
@@ -196,6 +196,49 @@ def test_compare_models_stats_and_histograms():
     assert counts[np.searchsorted(lows, 1.0)] == N_MB
     assert counts[np.searchsorted(lows, 0.5)] == N_LC
     assert counts.sum() == N_MB + N_LC
+
+
+def compare_models_per_event(truth, outputs):
+    """``compare_models``'s statistics from per-event error arrays, concatenated per
+    family and per model."""
+    event_ids = sorted(truth)
+    abs_errors = {model: {eid: np.abs(np.asarray(outputs[model][eid], dtype=float)
+                                      - np.asarray(truth[eid], dtype=float))
+                          for eid in event_ids}
+                  for model in sorted(outputs)}
+    scenario_stats = {}
+    for family in sorted({event_by_id(eid).family for eid in event_ids}):
+        family_ids = [eid for eid in event_ids if event_by_id(eid).family == family]
+        for model in sorted(outputs):
+            pooled = np.concatenate([abs_errors[model][eid] for eid in family_ids])
+            q1, q3 = np.percentile(pooled, [25.0, 75.0])
+            scenario_stats[(family, model)] = (float(np.median(pooled)), float(q1), float(q3))
+    edges = np.arange(0.0, 10.0 + HISTOGRAM_BIN_WIDTH, HISTOGRAM_BIN_WIDTH)
+    histograms = {}
+    for model in sorted(outputs):
+        pooled = np.concatenate([abs_errors[model][eid] for eid in event_ids])
+        histograms[model] = (edges[:-1].copy(), np.histogram(pooled, bins=edges)[0])
+    return scenario_stats, histograms
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compare_models_matches_per_event_loop(seed):
+    # three or four families, two or three models; quarter-step values tie many
+    # errors, on the histogram's bin edges too
+    rng = np.random.default_rng(seed)
+    event_ids = [1, 2, 28, 55, 56, 79][:4 + 2 * (seed % 2)]
+    frames = {eid: event_by_id(eid).n_frames for eid in event_ids}
+    truth = {eid: rng.integers(0, 41, n) / 4.0 for eid, n in frames.items()}
+    outputs = {model: {eid: rng.integers(0, 41, n) / 4.0 for eid, n in frames.items()}
+               for model in ("MLP", "DRF", "PCAD")[:2 + seed // 2]}
+    report = compare_models(truth, outputs)
+    stats, histograms = compare_models_per_event(truth, outputs)
+    assert report.scenario_stats == stats
+    assert list(report.scenario_stats) == list(stats)
+    assert list(report.histograms) == list(histograms)
+    for model, (lows, counts) in histograms.items():
+        assert report.histograms[model][0].tobytes() == lows.tobytes(), model
+        assert report.histograms[model][1].tobytes() == counts.tobytes(), model
 
 
 def test_compare_models_validation():

@@ -743,7 +743,8 @@ def test_trained_weights_load_back_bit_for_bit(mini_tree):
 
 N_FRAMES_1 = scenarios.event_by_id(1).n_frames
 # each damage to an input another stage wrote: the file, the stage that writes it, and
-# what the one ERROR line says of it; {row} is the damaged data row, by event and time
+# what the one ERROR line says of it, or by stage where stages say it apart; {row} is
+# the damaged data row, by event and time
 READ_FAULTS = {
     "curves_no_mean": ("curves.csv", "reconstruct", r"lacks the mean column"),
     "curves_nan_mean": ("curves.csv", "reconstruct",
@@ -753,7 +754,14 @@ READ_FAULTS = {
     # a stray byte on the file's fourth line, its second data row
     "curves_not_utf8": ("curves.csv", "reconstruct",
                         r"line 4 holds the byte 0xff, which is not UTF-8 \(invalid start byte\)"),
-    "curves_lacks_event_1": ("curves.csv", "reconstruct", r"lacks event 1 needed by MB"),
+    "curves_lacks_event_1": ("curves.csv", "reconstruct", {
+        "train": r"lacks event 1 needed by MB",
+        "calibrate": r"holds no usable calibration targets \(targets missing MB events: \[1\]\)"}),
+    "curves_event_1_short": ("curves.csv", "reconstruct",
+                             rf"lacks event 1 at its {N_FRAMES_1} frames "
+                             rf"\(it holds {N_FRAMES_1 - 1} rows of it\)"),
+    "curves_event_999": ("curves.csv", "reconstruct",
+                         r"holds rows of event 999, which is not a catalog event"),
     "events_not_json": ("events.json", "generate", r"holds no usable event list \(.+\)"),
     "events_999": ("events.json", "generate",
                    r"lists ids that are not catalog events: \[999\]"),
@@ -791,9 +799,11 @@ READ_FAULTS = {
 
 @pytest.mark.parametrize("stage,fault", [
     *[(stage, fault) for fault in ("curves_no_mean", "curves_nan_mean", "curves_mean_57",
-                                   "curves_empty", "curves_not_utf8")
+                                   "curves_empty", "curves_not_utf8", "curves_event_1_short",
+                                   "curves_event_999")
       for stage in ("train", "calibrate", "report")],
     ("train", "curves_lacks_event_1"),
+    ("calibrate", "curves_lacks_event_1"),
     *[("features", fault) for fault in ("events_not_json", "events_999", "events_str_1",
                                         "events_true")],
     *[("report", fault) for fault in READ_FAULTS
@@ -805,6 +815,8 @@ def test_stages_name_a_faulty_input_file(stage, fault, mini_tree, tmp_path, capl
     scratch = tmp_path / "tree"
     shutil.copytree(mini_tree, scratch)
     name, writer, detail = READ_FAULTS[fault]
+    if isinstance(detail, dict):
+        detail = detail[stage]
     path = scratch / name
     row = 0
     if fault.endswith("not_json"):
@@ -835,9 +847,12 @@ def test_stages_name_a_faulty_input_file(stage, fault, mini_tree, tmp_path, capl
             del table["mean"]
         elif fault in ("curves_lacks_event_1", "predictions_lack_event_1"):
             table = {c: column[table["event_id"] != 1] for c, column in table.items()}
-        elif fault == "predictions_event_1_short":  # its last frame dropped
+        elif fault.endswith("event_1_short"):  # its last frame dropped
             last = np.flatnonzero(table["event_id"] == 1)[-1]
             table = {c: np.delete(column, last) for c, column in table.items()}
+        elif fault == "curves_event_999":  # a copy of the last row, as event 999
+            table = {c: np.append(column, column[-1]) for c, column in table.items()}
+            table["event_id"][-1] = 999
         elif fault.startswith("curves"):
             row = 3
             table["mean"][row] = np.nan if fault == "curves_nan_mean" else 57.0
@@ -864,9 +879,12 @@ def test_stages_name_a_faulty_input_file(stage, fault, mini_tree, tmp_path, capl
 def test_a_failing_report_keeps_the_old_report_tables(mini_tree, tmp_path, caplog):
     scratch = tmp_path / "tree"
     shutil.copytree(mini_tree, scratch)
-    # curves.csv one row short, so a report_curves.csv written from it would differ
+    # curves.csv without its last event, which report would leave out of its comparison,
+    # so a report_curves.csv written from it would differ
     curves = scratch / "curves.csv"
-    curves.write_bytes(curves.read_bytes().rstrip(b"\n").rpartition(b"\n")[0] + b"\n")
+    last = f"{scenarios.CATALOG[-1].event_id},".encode()
+    curves.write_bytes(b"".join(line for line in curves.read_bytes().splitlines(keepends=True)
+                                if not line.startswith(last)))
     predictions = scratch / "predictions.csv"
     predictions.write_bytes(predictions.read_bytes().partition(b"\n")[0] + b"\n")
     with caplog.at_level(logging.ERROR):

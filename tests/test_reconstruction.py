@@ -293,9 +293,11 @@ def test_planted_truth_matches_anchor_list_oracle(monkeypatch, table, catalog):
 
     monkeypatch.setattr(synthetic, "_at_canonical_moments", recording)
     truth = planted_truth()
-    expected = oracle.planted_truth_from_anchors(warped, table)
-    assert list(truth) == list(expected) == [s.event_id for s in catalog]
+    blend = oracle.planted_blend()
+    expected = oracle.planted_truth_from_anchors(blend, table)
+    assert list(truth) == list(warped) == list(expected) == [s.event_id for s in catalog]
     for event_id, curve in expected.items():
+        assert warped[event_id].tobytes() == blend[event_id].tobytes(), event_id
         assert truth[event_id].tobytes() == curve.tobytes(), event_id
 
 
