@@ -6,8 +6,12 @@ from its flag, else from the --config JSON, else from the default in the
 stage's function.  A flag that sets no option of the stage is an error.
 The config may set every stage option except the --scenario and --events
 selections; any other key is an error, and so is a count (draws, epochs,
-n_permutations, participants) that is not a positive integer or a
-learning_rate that is not a positive finite number.  ``ingest``
+n_permutations, participants) that is not a positive integer, a
+learning_rate that is not a positive finite number, a dataset that is not a
+string, and a profile, manifests or bounds object that names a column, network
+group or model outside its own, or maps one to a value of the wrong type
+(profile: strings; manifests: lists of strings; bounds: objects of [low, high]
+finite number pairs).  ``ingest``
 and ``all`` read ratings from the positional path, else the config's
 ``dataset``, else ``$RISKDECODE_DATA_DIR/ratings.csv``; --synthetic writes
 rehearsal ratings instead.
@@ -24,7 +28,9 @@ import sys
 from pathlib import Path
 
 from . import pipeline
+from .calibration import MODEL_DEFAULTS
 from .mlp import TrainingDiverged
+from .reconstruction import RATINGS_COLUMNS
 
 log = logging.getLogger("riskdecode")
 
@@ -59,6 +65,25 @@ def _load_config(path: str | None) -> dict:
     if type(rate) not in (int, float) or not 0 < rate < math.inf:
         raise ValueError(f"config {path}: learning_rate must be a positive finite number "
                          f"(was {json.dumps(rate)})")
+    if type(config.get("dataset", "")) is not str:
+        raise ValueError(f"config {path}: dataset must be a string "
+                         f"(was {json.dumps(config['dataset'])})")
+
+    def is_pair(v) -> bool:  # [low, high]
+        return type(v) is list and len(v) == 2 and all(
+            type(b) in (int, float) and math.isfinite(b) for b in v)
+
+    for key, names, valid, want in (
+            ("profile", RATINGS_COLUMNS, lambda v: type(v) is str, "strings"),
+            ("manifests", pipeline.NETWORK_GROUPS,
+             lambda v: type(v) is list and all(type(s) is str for s in v), "lists of strings"),
+            ("bounds", MODEL_DEFAULTS, lambda v: type(v) is dict and all(map(is_pair, v.values())),
+             "objects of [low, high] finite number pairs")):
+        value = config.get(key, {})
+        if type(value) is not dict or not set(value) <= set(names) or not all(
+                map(valid, value.values())):
+            raise ValueError(f"config {path}: {key} must map any of {', '.join(names)} "
+                             f"to {want} (was {json.dumps(value)})")
     return config
 
 

@@ -11,27 +11,28 @@ additivity identity phi0 + sum(phi) = f(x) holds per frame, up to the
 rounding of the model's dtype: a trained network runs in float32, and its
 rows may round apart by batch.
 
-Threads: ``explain_jobs`` attributes the frames of every (network, event) job
-of a stage under one scheduler, with BLAS held at one thread. A frame whose
-model batch fills at least one forward block (``mlp.FORWARD_ROWS`` rows; 2^D
-exact, 2P(D + 1) sampled) spends most of its time in BLAS and numpy loops,
-which release the GIL: those frames go onto one queue, in chunks of
-``FRAME_CHUNK`` frames, that the calling thread and one helper thread per
-further usable core drain. Smaller frames hold the GIL for much of their time,
-so the calling thread runs them afterwards, alone: beside another thread they
-would contend for the GIL and cost CPU time without saving wall time. Frames
-are independent and each sampled frame keeps its own seed, so the attributions
-do not depend on the number of threads. With one usable core, with another
-BLAS than numpy's bundled OpenBLAS, or with a frame function replaced from
-outside, every frame runs on the calling thread in job order. A frame's
-composites go through ``mlp_forward`` in one call, which runs them in blocks of
-``mlp.FORWARD_ROWS`` rows, so each thread holds one block of hidden layer
-(1 MB at H = 500 in float32), not one frame's whole batch.
+Threads: ``explain_jobs`` is the one entry point; it attributes the frames of
+every (network, event) job of a stage under one scheduler, with BLAS held at
+one thread. A frame whose model batch fills at least one forward block
+(``mlp.FORWARD_ROWS`` rows; 2^D exact, 2P(D + 1) sampled) spends most of its
+time in BLAS and numpy loops, which release the GIL: those frames are cut into
+chunks of ``FRAME_CHUNK`` frames, and the calling thread and one helper thread
+per further usable core take chunks from one shared iterator until it is
+spent; after a failure the other threads may finish the chunks left. Smaller
+frames hold the GIL for much of their time, so the calling thread runs them
+afterwards, alone: beside another thread they would contend for the GIL and
+cost CPU time without saving wall time. Frames are independent and each
+sampled frame keeps its own seed, so the attributions do not depend on the
+number of threads. With one usable core, with another BLAS than numpy's
+bundled OpenBLAS, or with a frame function replaced from outside, every frame
+runs on the calling thread in job order. A frame's composites go through
+``mlp_forward`` in one call, which runs them in blocks of ``mlp.FORWARD_ROWS``
+rows, so each thread holds one block of hidden layer (1 MB at H = 500 in
+float32), not one frame's whole batch.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import os
@@ -45,7 +46,7 @@ from . import blas
 from .mlp import FORWARD_ROWS, MlpWeights, mlp_forward
 
 MAX_EXACT_DIM = 15
-FRAME_CHUNK = 8  # frames per queued task
+FRAME_CHUNK = 8  # frames per chunk
 
 ModelFn = Callable[[np.ndarray], np.ndarray]
 
@@ -214,27 +215,16 @@ def explain_jobs(jobs: Sequence[Job], n_permutations: int = 200,
     std_errors = [None if baseline.dim <= MAX_EXACT_DIM else np.empty(features.shape)
                   for _, features, baseline in checked]
 
-    def attribute(job: int, frames: range) -> None:
-        model, features, baseline = checked[job]
-        for k in frames:
-            if std_errors[job] is None:
-                attributions[job][k] = shap_exact(model, features[k], baseline)
-            else:
-                attributions[job][k], std_errors[job][k] = shap_sampled(
-                    model, features[k], baseline, n_permutations,
-                    np.random.SeedSequence(seed, spawn_key=(k,)))
-
-    def drain() -> None:
-        try:
-            while True:
-                try:
-                    job, frames = chunks.popleft()
-                except IndexError:
-                    return
-                attribute(job, frames)
-        except BaseException:
-            chunks.clear()  # the other threads stop after their current chunk
-            raise
+    def attribute(chunks) -> None:  # chunks: (job, range of its frames) pairs
+        for job, frames in chunks:
+            model, features, baseline = checked[job]
+            for k in frames:
+                if std_errors[job] is None:
+                    attributions[job][k] = shap_exact(model, features[k], baseline)
+                else:
+                    attributions[job][k], std_errors[job][k] = shap_sampled(
+                        model, features[k], baseline, n_permutations,
+                        np.random.SeedSequence(seed, spawn_key=(k,)))
 
     with blas.one_thread() as pinned:
         # frame functions replaced from outside (a call recorder, say) need not be
@@ -243,31 +233,27 @@ def explain_jobs(jobs: Sequence[Job], n_permutations: int = 200,
         helpers = _workers() - 1 if pinned and native else 0
         queued = [job for job, (_, _, baseline) in enumerate(checked) if helpers
                   and _frame_rows(baseline.dim, n_permutations) >= FORWARD_ROWS]
-        chunks = collections.deque(
-            (job, range(k, min(k + FRAME_CHUNK, len(checked[job][1]))))
-            for job in queued for k in range(0, len(checked[job][1]), FRAME_CHUNK))
-        helpers = min(helpers, len(chunks))
+        spans = [(job, range(k, min(k + FRAME_CHUNK, len(checked[job][1]))))
+                 for job in queued for k in range(0, len(checked[job][1]), FRAME_CHUNK)]
+        # the threads share one list iterator: its next() runs under the GIL, so each
+        # chunk goes to exactly one thread
+        chunks = iter(spans)
+        helpers = min(helpers, len(spans))
         if helpers:
             with ThreadPoolExecutor(max_workers=helpers) as pool:
-                running = [pool.submit(drain) for _ in range(helpers)]
-                drain()
+                running = [pool.submit(attribute, chunks) for _ in range(helpers)]
+                attribute(chunks)
                 for future in running:
                     future.result()
-        # the smaller frames run here alone, once the queue is empty (module docstring)
+        # the smaller frames run here alone, once every chunk is done (module docstring)
         results = []
         for job, (model, features, baseline) in enumerate(checked):
             results.append((float(model(baseline.values[None, :])[0]),
                             np.asarray(model(features), dtype=float)))
             if job not in queued:
-                attribute(job, range(len(features)))
+                attribute([(job, range(len(features)))])
     return [ShapResult(base_value, attributions[job], predicted, std_errors[job])
             for job, (base_value, predicted) in enumerate(results)]
-
-
-def explain_frames(model: ModelFn, features, baseline: Baseline,
-                   n_permutations: int = 200, seed: int = 0) -> ShapResult:
-    """Attribute every row of a (T, D) feature matrix: ``explain_jobs`` with one job."""
-    return explain_jobs([(model, features, baseline)], n_permutations, seed)[0]
 
 
 def global_importance(attributions, names: Sequence[str]):

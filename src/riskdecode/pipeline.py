@@ -38,7 +38,7 @@ import logging
 import re
 import warnings
 from dataclasses import asdict, dataclass, replace
-from itertools import chain
+from itertools import chain, combinations
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -512,6 +512,10 @@ def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
     mapping = {c: c for c in RATINGS_COLUMNS}
     if profile:
         mapping.update(profile)
+    for a, b in combinations(RATINGS_COLUMNS, 2):  # one file column read as two
+        if mapping[a] == mapping[b]:
+            raise ValueError(f"{path}: the profile maps {a} and {b} onto one file column, "
+                             f"{mapping[a]!r}")
     # as utf-8-sig in text mode reads it: without the byte-order mark spreadsheet exports
     # put before line 1, and with lines that end at \r\n, \r or \n read as \n. The
     # readers below split lines at \r\n and \n alike, so only a lone \r, or a line end
@@ -905,7 +909,7 @@ def run_explain(out: Path, seed: int = 0, events: Sequence[int] | None = None,
                 n_permutations: int = 200) -> Path:
     out = Path(out)
     chosen = set(events) if events else None
-    jobs, placed, input_paths = [], [], []
+    jobs, records, input_paths = [], [], []
     for group in sorted(NETWORK_GROUPS):
         if chosen is not None and chosen.isdisjoint(s.event_id for s in _events(group)):
             continue  # the selection names none of this network's events
@@ -914,29 +918,24 @@ def run_explain(out: Path, seed: int = 0, events: Sequence[int] | None = None,
         targets = [e for e in np.unique(eids).tolist() if chosen is None or e in chosen]
         if chosen is None:
             targets = targets[:1]  # default: one representative event per network
-        if not targets:
-            continue
         model = mean_head(weights)
         baseline = Baseline.from_training(x)
-        frames = []
         for eid in targets:
             sel = eids == eid
             jobs.append((model, x[sel], baseline))
-            frames.append((eid, times[sel], matrix[sel]))
-        placed.append((group, names, frames))
+            records.append((group, names, eid, times[sel], matrix[sel]))
 
-    # every network's frames under one scheduler: one queue for the block-sized ones
-    results = iter(explain_jobs(jobs, n_permutations=n_permutations, seed=seed))
-    shap_blocks, globals_blocks = [], []
-    for group, names, frames in placed:
-        collected = []
-        for eid, t, raw in frames:
-            result = next(results)
-            collected.append(result.attributions)
-            n, d = raw.shape
-            err = np.full((n, d), np.nan) if result.std_errors is None else result.std_errors
-            shap_blocks.append((np.full(n * d, eid), np.repeat(t, d), np.tile(names, n),
-                                result.attributions.ravel(), raw.ravel(), err.ravel()))
+    # every network's frames under one scheduler
+    results = explain_jobs(jobs, n_permutations=n_permutations, seed=seed)
+    shap_blocks, by_group = [], {}  # by_group: each network's names and attributions
+    for (group, names, eid, t, raw), result in zip(records, results):
+        n, d = raw.shape
+        err = np.full((n, d), np.nan) if result.std_errors is None else result.std_errors
+        shap_blocks.append((np.full(n * d, eid), np.repeat(t, d), np.tile(names, n),
+                            result.attributions.ravel(), raw.ravel(), err.ravel()))
+        by_group.setdefault(group, (names, []))[1].append(result.attributions)
+    globals_blocks = []
+    for group, (names, collected) in by_group.items():
         ranked, scores = zip(*global_importance(np.vstack(collected), names))
         globals_blocks.append((np.full(len(ranked), group), ranked, scores,
                                np.arange(1, len(ranked) + 1)))

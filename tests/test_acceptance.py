@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from riskdecode.calibration import CalibrationJob, calibrate, minmax_rescale
-from riskdecode.explain import Baseline, explain_frames, mean_head, shap_exact, shap_sampled
+from riskdecode.explain import Baseline, explain_jobs, mean_head, shap_exact, shap_sampled
 from riskdecode.features import GAP_FLOOR, drac
 from riskdecode.mlp import MlpConfig, gradient_check, mlp_init, mlp_train
 from riskdecode.pipeline import NETWORK_GROUPS, read_csv, run_ingest
@@ -248,7 +248,7 @@ def test_criterion_09_shapley(capsys):
     rng = np.random.default_rng(42)
     baseline = Baseline(rng.normal(size=12) * 0.1)
     frames = rng.normal(size=(20, 12))
-    result = explain_frames(model, frames, baseline)
+    result = explain_jobs([(model, frames, baseline)])[0]
     local = np.max(np.abs(result.base_value + result.attributions.sum(axis=1)
                           - result.predicted))
     w = rng.normal(size=12)

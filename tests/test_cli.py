@@ -1045,6 +1045,11 @@ def test_bad_selector_and_config(tmp_path, caplog):
             run_all(tmp_path, **{option: 8})
 
 
+BOUNDS = "bounds must map any of PCAD, DRF to objects of [low, high] finite number pairs (was "
+MANIFESTS = ("manifests must map any of MB, HB, SVM, LC_normal, LC_fragmented, LC_aborted to "
+             "lists of strings (was ")
+
+
 @pytest.mark.parametrize("argv,entry,message", [
     (["explain"], '"n_permutations": 2.5', "n_permutations must be a positive integer (was 2.5)"),
     (["explain"], '"n_permutations": 0', "n_permutations must be a positive integer (was 0)"),
@@ -1058,12 +1063,27 @@ def test_bad_selector_and_config(tmp_path, caplog):
     (["train"], '"learning_rate": NaN', "learning_rate must be a positive finite number (was NaN)"),
     (["train"], '"learning_rate": true',
      "learning_rate must be a positive finite number (was true)"),
+    (["ingest"], '"dataset": 5', "dataset must be a string (was 5)"),
+    (["calibrate"], '"bounds": {"PCAD": [1]}', BOUNDS + '{"PCAD": [1]})'),
+    (["calibrate"], '"bounds": {"PCAD": {"alpha": [1, 2, 3]}}',
+     BOUNDS + '{"PCAD": {"alpha": [1, 2, 3]}})'),
+    (["calibrate"], '"bounds": {"XYZ": {"alpha": [1, 2]}}', BOUNDS + '{"XYZ": {"alpha": [1, 2]}})'),
+    (["calibrate"], '"bounds": []', BOUNDS + "[])"),
+    (["features"], '"manifests": {"XX": ["dx"]}', MANIFESTS + '{"XX": ["dx"]})'),
+    (["features"], '"manifests": []', MANIFESTS + "[])"),
+    (["ingest", "--synthetic"], '"profile": {"ratingz": "x"}',
+     "profile must map any of participant_id, event_id, clip_index, rating to strings "
+     '(was {"ratingz": "x"})'),
 ], ids=["fractional_count", "zero_count", "string_count", "boolean_count", "negative_count",
-        "zero_rate", "string_rate", "nan_rate", "boolean_rate"])
+        "zero_rate", "string_rate", "nan_rate", "boolean_rate", "number_dataset",
+        "list_model_bounds", "three_bounds", "unknown_model_bounds", "list_bounds",
+        "unknown_group_manifest", "list_manifests", "unknown_profile_column"])
 def test_a_config_value_of_the_wrong_type_is_one_error_line(argv, entry, message, tmp_path,
                                                             caplog):
     # a count or rate of the wrong JSON type once ended in a TypeError traceback, ran
-    # one draw for true, or was refused without naming the config file
+    # one draw for true, or was refused without naming the config file; a dataset,
+    # profile, manifests or bounds value of the wrong shape ended in a traceback, in a
+    # bare "too many values to unpack", or went unread while the stage exited 0
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{" + entry + "}", encoding="utf-8")
     with caplog.at_level(logging.ERROR):

@@ -9,10 +9,8 @@ import numpy as np
 import pytest
 
 from riskdecode import blas, explain
-from riskdecode.explain import (MAX_EXACT_DIM, Baseline, ShapResult,
-                                explain_frames, explain_jobs, global_importance,
-                                mean_head, shap_exact,
-                                shap_sampled)
+from riskdecode.explain import (MAX_EXACT_DIM, Baseline, ShapResult, explain_jobs,
+                                global_importance, mean_head, shap_exact, shap_sampled)
 from riskdecode.mlp import FORWARD_ROWS, MlpConfig, mlp_init, mlp_train
 
 LIN_W = np.array([0.5, -1.0, 2.0, 0.0, 0.25, -0.75, 1.5, -0.1])
@@ -146,7 +144,7 @@ def test_explain_frames_exact_mode(net_model, frame_and_baseline):
     _, base = frame_and_baseline
     rng = np.random.default_rng(7)
     features = rng.normal(size=(6, 8))
-    result = explain_frames(net_model, features, base)
+    result = explain_jobs([(net_model, features, base)])[0]
     assert isinstance(result, ShapResult)
     assert result.attributions.shape == (6, 8)
     assert result.std_errors is None
@@ -160,13 +158,13 @@ def test_explain_frames_sampled_mode():
     rng = np.random.default_rng(7)
     base = Baseline(rng.normal(size=d) * 0.1)
     features = rng.normal(size=(3, d))
-    result = explain_frames(model, features, base, n_permutations=50, seed=1)
+    result = explain_jobs([(model, features, base)], n_permutations=50, seed=1)[0]
     assert result.std_errors is not None
     assert result.std_errors.shape == (3, d)
-    rerun = explain_frames(model, features, base, n_permutations=50, seed=1)
+    rerun = explain_jobs([(model, features, base)], n_permutations=50, seed=1)[0]
     assert np.array_equal(result.attributions, rerun.attributions)
     with pytest.raises(ValueError):
-        explain_frames(model, features[:, :5], base)
+        explain_jobs([(model, features[:, :5], base)])
 
 
 @pytest.mark.parametrize("d", [8, MAX_EXACT_DIM + 1])
@@ -178,8 +176,8 @@ def test_a_trained_float32_network_stays_additive(d):
                                            learning_rate=0.01))
     model = mean_head(weights)
     assert model(x[:2]).dtype == np.float32
-    result = explain_frames(model, x[:20], Baseline.from_training(x), n_permutations=16,
-                            seed=3)
+    result = explain_jobs([(model, x[:20], Baseline.from_training(x))], n_permutations=16,
+                          seed=3)[0]
     # each frame's value comes from the batch that attributes it and again from the
     # batch of all frames, whose float32 rows may round apart: the bound is two
     # float32 steps at the largest prediction, about 1.9e-6 here (1e-9 in float64)
@@ -248,7 +246,8 @@ def test_explain_frames_do_not_depend_on_the_worker_count(d, frames, monkeypatch
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, so the chunks interleave
         try:
-            results.append(explain_frames(recorded, features, base, n_permutations=6, seed=2))
+            results.append(explain_jobs([(recorded, features, base)], n_permutations=6,
+                                        seed=2)[0])
         finally:
             sys.setswitchinterval(interval)
         if blas._openblas() is not None:
@@ -299,6 +298,8 @@ def test_explain_jobs_do_not_depend_on_the_worker_count(monkeypatch):
         sys.setswitchinterval(1e-6)  # switch threads often, so the chunks interleave
         try:
             results.append(explain_jobs(watched, n_permutations, seed=2))
+            # each frame is attributed once: equal bytes cannot show a chunk run twice
+            assert [len(made) for made in calls] == [frames] * len(jobs)
             before = blas._openblas()[0]() if pinned else None
             # a frame that fails on a helper thread raises here, BLAS restored
             with pytest.raises(ValueError, match="finite"):
@@ -321,7 +322,7 @@ def test_explain_jobs_do_not_depend_on_the_worker_count(monkeypatch):
                 assert result[job].std_errors.tobytes() == want.std_errors.tobytes()
     # one job at a time gives the same bytes as all jobs under one scheduler
     for (model, features, base), want in zip(jobs, results[0]):
-        alone = explain_frames(model, features, base, n_permutations, seed=2)
+        alone = explain_jobs([(model, features, base)], n_permutations, seed=2)[0]
         assert alone.attributions.tobytes() == want.attributions.tobytes()
 
 
@@ -347,10 +348,10 @@ def test_explain_frames_restore_the_blas_thread_count(monkeypatch):
     set_(2)
     try:
         before = get()
-        explain_frames(recorded, features, base)
+        explain_jobs([(recorded, features, base)])
         assert get() == before
         with pytest.raises(ValueError, match="finite"):
-            explain_frames(recorded, bad, base)
+            explain_jobs([(recorded, bad, base)])
         assert get() == before
     finally:
         set_(original)

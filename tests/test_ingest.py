@@ -221,6 +221,22 @@ def test_clean_files_take_the_column_pass(variant, tmp_path, monkeypatch):
     assert _ingest(ratings, tmp_path / "new", None) == want
 
 
+@pytest.mark.parametrize("profile,pair,column", [
+    ({"rating": "clip_index"}, ("clip_index", "rating"), "clip_index"),
+    ({"participant_id": "rater", "event_id": "rater"}, ("participant_id", "event_id"), "rater"),
+], ids=["rating_read_from_clip_index", "two_columns_renamed_alike"])
+def test_a_profile_that_reads_one_file_column_twice_is_refused(profile, pair, column,
+                                                               tmp_path):
+    # clip indices read as ratings once ingested 6,588 "ratings" from a seed-7 file of
+    # 5,958, without a word
+    ratings = write_synthetic_ratings(tmp_path, seed=4, n_participants=3)
+    with pytest.raises(ValueError) as caught:
+        run_ingest(tmp_path / "run", ratings, profile=profile)
+    assert str(caught.value) == (f"{ratings}: the profile maps {pair[0]} and {pair[1]} "
+                                 f"onto one file column, {column!r}")
+    assert not (tmp_path / "run").exists()
+
+
 def test_a_reject_after_a_multi_line_cell_names_its_own_line(tmp_path):
     lines = ['"7\n",1,1,3', "6,1,99,3", "7,1,1,11"]  # one row on lines 2-3, then lines 4, 5
     lines += [f"{pid},1,{clip},{2 + clip + pid % 3}" for pid in range(1, 6) for clip in range(1, 6)]
