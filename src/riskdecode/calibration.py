@@ -3,11 +3,12 @@
 Raw PCAD and DRF outputs live on arbitrary scales, so every evaluation
 first applies a joint min-max rescale to [0, 10] across all events before
 scoring against the target risk curves: ``minmax_rescale`` of one vector
-that holds every event's frames in catalog order.  Calibration is a
-seeded random search: parameter records are drawn uniformly within bounds
-(log-uniform for strictly positive scale parameters), the default record
-is always evaluated as draw 0, and the best record by RMSE wins with ties
-broken by the lowest draw index.
+that holds every event's frames in catalog order.  ``compare_models`` takes
+such vectors too: the truth and each model's rescaled output over one list
+of events.  Calibration is a seeded random search: parameter records are
+drawn uniformly within bounds (log-uniform for strictly positive scale
+parameters), the default record is always evaluated as draw 0, and the best
+record by RMSE wins with ties broken by the lowest draw index.
 
 ``c_sev`` is deliberately absent from the default DRF bounds: the joint
 rescale cancels any pure output scale, so the parameter is unidentifiable
@@ -220,43 +221,34 @@ class ComparisonReport:
     bin_width: float = HISTOGRAM_BIN_WIDTH
 
 
-def _flat_series(name: str, series: Mapping[int, np.ndarray], specs: Sequence) -> np.ndarray:
-    """``series`` of the events ``specs`` as one vector, each event's series checked to
-    lie on its 10 Hz grid and the rating scale."""
-    flat = []
-    for spec in specs:
-        if spec.event_id not in series:
-            raise ValueError(f"{name} output missing event {spec.event_id}")
-        values = np.asarray(series[spec.event_id], dtype=float)
-        at = f"{name} series for event {spec.event_id}"
-        if values.shape != (spec.n_frames,):
-            raise ValueError(f"{at} has shape {values.shape}, expected ({spec.n_frames},)")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{at} must be finite")
-        if values.min() < RATING_MIN - 1e-9 or values.max() > RATING_MAX + 1e-9:
-            raise ValueError(f"{at} leaves [{RATING_MIN:g}, {RATING_MAX:g}]")
-        flat.append(values)
-    return np.concatenate(flat)
-
-
-def compare_models(truth: Mapping[int, np.ndarray],
-                   outputs: Mapping[str, Mapping[int, np.ndarray]]) -> ComparisonReport:
+def compare_models(event_ids: Sequence[int], truth,
+                   outputs: Mapping[str, np.ndarray]) -> ComparisonReport:
     """Absolute-error comparison of rescaled model outputs against truth.
 
-    All series must share the event's 10 Hz grid and already live in
-    [0, 10]; a length mismatch anywhere is rejected.  Each model's errors
-    form one vector over the events in id order, pooled per family by a mask.
+    ``truth`` and each of ``outputs`` are one vector of the frames of ``event_ids``,
+    event after event in that order, on each event's 10 Hz grid, as catalog-ordered
+    tables hold them.  Every vector must have that length and already live in
+    [0, 10].  Each model's errors are pooled per family by a mask.
     """
-    if not truth:
+    if not len(event_ids):
         raise ValueError("comparison needs truth curves")
     if not outputs:
         raise ValueError("comparison needs at least one model")
-    specs = [event_by_id(eid) for eid in sorted(truth)]
-    truth_vec = _flat_series("truth", truth, specs)
-    abs_errors = {model: np.abs(_flat_series(model, outputs[model], specs) - truth_vec)
-                  for model in sorted(outputs)}
-
+    specs = [event_by_id(eid) for eid in event_ids]
     family = np.repeat([s.family for s in specs], [s.n_frames for s in specs])
+    vectors = []
+    for name, values in [("truth", truth), *sorted(outputs.items())]:
+        values = np.asarray(values, dtype=float)
+        if values.shape != family.shape:
+            raise ValueError(f"{name} series has shape {values.shape}, expected {family.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} series must be finite")
+        if values.min() < RATING_MIN - 1e-9 or values.max() > RATING_MAX + 1e-9:
+            raise ValueError(f"{name} series leaves [{RATING_MIN:g}, {RATING_MAX:g}]")
+        vectors.append(values)
+    abs_errors = {model: np.abs(values - vectors[0])
+                  for model, values in zip(sorted(outputs), vectors[1:])}
+
     scenario_stats = {}
     for name in sorted({s.family for s in specs}):
         in_family = family == name

@@ -14,6 +14,9 @@ weights (float32 values), which later stages read back, are JSON at
 from the catalog for the events and feature names in ``normstats.json``
 and copies that group's entry into the network's ``weights_<group>.json``,
 from which alone predict and explain rebuild it.
+``_event_vector`` reads ``curves.csv`` and ``predictions.csv`` as one catalog-ordered
+vector each, which train indexes, calibrate splits into per-event targets, and report
+hands to ``compare_models`` with the PCAD/DRF outputs over the same events.
 A missing float (NaN) is an empty cell, and cells are quoted as
 ``csv.writer`` quotes them.  ``read_csv`` returns columns keyed by header
 name: int64 if every cell of the column parses as ``int``, else float64 if
@@ -350,36 +353,49 @@ def _read_event_table(path: Path, numbers: Sequence[str], others: Sequence[str] 
     return table
 
 
-def _means_by_event(path: Path, table: Mapping[str, np.ndarray], event_ids=None) -> dict:
-    """The ``mean`` column of the event table read from ``path``, split by event id in id
-    order.  Each of ``event_ids`` (by default every event it holds) must be a catalog
-    event held at its catalog frame count."""
-    ids = table["event_id"]
-    means = {int(eid): table["mean"][ids == eid] for eid in np.unique(ids)}
-    for eid in means if event_ids is None else event_ids:
-        try:
-            n_frames = event_by_id(eid).n_frames
-        except KeyError:
+def _event_vector(path: Path, table: Mapping[str, np.ndarray],
+                  needed: Sequence[int] = ()) -> tuple:
+    """The ``event_id`` and ``mean`` columns of the event table read from ``path``, checked
+    as one catalog-ordered vector: at least one row; rows run event by event in rising id
+    order; each event, and each of ``needed``, is a catalog event held at its frame count;
+    ``np.rint(t / DT)`` is each row's frame index; every mean lies in
+    ``RATING_MIN..RATING_MAX``.  A fault names the file and the row or event."""
+    ids, mean = table["event_id"], table["mean"]
+    if not ids.size:
+        raise ValueError(f"{path} holds a header and no data rows; {_again(path)}")
+    back = np.flatnonzero(ids[1:] < ids[:-1]) + 1
+    if back.size:
+        raise ValueError(f"{path} {_row(table, back[0])} follows a row of event "
+                         f"{ids[back[0] - 1]}: rows must run event by event in rising id "
+                         f"order; {_again(path)}")
+    events, starts, counts = np.unique(ids, return_index=True, return_counts=True)
+    held = dict(zip(events.tolist(), counts.tolist()))
+    n_frames = {s.event_id: s.n_frames for s in enumerate_events()}
+    for eid in sorted({*held, *needed}):
+        if eid not in n_frames:
             raise ValueError(f"{path} holds rows of event {eid}, which is not a catalog event; "
-                             f"{_again(path)}") from None
-        rows = len(means.get(eid, ()))
-        if rows != n_frames:
-            raise ValueError(f"{path} lacks event {eid} at its {n_frames} frames "
-                             f"(it holds {rows} rows of it); {_again(path)}")
-    return means
+                             f"{_again(path)}")
+        if held.get(eid, 0) != n_frames[eid]:
+            raise ValueError(f"{path} lacks event {eid} at its {n_frames[eid]} frames "
+                             f"(it holds {held.get(eid, 0)} rows of it); {_again(path)}")
+    frame = np.arange(ids.size) - np.repeat(starts, counts)
+    late = np.flatnonzero(np.rint(table["t"] / DT) != frame)
+    if late.size:
+        k = frame[late[0]]
+        raise ValueError(f"{path} {_row(table, late[0])} is out of time order: its event's "
+                         f"frame {k} lies at t {k * DT:g}; {_again(path)}")
+    off_scale = np.flatnonzero(~((mean >= RATING_MIN) & (mean <= RATING_MAX)))  # NaN too
+    if off_scale.size:
+        raise ValueError(f"{path} {_row(table, off_scale[0])} holds mean {mean[off_scale[0]]}, "
+                         f"outside {RATING_MIN:g}..{RATING_MAX:g}; {_again(path)}")
+    return ids, mean
 
 
 def _read_curves(out: Path) -> tuple:
-    """``curves.csv``'s path, its columns and its mean curves by event, each a catalog
-    event at its frame count and every mean a rating in ``RATING_MIN..RATING_MAX``."""
+    """``curves.csv``'s path, its columns, then its ``_event_vector``."""
     path = require(out, "curves.csv")
     curves = _read_event_table(path, ("t", "mean"), ("p25", "p75"))
-    mean = curves["mean"]
-    off_scale = np.flatnonzero(~((mean >= RATING_MIN) & (mean <= RATING_MAX)))  # NaN too
-    if off_scale.size:
-        raise ValueError(f"{path} {_row(curves, off_scale[0])} holds mean {mean[off_scale[0]]}, "
-                         f"outside {RATING_MIN:g}..{RATING_MAX:g}; {_again(path)}")
-    return path, curves, _means_by_event(path, curves)
+    return path, curves, *_event_vector(path, curves)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +516,18 @@ def _ratings_by_row(reader, line_no: list, index: Sequence[int], mapping: Mappin
     return dict(zip(RATINGS_COLUMNS, rows[:, 1:].T)), rows[:, 0], invalid
 
 
+def _column_map(path: Path, profile: Mapping[str, str] | None) -> dict:
+    """The file column of each of ``RATINGS_COLUMNS`` under ``profile``; a profile that maps
+    two of them onto one file column is refused with one line that names ``path``."""
+    mapping = {c: c for c in RATINGS_COLUMNS}
+    mapping.update(profile or {})
+    for a, b in combinations(RATINGS_COLUMNS, 2):  # one file column read as two
+        if mapping[a] == mapping[b]:
+            raise ValueError(f"{path}: the profile maps {a} and {b} onto one file column, "
+                             f"{mapping[a]!r}")
+    return mapping
+
+
 def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
     """Accepted rows as ``RATINGS_COLUMNS`` int64 columns, their line numbers,
     and ``(line_number, reason)`` for every rejected row.
@@ -509,13 +537,7 @@ def _read_ratings_file(path: Path, profile: Mapping[str, str] | None):
     that pass must not or cannot take (a quote, a ``#`` or blank line, a character
     beyond printable ASCII, a cell loadtxt rejects or only warns on, a short row) is
     read row by row with ``csv.reader`` and ``int()``, to the same result."""
-    mapping = {c: c for c in RATINGS_COLUMNS}
-    if profile:
-        mapping.update(profile)
-    for a, b in combinations(RATINGS_COLUMNS, 2):  # one file column read as two
-        if mapping[a] == mapping[b]:
-            raise ValueError(f"{path}: the profile maps {a} and {b} onto one file column, "
-                             f"{mapping[a]!r}")
+    mapping = _column_map(path, profile)
     # as utf-8-sig in text mode reads it: without the byte-order mark spreadsheet exports
     # put before line 1, and with lines that end at \r\n, \r or \n read as \n. The
     # readers below split lines at \r\n and \n alike, so only a lone \r, or a line end
@@ -658,6 +680,8 @@ def run_reconstruct(out: Path, seed: int = 0, method: str = "pchip") -> Path:
     if faults:
         line, reason = min(faults)
         raise ValueError(f"{ratings} line {line}: {reason}; {_again(ratings)}")
+    if not matrices:
+        raise ValueError(f"{ratings} holds no rating rows; {_again(ratings)}")
     blocks = []
     for eid, (_, sequences) in matrices.items():
         agg = aggregate_curves(reconstruct_event(eid, sequences, method))
@@ -794,7 +818,7 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
               epochs: int | None = None,
               learning_rate: float | None = None) -> dict:
     out = Path(out)
-    curves_path, _, mean_curves = _read_curves(out)
+    curves_path, _, curve_ids, truth = _read_curves(out)
     normstats_path = require(out, "normstats.json")
     read_paths = [normstats_path, curves_path]
 
@@ -811,12 +835,13 @@ def run_train(out: Path, seed: int = 0, scenario: str | None = None,
     summary, log_blocks = {}, []
     for group in (g for g in NETWORK_GROUPS if g in chosen):
         event_ids, manifest, stats = _load_normstats(normstats_path, group)
-        _, _, _, x = _load_features(event_ids, manifest, stats)
-        lacking = [eid for eid in event_ids if eid not in mean_curves]
+        eids, times, _, x = _load_features(event_ids, manifest, stats)
+        lacking = [eid for eid in event_ids if eid not in curve_ids]
         if lacking:
             raise ValueError(f"{curves_path} lacks event {lacking[0]} needed by {group}; "
                              f"{_again(curves_path)}")
-        y = np.concatenate([mean_curves[eid] for eid in event_ids])  # the matrix's row order
+        # each matrix row's curve row: its event's first row, then its frame
+        y = truth[np.searchsorted(curve_ids, eids) + np.rint(times / DT).astype(np.int64)]
 
         config = MlpConfig(input_dim=x.shape[1],
                            seed=seed + sorted(NETWORK_GROUPS).index(group))
@@ -877,7 +902,9 @@ def run_predict(out: Path, seed: int = 0) -> Path:
 def run_calibrate(out: Path, seed: int = 0, draws: int = 500,
                   bounds: Mapping[str, Mapping[str, tuple]] | None = None) -> dict:
     out = Path(out)
-    curves_path, _, targets = _read_curves(out)
+    curves_path, _, curve_ids, truth = _read_curves(out)
+    events, starts = np.unique(curve_ids, return_index=True)
+    targets = dict(zip(events.tolist(), np.split(truth, starts[1:])))
     try:
         check_catalog_coverage(targets)
     except ValueError as exc:
@@ -954,19 +981,18 @@ def run_explain(out: Path, seed: int = 0, events: Sequence[int] | None = None,
 # report
 
 
-def _model_curves(calibrations: Mapping[str, Path], targets: dict) -> dict:
-    """Rescaled PCAD/DRF catalog outputs under their calibrated parameters."""
-    event_ids = sorted(targets)
+def _model_curves(calibrations: Mapping[str, Path], event_ids: Sequence[int]) -> dict:
+    """Rescaled PCAD/DRF outputs under their calibrated parameters, each one vector of the
+    frames of ``event_ids`` in their order."""
     table = PairTable([catalog_trajectory(eid) for eid in event_ids])
     outputs = {}
     for model, path in calibrations.items():
         try:  # parameters whose output is not finite, or constant, are at fault too
             params = replace(MODEL_DEFAULTS[model](),
                              **json.loads(path.read_text(encoding="utf-8"))["best_params"])
-            rescaled = minmax_rescale(MODEL_SERIES[model](table, params))
+            outputs[model] = minmax_rescale(MODEL_SERIES[model](table, params))
         except (KeyError, TypeError, ValueError) as exc:
             raise _fault(path, f"{model} parameters", exc) from None
-        outputs[model] = dict(zip(event_ids, table.split(rescaled)))
     return outputs
 
 
@@ -974,32 +1000,33 @@ def run_report(out: Path, seed: int = 0) -> dict:
     """The report tables and the manifest, written once every input has been read, so a
     faulty input leaves the report of an earlier run whole."""
     out = Path(out)
-    curves_path, curves, truth = _read_curves(out)
+    curves_path, curves, truth_ids, truth = _read_curves(out)
     predictions_path = require(out, "predictions.csv")
     shap_path = require(out, "shap.csv")
     globals_path = require(out, "globals.csv")
     calibrations = {model: require(out, f"calibration_{model.lower()}.json")
                     for model in MODEL_DEFAULTS}
 
-    predictions = _read_event_table(predictions_path, ("mean",))
-    mlp_curves = _means_by_event(predictions_path, predictions, truth)
-    report = compare_models(truth, {**_model_curves(calibrations, truth), "MLP": mlp_curves})
+    events = np.unique(truth_ids).tolist()
+    predictions = _read_event_table(predictions_path, ("t", "mean"))
+    predicted_ids, predicted_mean = _event_vector(predictions_path, predictions, events)
+    mlp = predicted_mean[np.isin(predicted_ids, events)]
+    report = compare_models(events, truth, {**_model_curves(calibrations, events), "MLP": mlp})
     model_inputs = [curves_path, predictions_path, *calibrations.values()]
     global_table = _read_event_table(globals_path, (), ints=())
 
     shap = _read_event_table(shap_path, ("t", "phi"), ("feature",))
     frames = np.rint(shap["t"] / DT)
-    predicted = np.full(frames.size, np.nan)  # empty cell where no prediction exists
-    outside = []
-    for eid in np.unique(shap["event_id"]).tolist():
-        if eid in mlp_curves:
-            rows = np.flatnonzero(shap["event_id"] == eid)
-            inside = (frames[rows] >= 0) & (frames[rows] < mlp_curves[eid].size)
-            outside += rows[~inside][:1].tolist()
-            predicted[rows[inside]] = mlp_curves[eid][frames[rows[inside]].astype(np.int64)]
-    if outside:
-        raise ValueError(f"{shap_path} {_row(shap, min(outside))} lies outside the event's "
+    # each row's event: its first row in predictions.csv and its frame count, 0 if it has none
+    first = np.searchsorted(predicted_ids, shap["event_id"])
+    held = np.searchsorted(predicted_ids, shap["event_id"], side="right") - first
+    inside = (frames >= 0) & (frames < held)
+    outside = np.flatnonzero(~inside & (held > 0))
+    if outside.size:
+        raise ValueError(f"{shap_path} {_row(shap, outside[0])} lies outside the event's "
                          f"predicted frames; {_again(shap_path)}")
+    predicted = np.full(frames.size, np.nan)  # empty cell where no prediction exists
+    predicted[inside] = predicted_mean[first[inside] + frames[inside].astype(np.int64)]
 
     write_csv(out / "report_curves.csv",
               {c: curves[c] for c in ("event_id", "t", "mean", "p25", "p75")},
@@ -1036,6 +1063,7 @@ def _ingest_source(out: Path, seed: int = 0, dataset: Path | None = None,
                    profile: Mapping[str, str] | None = None) -> DatasetIndex:
     """Ingest ``dataset``, or rehearsal ratings from ``participants`` raters when it is None."""
     if dataset is None:
+        _column_map(Path(out) / "ratings.csv", profile)  # before ratings.csv is rewritten
         dataset = write_synthetic_ratings(out, seed, participants)
     return run_ingest(out, dataset, seed, profile)
 

@@ -182,12 +182,12 @@ def test_calibrate_trace_matches_per_event_loop(mb_trajectories, model, bounds, 
 
 
 def test_compare_models_stats_and_histograms():
-    truth = {1: np.zeros(N_MB), 55: np.zeros(N_LC)}
+    truth = np.zeros(N_MB + N_LC)
     outputs = {
-        "A": {1: np.full(N_MB, 1.0), 55: np.full(N_LC, 0.5)},
-        "B": {1: np.full(N_MB, 2.0), 55: np.full(N_LC, 2.0)},
+        "A": np.r_[np.full(N_MB, 1.0), np.full(N_LC, 0.5)],
+        "B": np.full(N_MB + N_LC, 2.0),
     }
-    report = compare_models(truth, outputs)
+    report = compare_models([1, 55], truth, outputs)
     assert report.scenario_stats[("MB", "A")] == (1.0, 1.0, 1.0)
     assert report.scenario_stats[("LC", "A")] == (0.5, 0.5, 0.5)
     assert report.scenario_stats[("LC", "B")][0] == 2.0
@@ -231,7 +231,9 @@ def test_compare_models_matches_per_event_loop(seed):
     truth = {eid: rng.integers(0, 41, n) / 4.0 for eid, n in frames.items()}
     outputs = {model: {eid: rng.integers(0, 41, n) / 4.0 for eid, n in frames.items()}
                for model in ("MLP", "DRF", "PCAD")[:2 + seed // 2]}
-    report = compare_models(truth, outputs)
+    report = compare_models(event_ids, np.concatenate(list(truth.values())),
+                            {model: np.concatenate(list(series.values()))
+                             for model, series in outputs.items()})
     stats, histograms = compare_models_per_event(truth, outputs)
     assert report.scenario_stats == stats
     assert list(report.scenario_stats) == list(stats)
@@ -242,16 +244,17 @@ def test_compare_models_matches_per_event_loop(seed):
 
 
 def test_compare_models_validation():
-    truth = {1: np.zeros(N_MB)}
+    truth = np.zeros(N_MB)
     with pytest.raises(ValueError):
-        compare_models({}, {"A": {1: np.zeros(N_MB)}})
+        compare_models([], np.zeros(0), {"A": np.zeros(0)})
     with pytest.raises(ValueError):
-        compare_models(truth, {})
-    with pytest.raises(ValueError, match="missing event"):
-        compare_models(truth, {"A": {}})
+        compare_models([1], truth, {})
+    with pytest.raises(ValueError,
+                       match=rf"truth series has shape \({N_MB},\), expected \({2 * N_MB},\)"):
+        compare_models([1, 2], truth, {"A": np.zeros(2 * N_MB)})
     with pytest.raises(ValueError, match="shape"):
-        compare_models(truth, {"A": {1: np.zeros(N_MB - 1)}})
+        compare_models([1], truth, {"A": np.zeros(N_MB - 1)})
     with pytest.raises(ValueError, match="finite"):
-        compare_models(truth, {"A": {1: np.full(N_MB, np.nan)}})
+        compare_models([1], truth, {"A": np.full(N_MB, np.nan)})
     with pytest.raises(ValueError, match="leaves"):
-        compare_models(truth, {"A": {1: np.full(N_MB, 11.0)}})
+        compare_models([1], truth, {"A": np.full(N_MB, 11.0)})

@@ -751,6 +751,16 @@ READ_FAULTS = {
                         r"{row} holds '' in column mean, not a number"),
     "curves_mean_57": ("curves.csv", "reconstruct", r"{row} holds mean 57\.0, outside 0\.\.10"),
     "curves_empty": ("curves.csv", "reconstruct", r"holds no header row"),
+    "curves_header_only": ("curves.csv", "reconstruct", r"holds a header and no data rows"),
+    # each event's rows sorted by mean, as a spreadsheet sort leaves them; {frame} is the
+    # frame whose place the damaged row takes, and {at} that frame's time
+    "curves_sorted_by_mean": ("curves.csv", "reconstruct",
+                              r"{row} is out of time order: its event's frame {frame} lies "
+                              r"at t {at}"),
+    # event 1's rows moved after event 105's
+    "curves_event_1_last": ("curves.csv", "reconstruct",
+                            r"{row} follows a row of event 105: rows must run event by event "
+                            r"in rising id order"),
     # a stray byte on the file's fourth line, its second data row
     "curves_not_utf8": ("curves.csv", "reconstruct",
                         r"line 4 holds the byte 0xff, which is not UTF-8 \(invalid start byte\)"),
@@ -780,12 +790,19 @@ READ_FAULTS = {
                             r"holds no usable PCAD parameters \(no 'best_params' key\)"),
     "predictions_no_mean": ("predictions.csv", "predict", r"lacks the mean column"),
     "predictions_stamp_only": ("predictions.csv", "predict", r"holds no header row"),
+    "predictions_mean_57": ("predictions.csv", "predict",
+                            r"{row} holds mean 57\.0, outside 0\.\.10"),
+    # event 1's rows in reverse time order
+    "predictions_event_1_reversed": ("predictions.csv", "predict",
+                                     r"{row} is out of time order: its event's frame {frame} "
+                                     r"lies at t {at}"),
     "predictions_lack_event_1": ("predictions.csv", "predict",
                                  rf"lacks event 1 at its {N_FRAMES_1} frames "
                                  r"\(it holds 0 rows of it\)"),
     "predictions_event_1_short": ("predictions.csv", "predict",
                                   rf"lacks event 1 at its {N_FRAMES_1} frames "
                                   rf"\(it holds {N_FRAMES_1 - 1} rows of it\)"),
+    "ratings_valid_header_only": ("ratings_valid.csv", "ingest", r"holds no rating rows"),
     "shap_t_400": ("shap.csv", "explain", r"{row} lies outside the event's predicted frames"),
     "shap_t_negative": ("shap.csv", "explain",
                         r"{row} lies outside the event's predicted frames"),
@@ -799,15 +816,17 @@ READ_FAULTS = {
 
 @pytest.mark.parametrize("stage,fault", [
     *[(stage, fault) for fault in ("curves_no_mean", "curves_nan_mean", "curves_mean_57",
-                                   "curves_empty", "curves_not_utf8", "curves_event_1_short",
-                                   "curves_event_999")
+                                   "curves_empty", "curves_header_only", "curves_sorted_by_mean",
+                                   "curves_event_1_last", "curves_not_utf8",
+                                   "curves_event_1_short", "curves_event_999")
       for stage in ("train", "calibrate", "report")],
     ("train", "curves_lacks_event_1"),
     ("calibrate", "curves_lacks_event_1"),
     *[("features", fault) for fault in ("events_not_json", "events_999", "events_str_1",
                                         "events_true")],
     *[("report", fault) for fault in READ_FAULTS
-      if not fault.startswith(("curves", "events", "kept"))],
+      if not fault.startswith(("curves", "events", "kept", "ratings"))],
+    ("reconstruct", "ratings_valid_header_only"),
     ("train", "kept_not_json"),
     ("train", "kept_no_report"),
 ])
@@ -825,6 +844,8 @@ def test_stages_name_a_faulty_input_file(stage, fault, mini_tree, tmp_path, capl
         path.write_bytes(b"")
     elif fault == "predictions_stamp_only":
         path.write_bytes(path.read_bytes().partition(b"\n")[0] + b"\n")
+    elif fault.endswith("header_only"):  # the stamp and header lines
+        path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:2]))
     elif fault == "curves_not_utf8":
         lines = path.read_bytes().split(b"\n")
         lines[3] = lines[3].replace(b",", b"\xff,", 1)
@@ -853,14 +874,28 @@ def test_stages_name_a_faulty_input_file(stage, fault, mini_tree, tmp_path, capl
         elif fault == "curves_event_999":  # a copy of the last row, as event 999
             table = {c: np.append(column, column[-1]) for c, column in table.items()}
             table["event_id"][-1] = 999
-        elif fault.startswith("curves"):
+        elif fault.endswith(("sorted_by_mean", "reversed", "last")):
+            order = np.arange(table["mean"].size)
+            if fault == "curves_sorted_by_mean":
+                order = np.lexsort((table["mean"], table["event_id"]))
+            elif fault == "curves_event_1_last":
+                order = np.argsort(table["event_id"] == 1, kind="stable")
+            else:
+                order[table["event_id"] == 1] = order[table["event_id"] == 1][::-1]
+            table = {c: column[order] for c, column in table.items()}
+            row = np.flatnonzero(order != np.arange(order.size))[0]  # the first row moved
+            if fault == "curves_event_1_last":  # the first row after a higher event's
+                row = np.flatnonzero(np.diff(table["event_id"]) < 0)[0] + 1
+        elif fault.endswith(("nan_mean", "mean_57")):
             row = 3
             table["mean"][row] = np.nan if fault == "curves_nan_mean" else 57.0
         else:
             table["t"][row] = 400.0 if fault == "shap_t_400" else -0.1
         write_csv(path, table, seed=1)
         table = read_csv(path)
-        detail = detail.format(row=re.escape(
+        frame = row - np.flatnonzero(table["event_id"] == table["event_id"][row])[0]
+        detail = detail.format(frame=frame, at=re.escape(f"{frame * scenarios.DT:g}"),
+                               row=re.escape(
             f"data row {row + 1} (event {table['event_id'][row]}, t {table['t'][row]})"))
     flags = {"train": ["--epochs", "2"], "calibrate": ["--draws", "2"]}.get(stage, [])
     if fault.startswith("kept"):

@@ -235,6 +235,13 @@ def test_a_profile_that_reads_one_file_column_twice_is_refused(profile, pair, co
     assert str(caught.value) == (f"{ratings}: the profile maps {pair[0]} and {pair[1]} "
                                  f"onto one file column, {column!r}")
     assert not (tmp_path / "run").exists()
+    # ingest --synthetic refuses the profile before it rewrites the ratings.csv in --out
+    before = ratings.read_bytes()
+    with pytest.raises(ValueError) as caught:
+        pipeline.run_stage("ingest", tmp_path, {"seed": 5, "profile": profile})
+    assert str(caught.value) == (f"{ratings}: the profile maps {pair[0]} and {pair[1]} "
+                                 f"onto one file column, {column!r}")
+    assert ratings.read_bytes() == before
 
 
 def test_a_reject_after_a_multi_line_cell_names_its_own_line(tmp_path):
