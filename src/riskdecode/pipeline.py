@@ -18,9 +18,15 @@ from which alone predict and explain rebuild it.
 vector each, which train indexes, calibrate splits into per-event targets, and report
 hands to ``compare_models`` with the PCAD/DRF outputs over the same events.
 A missing float (NaN) is an empty cell, and cells are quoted as
-``csv.writer`` quotes them.  ``read_csv`` returns columns keyed by header
-name: int64 if every cell of the column parses as ``int``, else float64 if
-every cell parses as ``float``, else strings.  It guesses each column's
+``csv.writer`` quotes them.  Every cell is what ``"%.6f"`` or ``str`` writes:
+``write_csv`` builds each block of ``_ROWS_PER_WRITE`` rows in numpy as one byte
+matrix (``_block_bytes``: digits from a table of the 10**4 four-digit groups, NUL
+where nothing is written), and a block holding a cell outside that path's domain
+(an infinite float, a float or integer whose scaled magnitude reaches 2**52, a bool,
+a string that is not ASCII, holds a NUL or needs quotes) or a table of one column is
+formatted by one ``%`` over its rows (``_block_text``).  ``read_csv`` returns
+columns keyed by header name: int64 if every cell of the column parses as ``int``,
+else float64 if every cell parses as ``float``, else strings.  It guesses each column's
 kind from the first data row and parses the rows in one ``np.loadtxt`` pass
 with those kinds, under the guards of ``_loadtxt``, which ingest shares: a
 table with a quote, a blank or ``#`` line, a character beyond printable ASCII,
@@ -40,8 +46,9 @@ import json
 import logging
 import re
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
-from itertools import chain, combinations
+from itertools import chain, combinations, groupby
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -130,12 +137,150 @@ def _column(values: np.ndarray, lone: bool) -> tuple:
     return "%s", cells
 
 
+def _block_text(block: Sequence[np.ndarray], lone: bool) -> bytes:
+    """One block of rows formatted by one ``%`` over a repeated row format."""
+    specs, cells = zip(*(_column(column, lone) for column in block))
+    rows = (",".join(specs) + "\r\n") * len(cells[0])
+    return (rows % tuple(chain.from_iterable(zip(*cells)))).encode("utf-8")
+
+
+def _quads() -> np.ndarray:
+    """The four ASCII digits of each of 0..9999 as the first four bytes of a little-endian
+    uint64: with their zeros, then without leading zeros (0 is four NULs), then the same
+    but 0 is ``"0"``."""
+    number = np.arange(10_000)[:, None]
+    digits = number // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    quads = np.zeros((3, 10_000, 8), np.uint8)
+    quads[0, :, :4] = digits
+    quads[1, :, :4] = np.where(number >= np.array([1000, 100, 10, 1]), digits, 0)
+    quads[2, :, :4] = np.where(number >= np.array([1000, 100, 10, 0]), digits, 0)
+    return quads.view("<u8").ravel()
+
+
+_QUADS = _quads()
+_POINTS = ord(".") | _QUADS[:100] >> 16 << 8  # the point and two digits of each of 0..99
+_EXACT = 2 ** 52  # below it, a float64 holds every integer and every half-integer
+_SIGN = np.uint64(ord("-") << 8)
+
+
+def _digit_words(whole: np.ndarray, negative: np.ndarray, seps: np.ndarray) -> list:
+    """Cells of the integers ``0 <= whole < 1e16`` as uint64 words whose bytes run in text
+    order, NUL where nothing is written: the first word holds the separator ``seps``, the
+    sign and, for an odd number of base-10**4 groups, the top group; each later word holds
+    two groups.  Leading zeros are NUL, but a zero is "0"."""
+    n_groups = -(-len(str(whole.max())) // 4)
+    groups, rest = [], whole
+    for j in range(n_groups):  # from the lowest group
+        group = rest
+        if j < n_groups - 1:
+            rest = rest // 10_000
+            group = group - rest * 10_000
+        table = 2 if j == 0 else 1  # without leading zeros, where no higher group is written
+        top = table if j == n_groups - 1 else (whole < 10_000 ** (j + 1)) * table
+        groups.append(_QUADS[group + top * 10_000])
+    words = [seps | negative * _SIGN]
+    if n_groups % 2:
+        words[0] |= groups.pop() << 32
+    while groups:
+        high = groups.pop()
+        words.append(high | groups.pop() << 32)
+    return words
+
+
+def _float_words(values: np.ndarray, seps: np.ndarray) -> np.ndarray | None:
+    """``"%.6f"`` cells of a ``(rows, k)`` float64 block as ``(rows, k, words)`` uint64
+    words (see ``_digit_words``), the last one the point and six decimals, a NaN cell
+    only its separator; None if a cell is infinite or of magnitude ``_EXACT / 1e6`` or
+    more."""
+    missing = np.isnan(values)
+    gaps = missing.any()
+    scaled = np.abs(values) * 1e6
+    if gaps:
+        scaled[missing] = 0.0
+    if not (scaled < _EXACT).all():
+        return None
+    rounded = np.rint(scaled)
+    # "%.6f" rounds the exact product half to even.  The rounded product lies on the same
+    # side of each half-integer as the exact one, or on it: rounding is monotonic and a
+    # half-integer below _EXACT is a float64.  So rint differs only on a half-integer,
+    # and those cells ask Python.
+    for i in np.flatnonzero(np.abs(scaled - rounded) == 0.5):
+        rounded.flat[i] = int(("%.6f" % abs(values.flat[i])).replace(".", ""))
+    millionths = rounded.astype(np.int64)
+    whole = millionths // 1_000_000
+    fraction = millionths - whole * 1_000_000
+    high = fraction // 10_000
+    point = _POINTS[high] | _QUADS[fraction - high * 10_000] << 24
+    words = np.stack([*_digit_words(whole, np.signbit(values), seps), point], axis=-1)
+    if gaps:
+        words[missing] = 0
+        words[..., 0] |= seps
+    return words
+
+
+def _int_words(values: np.ndarray, seps: np.ndarray) -> np.ndarray | None:
+    """``str`` cells of a ``(rows, k)`` int64 or uint64 block as ``(rows, k, words)``
+    uint64 words (see ``_digit_words``); None if a cell's magnitude is ``_EXACT`` or
+    more."""
+    if not (-_EXACT < values.min() and values.max() < _EXACT):
+        return None
+    values = values.astype(np.int64, copy=False)
+    return np.stack(_digit_words(np.abs(values), values < 0, seps), axis=-1)
+
+
+def _text_cells(column: np.ndarray) -> np.ndarray | None:
+    """A string column's cells as a ``(rows, width)`` byte matrix, NUL after each cell;
+    None if a cell is not ASCII, holds a NUL, or needs quotes."""
+    codes = np.ascontiguousarray(column, column.dtype.newbyteorder("<")).view("<u4")
+    if codes.max() > 127:
+        return None
+    cells = codes.astype(np.uint8).reshape(len(column), -1)
+    written = cells != 0
+    if (written[:, 1:] > written[:, :-1]).any():  # a NUL inside a cell
+        return None
+    text = cells.tobytes()
+    return None if any(ch in text for ch in b',"\r\n') else cells
+
+
+def _block_bytes(block: Sequence[np.ndarray]) -> bytes | None:
+    """One block of rows as ``_block_text`` writes them, built as one ``(rows, width)``
+    byte matrix whose NUL bytes are dropped; None where a cell lies outside this path's
+    domain: a float infinite or of magnitude ``_EXACT / 1e6`` or more, an integer of
+    magnitude ``_EXACT`` or more, a string that is not ASCII, holds a NUL or needs
+    quotes, or a column of another kind (bools among them)."""
+    rows = len(block[0])
+    comma = np.full((rows, 1), ord(","), np.uint8)
+    parts = []
+    for kind, run in groupby(enumerate(block), key=lambda item: item[1].dtype.kind):
+        positions, columns = zip(*run)
+        if kind == "U":
+            for position, column in zip(positions, columns):
+                cells = _text_cells(column)
+                if cells is None:
+                    return None
+                parts += [comma, cells] if position else [cells]
+            continue
+        if kind not in "fiu":
+            return None
+        seps = np.full(len(columns), ord(","), np.uint64)
+        seps[0] *= positions[0] > 0  # no separator before a row's first cell
+        values = np.column_stack(columns).astype(kind + "8", copy=False)
+        words = (_float_words if kind == "f" else _int_words)(values, seps)
+        if words is None:
+            return None
+        parts.append(words.reshape(rows, -1).view(np.uint8))
+    parts.append(np.full((rows, 2), [13, 10], np.uint8))
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+
+
 def write_csv(path: Path, table: Mapping[str, Sequence], seed: int,
               inputs: Sequence[Path] = ()) -> Path:
     """Stamped CSV of ``table``'s columns, floats at 6 decimals.
 
-    Rows end in ``\\r\\n`` and cells are quoted as ``csv.writer`` quotes them;
-    each block of rows is formatted by one ``%`` over a repeated row format."""
+    Rows end in ``\\r\\n`` and cells are quoted as ``csv.writer`` quotes them.  Each
+    block of ``_ROWS_PER_WRITE`` rows is built by ``_block_bytes`` as one byte matrix,
+    or, where a cell lies outside its domain or the table has one column, formatted by
+    ``_block_text``; both write every cell as ``"%.6f"`` or ``str`` writes it."""
     path.parent.mkdir(parents=True, exist_ok=True)
     columns = [np.asarray(column) for column in table.values()]
     n_rows = len(columns[0])
@@ -144,14 +289,14 @@ def write_csv(path: Path, table: Mapping[str, Sequence], seed: int,
             raise ValueError(f"{path}: column {name!r} has {len(column)} rows, "
                              f"not the {n_rows} of column {next(iter(table))!r}")
     lone = len(columns) == 1
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# riskdecode {__version__} seed={seed} inputs={_tags(inputs)}\n")
-        fh.write(",".join(_field(str(name), lone) for name in table) + "\r\n")
-        for start in range(0, n_rows, _ROWS_PER_WRITE):  # bounds the formatted cells held
-            specs, blocks = zip(*(_column(c[start:start + _ROWS_PER_WRITE], lone)
-                                  for c in columns))
-            rows = (",".join(specs) + "\r\n") * len(blocks[0])
-            fh.write(rows % tuple(chain.from_iterable(zip(*blocks))))
+    with open(path, "wb") as fh:
+        fh.write(f"# riskdecode {__version__} seed={seed} inputs={_tags(inputs)}\n"
+                 .encode("utf-8"))
+        fh.write((",".join(_field(str(name), lone) for name in table) + "\r\n").encode("utf-8"))
+        for start in range(0, n_rows, _ROWS_PER_WRITE):  # bounds the bytes held
+            block = [column[start:start + _ROWS_PER_WRITE] for column in columns]
+            data = None if lone else _block_bytes(block)
+            fh.write(_block_text(block, lone) if data is None else data)
     return path
 
 
@@ -324,7 +469,10 @@ def _fault(path: Path, what: str, exc: Exception) -> ValueError:
 
 
 def _row(table: Mapping[str, np.ndarray], i: int) -> str:
-    """Data row ``i`` (from 0) of an event table, named by its event and time."""
+    """Data row ``i`` (from 0) of a table, named by its event and time, or where it has no
+    events, by its scenario and feature."""
+    if "event_id" not in table:
+        return f"data row {i + 1} (scenario {table['scenario'][i]}, feature {table['feature'][i]})"
     t = f", t {table['t'][i]}" if "t" in table else ""
     return f"data row {i + 1} (event {table['event_id'][i]}{t})"
 
@@ -389,6 +537,30 @@ def _event_vector(path: Path, table: Mapping[str, np.ndarray],
         raise ValueError(f"{path} {_row(table, off_scale[0])} holds mean {mean[off_scale[0]]}, "
                          f"outside {RATING_MIN:g}..{RATING_MAX:g}; {_again(path)}")
     return ids, mean
+
+
+def _read_globals(path: Path) -> dict:
+    """``globals.csv``'s columns, checked: each row's scenario is a network group, its
+    ``mean_abs_phi`` a finite score of at least 0, and the ranks of each scenario's rows run
+    1..n, each once.  A fault names the file and the row."""
+    table = _read_event_table(path, ("mean_abs_phi",), ("scenario", "feature"), ints=("rank",))
+    scenarios, scores = table["scenario"].astype(str), table["mean_abs_phi"]
+    foreign = np.flatnonzero(~np.isin(scenarios, list(NETWORK_GROUPS)))
+    if foreign.size:
+        raise ValueError(f"{path} {_row(table, foreign[0])} names a scenario that is not a "
+                         f"network group; {_again(path)}")
+    bad = np.flatnonzero(~(np.isfinite(scores) & (scores >= 0)))
+    if bad.size:
+        raise ValueError(f"{path} {_row(table, bad[0])} holds mean_abs_phi {scores[bad[0]]}, "
+                         f"not a finite score of at least 0; {_again(path)}")
+    held, seen = Counter(scenarios.tolist()), set()
+    for i, (scenario, rank) in enumerate(zip(scenarios.tolist(), table["rank"].tolist())):
+        if not 1 <= rank <= held[scenario] or (scenario, rank) in seen:
+            raise ValueError(f"{path} {_row(table, i)} holds rank {rank}, but the ranks of "
+                             f"scenario {scenario} run 1..{held[scenario]}, each once; "
+                             f"{_again(path)}")
+        seen.add((scenario, rank))
+    return table
 
 
 def _read_curves(out: Path) -> tuple:
@@ -612,11 +784,14 @@ def _pair_matrices(table: Mapping[str, np.ndarray]):
         rejects += [(row, reason) for row in order[bounds[p]:bounds[p + 1]].tolist()]
 
     complete = ~faulty[pair]
+    pid, rating = pid[complete], rating[complete]
+    # np.unique without counts would check for a masked array, which imports numpy.ma
+    events, counts = np.unique(eid[complete], return_counts=True)
+    ends = np.cumsum(counts)
     matrices = {}
-    for event in np.unique(eid[complete]).tolist():
-        rows = complete & (eid == event)
+    for event, start, end in zip(events.tolist(), (ends - counts).tolist(), ends.tolist()):
         n = slot_counts[event]
-        matrices[event] = (pid[rows][::n], rating[rows].reshape(-1, n))
+        matrices[event] = (pid[start:end:n], rating[start:end].reshape(-1, n))
     return matrices, rejects
 
 
@@ -651,7 +826,7 @@ def run_ingest(out: Path, ratings_path: Path, seed: int = 0,
     index = DatasetIndex(
         total_ratings=total,
         per_family=per_family,
-        n_participants=int(np.unique(valid["participant_id"]).size),
+        n_participants=len(set(valid["participant_id"].tolist())),
         invalid_rows=len(invalid),
         dropped_pairs=accepted["rating"].size - len(incomplete) - total,
     )
@@ -1013,7 +1188,7 @@ def run_report(out: Path, seed: int = 0) -> dict:
     mlp = predicted_mean[np.isin(predicted_ids, events)]
     report = compare_models(events, truth, {**_model_curves(calibrations, events), "MLP": mlp})
     model_inputs = [curves_path, predictions_path, *calibrations.values()]
-    global_table = _read_event_table(globals_path, (), ints=())
+    global_table = _read_globals(globals_path)
 
     shap = _read_event_table(shap_path, ("t", "phi"), ("feature",))
     frames = np.rint(shap["t"] / DT)

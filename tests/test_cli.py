@@ -168,6 +168,22 @@ def test_artifacts_take_the_column_pass(mini_tree, monkeypatch):
         assert len(passes) == 1 and passes[0] is not None, path.name
 
 
+def test_artifacts_take_the_byte_path(mini_tree, monkeypatch, tmp_path):
+    byte_path, blocks = pipeline._block_bytes, []
+    monkeypatch.setattr(pipeline, "_block_bytes",
+                        lambda block: blocks.append(byte_path(block)) or blocks[-1])
+    tables = sorted(mini_tree.glob("*.csv"))
+    assert len(tables) == 20
+    for path in tables:
+        blocks.clear()
+        table = read_csv(path)
+        again = write_csv(tmp_path / path.name, table, seed=1)
+        n_rows = len(next(iter(table.values())))
+        assert len(blocks) == -(-n_rows // pipeline._ROWS_PER_WRITE), path.name
+        assert None not in blocks, path.name
+        assert again.read_bytes().partition(b"\n")[2] == path.read_bytes().partition(b"\n")[2]
+
+
 def test_stage_reruns_are_byte_identical(mini_tree):
     tracked = ["curves.csv", "predictions.csv", "report_comparison.csv",
                "manifest_outputs.json"]
@@ -803,6 +819,15 @@ READ_FAULTS = {
                                   rf"lacks event 1 at its {N_FRAMES_1} frames "
                                   rf"\(it holds {N_FRAMES_1 - 1} rows of it\)"),
     "ratings_valid_header_only": ("ratings_valid.csv", "ingest", r"holds no rating rows"),
+    # data row 4: a "nan" score, as another tool writes NaN; a scenario no network has;
+    # the rank of the row above it
+    "globals_nan_score": ("globals.csv", "explain",
+                          r"{row} holds mean_abs_phi nan, not a finite score of at least 0"),
+    "globals_foreign_scenario": ("globals.csv", "explain",
+                                 r"{row} names a scenario that is not a network group"),
+    "globals_rank_twice": ("globals.csv", "explain",
+                           r"{row} holds rank 3, but the ranks of scenario HB run 1\.\.11, "
+                           r"each once"),
     "shap_t_400": ("shap.csv", "explain", r"{row} lies outside the event's predicted frames"),
     "shap_t_negative": ("shap.csv", "explain",
                         r"{row} lies outside the event's predicted frames"),
@@ -886,6 +911,15 @@ def test_stages_name_a_faulty_input_file(stage, fault, mini_tree, tmp_path, capl
             row = np.flatnonzero(order != np.arange(order.size))[0]  # the first row moved
             if fault == "curves_event_1_last":  # the first row after a higher event's
                 row = np.flatnonzero(np.diff(table["event_id"]) < 0)[0] + 1
+        elif fault.startswith("globals"):
+            row = 3
+            if fault == "globals_nan_score":
+                table["mean_abs_phi"] = table["mean_abs_phi"].astype(str)
+                table["mean_abs_phi"][row] = "nan"
+            elif fault == "globals_foreign_scenario":
+                table["scenario"][row] = "ZZZ"
+            else:
+                table["rank"][row] = table["rank"][row - 1]
         elif fault.endswith(("nan_mean", "mean_57")):
             row = 3
             table["mean"][row] = np.nan if fault == "curves_nan_mean" else 57.0
@@ -893,10 +927,15 @@ def test_stages_name_a_faulty_input_file(stage, fault, mini_tree, tmp_path, capl
             table["t"][row] = 400.0 if fault == "shap_t_400" else -0.1
         write_csv(path, table, seed=1)
         table = read_csv(path)
-        frame = row - np.flatnonzero(table["event_id"] == table["event_id"][row])[0]
-        detail = detail.format(frame=frame, at=re.escape(f"{frame * scenarios.DT:g}"),
-                               row=re.escape(
-            f"data row {row + 1} (event {table['event_id'][row]}, t {table['t'][row]})"))
+        if "event_id" not in table:  # globals.csv
+            detail = detail.format(row=re.escape(f"data row {row + 1} (scenario "
+                                                 f"{table['scenario'][row]}, feature "
+                                                 f"{table['feature'][row]})"))
+        else:
+            frame = row - np.flatnonzero(table["event_id"] == table["event_id"][row])[0]
+            detail = detail.format(frame=frame, at=re.escape(f"{frame * scenarios.DT:g}"),
+                                   row=re.escape(f"data row {row + 1} (event "
+                                                 f"{table['event_id'][row]}, t {table['t'][row]})"))
     flags = {"train": ["--epochs", "2"], "calibrate": ["--draws", "2"]}.get(stage, [])
     if fault.startswith("kept"):
         flags += ["--scenario", "MB"]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import table_oracles as oracle
 
+from riskdecode import pipeline
 from riskdecode.pipeline import read_csv, write_csv, write_json
 from riskdecode.scenarios import DT
 
@@ -120,6 +121,14 @@ TABLES = {
     "header_only": dict.fromkeys(("event_id", "phi"), ()),
     "bools": {"kept": np.array([True, False]), "t": [0.0, 0.1]},
     "quoted_header": {"a,b": [1], 'say "x"': ["z"]},
+    # cells outside the byte path's domain: each block that holds one is written by %
+    "inf_cell": {"x": [0.5, np.inf, -np.inf], "n": [1, 2, 3]},
+    "huge_float": {"x": [0.5, 1e300, -(2.0 ** 52 / 1e6)], "n": [1, 2, 3]},
+    "float32_and_uint8": {"x": np.float32([0.1, -2.7, 1e-7, 3e5]), "n": np.uint8([0, 1, 7, 255])},
+    "non_ascii_string": {"name": ["Ä b", "z"], "x": [0.5, -1.0]},
+    "one_block_falls_back": {"event_id": np.arange(2500),
+                             "x": np.where(np.arange(2500) == 1500, np.inf,
+                                           np.linspace(-3.0, 3.0, 2500))},
 }
 
 
@@ -139,6 +148,44 @@ def test_codec_matches_per_cell_oracle(tmp_path, name, repr_text):
     again = write_csv(tmp_path / "again.csv", back, seed=3)
     assert again.read_bytes() == oracle.write_csv(tmp_path / "again_old.csv", back,
                                                   seed=3).read_bytes()
+
+
+def _exactness_table():
+    """Floats from 1e-9 to 4e9 of both signs, with the cells where a product by 1e6 rounds
+    near a half-integer, and integers up to the int64 limits."""
+    rng = np.random.default_rng(11)
+    x = 10.0 ** rng.uniform(-9.0, np.log10(4e9), 200_000) * rng.choice([-1.0, 1.0], 200_000)
+    odd = 2.0 * rng.integers(0, 2 ** 40, 4_000) + 1.0
+    halves = (rng.integers(0, 4 * 10 ** 15, 4_000) + 0.5) / 1e6  # near k + 5e-7
+    edge = 2.0 ** 52 / 1e6  # the magnitude guard
+    special = np.concatenate([
+        odd / 128.0 % 4e9, odd / 2.0 ** 20 % 4e9, [0.0, -0.0, 5e-7, -5e-7, 1.5e-6],
+        halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf),
+        [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf), 2.0 * edge, np.nan]])
+    x = np.concatenate([x, special * rng.choice([-1.0, 1.0], special.size)])
+    n = rng.integers(-10 ** 6, 10 ** 6, x.size)
+    n[[5, 50_000, 150_000]] = LIMIT, -LIMIT - 1, 2 ** 52
+    n[[7, 9]] = 2 ** 52 - 1, -(2 ** 52 - 1)
+    return {"n": n, "x": x, "y": x[::-1]}
+
+
+def test_write_csv_writes_every_float_as_the_per_cell_oracle(tmp_path, monkeypatch):
+    table = _exactness_table()
+    fallbacks = []
+    block_bytes = pipeline._block_bytes
+    monkeypatch.setattr(pipeline, "_block_bytes",
+                        lambda block: fallbacks.append(block_bytes(block) is None)
+                        or block_bytes(block))
+    path = write_csv(tmp_path / "new.csv", table, seed=2)
+    assert path.read_bytes() == oracle.write_csv(tmp_path / "old.csv", table, 2).read_bytes()
+    # only the blocks holding an integer at 2**52 or beyond, or a float of magnitude
+    # 2**52 / 1e6 or beyond, were written by the % path
+    big = (np.abs(table["n"].astype(float)) >= 2.0 ** 52)
+    for column in ("x", "y"):
+        big |= np.abs(table[column]) * 1e6 >= 2.0 ** 52
+    rows = np.arange(big.size) // pipeline._ROWS_PER_WRITE
+    assert np.flatnonzero(fallbacks).tolist() == np.unique(rows[big]).tolist()
+    assert 0 < sum(fallbacks) < len(fallbacks) / 10
 
 
 # hand-made tables around the one-pass parse: what it accepts, and what it hands to
